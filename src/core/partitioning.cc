@@ -161,13 +161,29 @@ std::vector<RegionRate> RegionRateTracker::Estimates() const {
   return out;
 }
 
+namespace {
+
+std::vector<std::string> LocationFields(
+    const std::vector<SpatialRouter::GroupingRoute>& routes) {
+  std::vector<std::string> names;
+  names.reserve(routes.size());
+  for (const auto& route : routes) names.push_back(route.location_field);
+  return names;
+}
+
+}  // namespace
+
+SpatialRouter::SpatialRouter(std::vector<GroupingRoute> routes)
+    : routes_(std::move(routes)), location_slots_(LocationFields(routes_)) {}
+
 void SpatialRouter::Route(const dsps::Tuple& tuple,
                           std::vector<int>* tasks) const {
   tasks->clear();
-  for (const GroupingRoute& route : routes_) {
-    auto region = tuple.GetByField(route.location_field);
-    if (!region.ok()) continue;
-    int64_t region_id = region->AsInt();
+  for (size_t r = 0; r < routes_.size(); ++r) {
+    const GroupingRoute& route = routes_[r];
+    int slot = location_slots_.IndexOf(tuple, r);
+    if (slot < 0) continue;
+    int64_t region_id = tuple.Get(static_cast<size_t>(slot)).AsInt();
     auto it = route.region_to_engine.find(region_id);
     if (it != route.region_to_engine.end()) {
       tasks->push_back(it->second);

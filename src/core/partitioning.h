@@ -95,8 +95,7 @@ class SpatialRouter {
     std::vector<int> fallback_engines;
   };
 
-  explicit SpatialRouter(std::vector<GroupingRoute> routes)
-      : routes_(std::move(routes)) {}
+  explicit SpatialRouter(std::vector<GroupingRoute> routes);
 
   /// Target engine-task list for a tuple (deduplicated, sorted).
   void Route(const dsps::Tuple& tuple, std::vector<int>* tasks) const;
@@ -108,6 +107,8 @@ class SpatialRouter {
 
  private:
   std::vector<GroupingRoute> routes_;
+  /// routes_[i].location_field is slot i.
+  dsps::FieldSlots location_slots_;
 };
 
 /// Swappable routing table for elastic scheduling: wraps an immutable

@@ -257,13 +257,17 @@ Result<TrafficManagementSystem::RunReport> TrafficManagementSystem::Run() {
   // The splitter also feeds the rate trackers so the next Run() partitions
   // with observed rates ("incrementally update them while the application
   // runs").
-  auto observing_router = [shared_router, this](const dsps::Tuple& tuple,
-                                                std::vector<int>* tasks) {
+  auto observing_router = [shared_router, this,
+                           slots = dsps::FieldSlots({"area_leaf", "bus_stop"})](
+                              const dsps::Tuple& tuple, std::vector<int>* tasks) {
     shared_router->Route(tuple, tasks);
-    auto area = tuple.GetByField("area_leaf");
-    if (area.ok() && area->AsInt() >= 0) area_tracker_.Observe(area->AsInt());
-    auto stop = tuple.GetByField("bus_stop");
-    if (stop.ok() && stop->AsInt() >= 0) stop_tracker_.Observe(stop->AsInt());
+    RegionRateTracker* trackers[] = {&area_tracker_, &stop_tracker_};
+    for (size_t i = 0; i < 2; ++i) {
+      int slot = slots.IndexOf(tuple, i);
+      if (slot < 0) continue;
+      int64_t region = tuple.Get(static_cast<size_t>(slot)).AsInt();
+      if (region >= 0) trackers[i]->Observe(region);
+    }
   };
   builder
       .SetBolt(

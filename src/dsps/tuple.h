@@ -1,6 +1,7 @@
 #ifndef INSIGHT_DSPS_TUPLE_H_
 #define INSIGHT_DSPS_TUPLE_H_
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -154,6 +155,55 @@ class Tuple {
   TuplePriority priority_ = TuplePriority::kNormal;
   uint64_t trace_id_ = 0;
   MicrosT trace_enqueue_micros_ = 0;
+};
+
+/// Positions of a fixed list of field names, resolved against the first
+/// schema a lookup sees and reused for every tuple carrying that same Fields
+/// instance (all tuples of one output stream share one). Tuples of any
+/// other schema are looked up by name. Safe to share between threads: the
+/// resolved positions are published once and never change.
+class FieldSlots {
+ public:
+  explicit FieldSlots(std::vector<std::string> names) : names_(std::move(names)) {}
+  FieldSlots(const FieldSlots& other) : names_(other.names_) {}
+  FieldSlots& operator=(const FieldSlots& other) {
+    if (this != &other) {
+      names_ = other.names_;
+      delete resolved_.exchange(nullptr);
+    }
+    return *this;
+  }
+  ~FieldSlots() { delete resolved_.load(); }
+
+  /// Index of the i-th name in `tuple`'s schema, or -1 when it has no such field.
+  int IndexOf(const Tuple& tuple, size_t i) const {
+    const Fields* schema = tuple.fields_ptr().get();
+    if (schema == nullptr) return -1;
+    const Resolved* resolved = resolved_.load(std::memory_order_acquire);
+    if (resolved == nullptr) resolved = Resolve(tuple.fields_ptr());
+    if (resolved->schema.get() == schema) return resolved->slots[i];
+    return schema->IndexOf(names_[i]);
+  }
+
+ private:
+  struct Resolved {
+    // Held so no other Fields can take this address while it is compared.
+    std::shared_ptr<const Fields> schema;
+    std::vector<int> slots;
+  };
+
+  const Resolved* Resolve(const std::shared_ptr<const Fields>& schema) const {
+    auto mine = std::make_unique<Resolved>(Resolved{schema, {}});
+    for (const std::string& name : names_) mine->slots.push_back(schema->IndexOf(name));
+    const Resolved* expected = nullptr;
+    if (resolved_.compare_exchange_strong(expected, mine.get(), std::memory_order_acq_rel)) {
+      return mine.release();
+    }
+    return expected;  // another thread published first
+  }
+
+  std::vector<std::string> names_;
+  mutable std::atomic<const Resolved*> resolved_{nullptr};
 };
 
 }  // namespace dsps

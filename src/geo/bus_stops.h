@@ -8,6 +8,7 @@
 
 #include "common/status.h"
 #include "geo/denclue.h"
+#include "geo/grid.h"
 #include "geo/latlon.h"
 
 namespace insight {
@@ -60,15 +61,21 @@ class BusStopIndex {
 
   /// Closest canonical stop for a new observation; prefers subclusters that
   /// have seen the same (line, direction), falling back to the nearest by
-  /// angle. Returns -1 when nothing is within max_assign_distance.
+  /// angle. Returns -1 when nothing is within max_assign_distance. Equal
+  /// distances go to the lowest stop id. Only stops in the grid cells that
+  /// can hold a stop within max_assign_distance are measured.
   int64_t Locate(const LatLon& position, int line_id, bool direction) const;
 
   const std::vector<BusStop>& stops() const { return stops_; }
+  /// Stop ids are dense: stop `id` is stops()[id].
   Result<BusStop> GetStop(int64_t id) const;
 
  private:
   Options options_;
   std::vector<BusStop> stops_;
+  // Stop centres keyed by (normalised lon, lat) in degrees; cells are about
+  // max_assign_distance on a side.
+  CellGrid grid_;
   // Projection origin captured at Build() so Locate() maps queries the same way.
   bool has_projection_ = false;
   LatLon projection_origin_;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "geo/grid.h"
 
 namespace insight {
 namespace geo {
@@ -47,7 +48,10 @@ class Denclue {
 
   explicit Denclue(const Options& options) : options_(options) {}
 
-  /// Clusters the points. Empty input yields an empty result.
+  /// Clusters the points. Empty input yields an empty result. Kernel sums
+  /// skip only points far enough away that their Gaussian term underflows
+  /// to exactly +0.0, and add the rest in index order, so the result is
+  /// bit-identical to summing over every point.
   ClusterResult Cluster(const std::vector<Point>& points) const;
 
   /// Kernel density estimate at (x, y) given the data set. Exposed for tests
@@ -55,7 +59,8 @@ class Denclue {
   double DensityAt(const std::vector<Point>& points, double x, double y) const;
 
  private:
-  Point ClimbToAttractor(const std::vector<Point>& points, Point start) const;
+  Point ClimbToAttractor(const std::vector<Point>& points, const CellGrid& grid,
+                         Point start, std::vector<uint32_t>* candidates) const;
 
   Options options_;
 };

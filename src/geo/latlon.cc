@@ -3,10 +3,6 @@
 namespace insight {
 namespace geo {
 
-namespace {
-constexpr double kEarthRadiusMeters = 6371000.0;
-}
-
 double HaversineMeters(const LatLon& a, const LatLon& b) {
   double lat1 = DegToRad(a.lat);
   double lat2 = DegToRad(b.lat);

@@ -15,6 +15,9 @@ struct LatLon {
   bool operator==(const LatLon& o) const { return lat == o.lat && lon == o.lon; }
 };
 
+/// Mean Earth radius used by HaversineMeters.
+constexpr double kEarthRadiusMeters = 6371000.0;
+
 inline double DegToRad(double deg) { return deg * 3.14159265358979323846 / 180.0; }
 inline double RadToDeg(double rad) { return rad * 180.0 / 3.14159265358979323846; }
 

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/rng.h"
+#include "common/thread.h"
 #include "core/allocation.h"
 #include "core/partitioning.h"
 #include "core/retrieval.h"
@@ -262,6 +263,48 @@ TEST(SpatialRouterTest, FallbackForUnknownRegion) {
   router.Route(dsps::Tuple(fields, {cep::Value(int64_t{999})}), &tasks);
   ASSERT_EQ(tasks.size(), 1u);
   EXPECT_TRUE(tasks[0] == 0 || tasks[0] == 1);
+}
+
+TEST(SpatialRouterTest, FieldSlotsHoldAcrossSchemasThreadsAndCopies) {
+  SpatialRouter::GroupingRoute areas;
+  areas.location_field = "area_leaf";
+  areas.region_to_engine = {{10, 0}, {11, 1}};
+  SpatialRouter::GroupingRoute stops;
+  stops.location_field = "bus_stop";
+  stops.region_to_engine = {{5, 2}, {6, 3}};
+  const SpatialRouter router({areas, stops});
+  // Same fields in two orders, plus a schema missing one of them.
+  auto forward = std::make_shared<dsps::Fields>(dsps::Fields({"area_leaf", "bus_stop"}));
+  auto reversed = std::make_shared<dsps::Fields>(dsps::Fields({"bus_stop", "area_leaf"}));
+  auto stops_only = std::make_shared<dsps::Fields>(dsps::Fields({"x", "bus_stop"}));
+  auto route = [](const SpatialRouter& r, const std::shared_ptr<dsps::Fields>& f,
+                  int64_t first, int64_t second) {
+    std::vector<int> tasks;
+    r.Route(dsps::Tuple(f, {cep::Value(first), cep::Value(second)}), &tasks);
+    return tasks;
+  };
+  std::vector<Thread> threads;
+  std::vector<int> mismatches(4, 0);
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 500; ++i) {
+        const int64_t area = 10 + (i + t) % 2;
+        const int64_t stop = 5 + i % 2;
+        std::vector<int> want{static_cast<int>(area - 10), static_cast<int>(stop - 3)};
+        if (route(router, forward, area, stop) != want) ++mismatches[t];
+        if (route(router, reversed, stop, area) != want) ++mismatches[t];
+        if (route(router, stops_only, area, stop) != std::vector<int>{want[1]}) {
+          ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (Thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches, std::vector<int>(4, 0));
+  // A copy resolves afresh, whichever schema it sees first.
+  SpatialRouter copy = router;
+  EXPECT_EQ(route(copy, reversed, 6, 11), (std::vector<int>{1, 3}));
+  EXPECT_EQ(route(copy, forward, 10, 5), (std::vector<int>{0, 2}));
 }
 
 // ---------------------------------------------------------------------------

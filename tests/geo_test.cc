@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <set>
+
 #include "common/rng.h"
 #include "geo/bus_stops.h"
 #include "geo/denclue.h"
+#include "geo/grid.h"
 #include "geo/latlon.h"
 #include "geo/quadtree.h"
 
@@ -275,6 +280,69 @@ TEST(BusStopIndexTest, EmptyIndex) {
   EXPECT_EQ(index.Build({}), 0u);
   EXPECT_EQ(index.Locate({53.35, -6.26}, 1, true), -1);
   EXPECT_FALSE(index.GetStop(0).ok());
+}
+
+TEST(BusStopIndexTest, GetStopByDenseIdAndRebuildOnEmptyClears) {
+  std::vector<StopReport> reports;
+  for (const LatLon& at : {LatLon{53.35, -6.26}, LatLon{53.36, -6.22}}) {
+    for (int i = 0; i < 5; ++i) reports.push_back({at, 3, false, 10.0});
+  }
+  BusStopIndex index;
+  ASSERT_EQ(index.Build(reports), 2u);
+  for (const BusStop& stop : index.stops()) {
+    auto got = index.GetStop(stop.id);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->id, stop.id);
+    EXPECT_EQ(got->center, stop.center);
+  }
+  EXPECT_EQ(index.GetStop(-1).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(index.GetStop(2).status().code(), StatusCode::kNotFound);
+  ASSERT_GE(index.Locate({53.35, -6.26}, 3, false), 0);
+
+  // Rebuilding from no reports leaves no stop and no grid cell behind.
+  EXPECT_EQ(index.Build({}), 0u);
+  EXPECT_TRUE(index.stops().empty());
+  EXPECT_EQ(index.Locate({53.35, -6.26}, 3, false), -1);
+  EXPECT_EQ(index.GetStop(0).status().code(), StatusCode::kNotFound);
+}
+
+// ---------------------------------------------------------------------------
+// CellGrid
+// ---------------------------------------------------------------------------
+
+TEST(CellGridTest, VisitsEveryPointInsideTheBoxAndEveryUnplacedPoint) {
+  Rng rng(21);
+  std::vector<CellGrid::Key> keys;
+  for (int i = 0; i < 500; ++i) keys.push_back({rng.Uniform(-50, 50), rng.Uniform(0, 20)});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  keys.push_back({nan, 1.0});
+  keys.push_back({2.0, inf});
+  // Requested cell sizes: normal, degenerate (zero, NaN) and far too small
+  // for the point count.
+  for (double cell : {3.0, 0.0, nan, 1e-9}) {
+    CellGrid grid;
+    grid.Build(keys, cell, cell);
+    EXPECT_LE(grid.cell_count(), 4 * keys.size() + 64);
+    for (int q = 0; q < 50; ++q) {
+      double x0 = rng.Uniform(-60, 60), y0 = rng.Uniform(-5, 25);
+      double x1 = x0 + rng.Uniform(0, 30), y1 = y0 + rng.Uniform(0, 10);
+      std::multiset<uint32_t> seen;
+      grid.ForEachNear(x0, x1, y0, y1, [&](uint32_t i) { seen.insert(i); });
+      for (uint32_t i = 0; i < keys.size(); ++i) {
+        const bool unplaced = !std::isfinite(keys[i].x) || !std::isfinite(keys[i].y);
+        const bool inside = keys[i].x >= x0 && keys[i].x <= x1 &&
+                            keys[i].y >= y0 && keys[i].y <= y1;
+        if (unplaced || inside) {
+          EXPECT_EQ(seen.count(i), 1u) << i;
+        }
+      }
+    }
+    // NaN bounds span the whole grid.
+    size_t all = 0;
+    grid.ForEachNear(nan, nan, -inf, inf, [&](uint32_t) { ++all; });
+    EXPECT_EQ(all, keys.size());
+  }
 }
 
 }  // namespace

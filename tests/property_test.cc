@@ -1,10 +1,15 @@
 // Parameterized property tests (TEST_P sweeps) over the library's
-// invariants: quadtree tiling, partition balance, window-size bounds, DES
-// work conservation, regression exactness and MapReduce determinism.
+// invariants: quadtree tiling, grid-indexed stop lookup and DENCLUE against
+// brute-force references, partition balance, window-size bounds, DES work
+// conservation, regression exactness and MapReduce determinism.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <deque>
+#include <limits>
 #include <numeric>
 
 #include "batch/mapreduce.h"
@@ -12,9 +17,12 @@
 #include "common/rng.h"
 #include "common/strings.h"
 #include "core/partitioning.h"
+#include "geo/bus_stops.h"
+#include "geo/denclue.h"
 #include "geo/quadtree.h"
 #include "model/regression.h"
 #include "sim/cluster_sim.h"
+#include "traffic/generator.h"
 
 namespace insight {
 namespace {
@@ -89,6 +97,298 @@ TEST_P(QuadtreeProperty, LeafCapacityRespected) {
 INSTANTIATE_TEST_SUITE_P(Sweep, QuadtreeProperty,
                          ::testing::Combine(::testing::Values(1u, 7u, 42u, 99u),
                                             ::testing::Values(4u, 8u, 16u)));
+
+// ---------------------------------------------------------------------------
+// Grid-indexed stop lookup and DENCLUE against brute-force references
+// ---------------------------------------------------------------------------
+
+// The linear stop scan the grid replaced: haversine against every stop in id
+// order, keeping the first strict minimum.
+int64_t ReferenceLocate(const geo::BusStopIndex& index, double max_distance,
+                        const geo::LatLon& position, int line_id, bool direction) {
+  const std::pair<int, bool> key{line_id, direction};
+  double best_known = std::numeric_limits<double>::infinity();
+  int64_t best_known_id = -1;
+  double best_any = std::numeric_limits<double>::infinity();
+  int64_t best_any_id = -1;
+  for (const geo::BusStop& stop : index.stops()) {
+    double d = geo::HaversineMeters(position, stop.center);
+    if (d < best_any) {
+      best_any = d;
+      best_any_id = stop.id;
+    }
+    if (std::binary_search(stop.lines.begin(), stop.lines.end(), key) &&
+        d < best_known) {
+      best_known = d;
+      best_known_id = stop.id;
+    }
+  }
+  if (best_known_id >= 0 && best_known <= max_distance) return best_known_id;
+  if (best_any <= max_distance) return best_any_id;
+  return -1;
+}
+
+// DENCLUE summing every kernel over every point.
+geo::Denclue::ClusterResult ReferenceCluster(
+    const geo::Denclue::Options& options,
+    const std::vector<geo::Denclue::Point>& points) {
+  using Point = geo::Denclue::Point;
+  const double sigma2 = options.sigma * options.sigma;
+  auto density = [&](double x, double y) {
+    double sum = 0.0;
+    for (const Point& p : points) {
+      double dx = p.x - x;
+      double dy = p.y - y;
+      sum += std::exp(-(dx * dx + dy * dy) / (2.0 * sigma2));
+    }
+    return sum;
+  };
+  auto climb = [&](Point cur) {
+    for (size_t iter = 0; iter < options.max_iterations; ++iter) {
+      double wx = 0.0, wy = 0.0, wsum = 0.0;
+      for (const Point& p : points) {
+        double dx = p.x - cur.x;
+        double dy = p.y - cur.y;
+        double w = std::exp(-(dx * dx + dy * dy) / (2.0 * sigma2));
+        wx += w * p.x;
+        wy += w * p.y;
+        wsum += w;
+      }
+      if (wsum <= 1e-12) break;
+      Point next{wx / wsum, wy / wsum};
+      double moved = std::hypot(next.x - cur.x, next.y - cur.y);
+      cur = next;
+      if (moved < options.convergence_epsilon) break;
+    }
+    return cur;
+  };
+  geo::Denclue::ClusterResult result;
+  result.labels.assign(points.size(), -1);
+  for (const Point& start : points) {
+    Point a = climb(start);
+    size_t i = static_cast<size_t>(&start - points.data());
+    if (options.min_density > 0.0 && density(a.x, a.y) < options.min_density) continue;
+    int assigned = -1;
+    for (size_t c = 0; c < result.centers.size(); ++c) {
+      if (std::hypot(a.x - result.centers[c].x, a.y - result.centers[c].y) <=
+          options.attractor_merge_distance) {
+        assigned = static_cast<int>(c);
+        break;
+      }
+    }
+    if (assigned < 0) {
+      assigned = static_cast<int>(result.centers.size());
+      result.centers.push_back(a);
+    }
+    result.labels[i] = assigned;
+  }
+  result.num_clusters = result.centers.size();
+  return result;
+}
+
+void ExpectBitIdentical(const geo::Denclue::ClusterResult& got,
+                        const geo::Denclue::ClusterResult& want) {
+  EXPECT_EQ(got.labels, want.labels);
+  EXPECT_EQ(got.num_clusters, want.num_clusters);
+  ASSERT_EQ(got.centers.size(), want.centers.size());
+  EXPECT_EQ(std::memcmp(got.centers.data(), want.centers.data(),
+                        got.centers.size() * sizeof(geo::Denclue::Point)),
+            0);
+}
+
+// Stop reports of a generated city (the city_monitoring scale).
+std::vector<geo::StopReport> CityStopReports(uint64_t seed, size_t samples) {
+  traffic::TraceGenerator::Options options;
+  options.num_buses = 150;
+  options.num_lines = 20;
+  options.start_hour = 7;
+  options.end_hour = 13;
+  options.seed = seed;
+  traffic::TraceGenerator generator(options);
+  return generator.CollectStopReports(samples);
+}
+
+// Seen (line, direction) pairs most of the time, unseen ones otherwise.
+std::pair<int, bool> RandomLine(const geo::BusStopIndex& index, Rng* rng) {
+  if (rng->NextUint(4) == 0) {
+    return {1000 + static_cast<int>(rng->NextUint(5)), rng->NextUint(2) == 0};
+  }
+  const auto& stop = index.stops()[rng->NextUint(index.stops().size())];
+  return stop.lines[rng->NextUint(stop.lines.size())];
+}
+
+class StopLocateProperty
+    : public ::testing::TestWithParam<std::tuple<uint64_t, double>> {};
+
+TEST_P(StopLocateProperty, GridMatchesLinearScan) {
+  auto [seed, max_distance] = GetParam();
+  geo::BusStopIndex::Options options;
+  options.max_assign_distance = max_distance;
+  geo::BusStopIndex index(options);
+  ASSERT_GT(index.Build(CityStopReports(seed, 2000)), 0u);
+  Rng rng(seed ^ 0x5709);
+  const auto& stops = index.stops();
+  const geo::BoundingBox city = geo::DublinBounds();
+  size_t assigned = 0;
+  auto check = [&](const geo::LatLon& p) {
+    auto [line, direction] = RandomLine(index, &rng);
+    int64_t got = index.Locate(p, line, direction);
+    EXPECT_EQ(got, ReferenceLocate(index, max_distance, p, line, direction))
+        << "at " << p.lat << "," << p.lon << " line " << line << "/" << direction;
+    if (got >= 0) ++assigned;
+  };
+  for (int i = 0; i < 800; ++i) {  // near a stop
+    const geo::BusStop& stop = stops[rng.NextUint(stops.size())];
+    geo::LocalProjection proj(stop.center);
+    check(proj.FromXY(rng.Gaussian() * max_distance, rng.Gaussian() * max_distance));
+  }
+  for (int i = 0; i < 800; ++i) {  // anywhere in and around the city
+    check({rng.Uniform(city.min_lat - 0.05, city.max_lat + 0.05),
+           rng.Uniform(city.min_lon - 0.05, city.max_lon + 0.05)});
+  }
+  for (int i = 0; i < 200; ++i) {  // far outside, longitudes past +-180 too
+    check({rng.Uniform(-90.0, 90.0), rng.Uniform(-540.0, 540.0)});
+  }
+  EXPECT_GT(assigned, 300u);  // the sweep exercises real assignments
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, StopLocateProperty,
+                         ::testing::Combine(::testing::Values(1u, 2u, 3u),
+                                            ::testing::Values(250.0, 40.0, 1500.0)));
+
+TEST(StopLocateEdgeCases, QueryExactlyAtCutoff) {
+  // max_assign_distance set to one stop's exact haversine from the query:
+  // that stop is on the boundary and must still be found.
+  const auto reports = CityStopReports(4, 2000);
+  geo::BusStopIndex probe;
+  ASSERT_GT(probe.Build(reports), 0u);
+  Rng rng(44);
+  for (int trial = 0; trial < 6; ++trial) {
+    const geo::BusStop& stop = probe.stops()[rng.NextUint(probe.stops().size())];
+    geo::LocalProjection proj(stop.center);
+    const double bearing = rng.Uniform(0.0, 6.283185307179586);
+    const double radius = rng.Uniform(20.0, 400.0);
+    const geo::LatLon q =
+        proj.FromXY(radius * std::cos(bearing), radius * std::sin(bearing));
+    geo::BusStopIndex::Options options;
+    options.max_assign_distance = geo::HaversineMeters(q, stop.center);
+    geo::BusStopIndex index(options);
+    index.Build(reports);
+    ASSERT_EQ(index.stops().size(), probe.stops().size());
+    for (const auto& [line, direction] :
+         {stop.lines.front(), std::pair<int, bool>{999, false}}) {
+      int64_t got = index.Locate(q, line, direction);
+      EXPECT_EQ(got, ReferenceLocate(index, options.max_assign_distance, q, line,
+                                     direction));
+      EXPECT_GE(got, 0);
+    }
+  }
+}
+
+TEST(StopLocateEdgeCases, IdenticalCentresTieToLowestId) {
+  // Two reports per (line, direction) at one position, opposite entry angles:
+  // two stops whose centres are bit-identical.
+  const geo::LatLon at{53.35, -6.26};
+  std::vector<geo::StopReport> reports = {
+      {at, 1, true, 90.0}, {at, 1, true, 90.0},
+      {at, 2, true, 270.0}, {at, 2, true, 270.0}};
+  geo::BusStopIndex index;
+  ASSERT_EQ(index.Build(reports), 2u);
+  ASSERT_EQ(index.stops()[0].center, index.stops()[1].center);
+  const int64_t line2 = index.stops()[0].lines.front().first == 2 ? 0 : 1;
+  const geo::LatLon q{53.3503, -6.2601};
+  for (int line : {1, 2, 7}) {
+    EXPECT_EQ(index.Locate(q, line, true),
+              ReferenceLocate(index, 250.0, q, line, true));
+  }
+  EXPECT_EQ(index.Locate(q, 7, true), 0);  // unseen line: tie -> lowest id
+  EXPECT_EQ(index.Locate(q, 2, true), line2);
+}
+
+TEST(StopLocateEdgeCases, StopsAcrossTheAntimeridian) {
+  // Stops on both sides of longitude 180, queried with raw longitudes on
+  // either side and one turn off: the search window must wrap.
+  std::vector<geo::StopReport> reports;
+  for (const auto& [at, line] : {std::pair<geo::LatLon, int>{{-17.8, 179.9995}, 1},
+                                 {{-17.8, -179.9995}, 2},
+                                 {{-17.8006, 179.998}, 3}}) {
+    for (int i = 0; i < 4; ++i) reports.push_back({at, line, true, 45.0});
+  }
+  geo::BusStopIndex index;
+  ASSERT_EQ(index.Build(reports), 3u);
+  Rng rng(180);
+  size_t assigned = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const double turn = 360.0 * static_cast<double>(rng.UniformInt(-1, 1));
+    const geo::LatLon p{rng.Uniform(-17.802, -17.798),
+                        rng.Uniform(179.996, 180.004) + turn};
+    const int line = 1 + static_cast<int>(rng.NextUint(4));
+    const int64_t got = index.Locate(p, line, true);
+    EXPECT_EQ(got, ReferenceLocate(index, 250.0, p, line, true))
+        << "at " << p.lat << "," << p.lon << " line " << line;
+    if (got >= 0) ++assigned;
+  }
+  EXPECT_GT(assigned, 500u);
+}
+
+TEST(StopLocateEdgeCases, EmptyIndexAndNonFinitePositions) {
+  geo::BusStopIndex empty;
+  EXPECT_EQ(empty.Build({}), 0u);
+  EXPECT_EQ(empty.Locate({53.35, -6.26}, 1, true), -1);
+
+  geo::BusStopIndex index;
+  ASSERT_GT(index.Build(CityStopReports(5, 500)), 0u);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const geo::LatLon centre = index.stops()[0].center;
+  for (const geo::LatLon& p :
+       {geo::LatLon{nan, centre.lon}, geo::LatLon{centre.lat, nan},
+        geo::LatLon{inf, centre.lon}, geo::LatLon{-inf, centre.lon},
+        geo::LatLon{centre.lat, inf}, geo::LatLon{centre.lat, -inf},
+        geo::LatLon{nan, nan}}) {
+    const auto line = index.stops()[0].lines.front();
+    EXPECT_EQ(index.Locate(p, line.first, line.second), -1);
+    EXPECT_EQ(ReferenceLocate(index, 250.0, p, line.first, line.second), -1);
+  }
+  EXPECT_GE(index.Locate(centre, 1, true), 0);
+}
+
+class DenclueProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(DenclueProperty, GridClusteringBitIdenticalToAllPoints) {
+  const auto reports = CityStopReports(GetParam(), 1000);
+  geo::LocalProjection proj(reports.front().position);
+  std::vector<geo::Denclue::Point> points(reports.size());
+  for (size_t i = 0; i < reports.size(); ++i) {
+    proj.ToXY(reports[i].position, &points[i].x, &points[i].y);
+  }
+  geo::Denclue::Options defaults;
+  geo::Denclue::Options narrow;
+  narrow.sigma = 6.0;
+  narrow.min_density = 1.5;
+  for (const auto& options : {defaults, narrow}) {
+    ExpectBitIdentical(geo::Denclue(options).Cluster(points),
+                       ReferenceCluster(options, points));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, DenclueProperty, ::testing::Values(1u, 2u, 3u));
+
+TEST(DenclueExactness, TightClusterWithFarOutliers) {
+  Rng rng(31);
+  std::vector<geo::Denclue::Point> points;
+  for (int i = 0; i < 200; ++i) points.push_back({rng.Gaussian() * 3.0, rng.Gaussian() * 3.0});
+  for (int i = 0; i < 20; ++i) {
+    points.push_back({rng.Uniform(-1e5, 1e5), rng.Uniform(-1e5, 1e5)});
+  }
+  points.push_back({5e6, -5e6});
+  geo::Denclue::Options options;
+  ExpectBitIdentical(geo::Denclue(options).Cluster(points),
+                     ReferenceCluster(options, points));
+  options.min_density = 3.0;
+  ExpectBitIdentical(geo::Denclue(options).Cluster(points),
+                     ReferenceCluster(options, points));
+}
 
 // ---------------------------------------------------------------------------
 // Algorithm 1 balance over (seed, engines)
