@@ -4,6 +4,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -44,6 +45,33 @@ class CsvWriter {
 
 /// Parses one CSV line (no embedded newlines) into fields.
 Result<std::vector<std::string>> ParseCsvLine(const std::string& line);
+
+/// Appends `field` to *out with CsvWriter's quoting.
+void AppendCsvField(std::string_view field, std::string* out);
+
+/// ParseCsvLine for tight loops: the same fields, accepted and rejected
+/// exactly as ParseCsvLine does, held in one reused buffer instead of a
+/// string per field.
+class CsvFields {
+ public:
+  /// Splits `line`; returns false where ParseCsvLine returns an error. The
+  /// fields stay valid until the next call.
+  bool Parse(std::string_view line);
+
+  size_t size() const { return ends_.size(); }
+  std::string_view operator[](size_t i) const {
+    return std::string_view(c_str(i), ends_[i] - Begin(i));
+  }
+  /// Field i followed by a NUL byte, for C parsers such as strtod.
+  const char* c_str(size_t i) const { return buffer_.c_str() + Begin(i); }
+
+ private:
+  size_t Begin(size_t i) const { return i == 0 ? 0 : ends_[i - 1] + 1; }
+  void EndField();
+
+  std::string buffer_;
+  std::vector<size_t> ends_;  // field i occupies [Begin(i), ends_[i])
+};
 
 }  // namespace insight
 

@@ -1,65 +1,51 @@
 #include "core/dynamic.h"
 
 #include <map>
-#include <set>
-#include <sstream>
+#include <utility>
 
-#include "common/csv.h"
 #include "core/retrieval.h"
 
 namespace insight {
 namespace core {
 
-std::map<std::string, int> DynamicRuleManager::AttributeColumns(
-    bool stop_suffix) {
-  const char* suffix = stop_suffix ? "_stop" : "";
+std::vector<batch::Statistic> DynamicRuleManager::Statistics() {
   using T = traffic::TraceCsv;
-  return {
-      {std::string(traffic::kAttrDelay) + suffix, T::kDelay},
-      {std::string(traffic::kAttrActualDelay) + suffix, T::kActualDelay},
-      {std::string(traffic::kAttrSpeed) + suffix, T::kSpeed},
-      {std::string(traffic::kAttrCongestion) + suffix, T::kCongestion},
+  const std::pair<const char*, int> attributes[] = {
+      {traffic::kAttrDelay, T::kDelay},
+      {traffic::kAttrActualDelay, T::kActualDelay},
+      {traffic::kAttrSpeed, T::kSpeed},
+      {traffic::kAttrCongestion, T::kCongestion},
   };
+  std::vector<batch::Statistic> statistics;
+  for (const auto& [name, col] : attributes) {
+    statistics.push_back({name, col, T::kAreaLeaf});
+    statistics.push_back({std::string(name) + "_stop", col, T::kBusStop});
+  }
+  return statistics;
 }
 
 Status DynamicRuleManager::AppendHistory(
     const std::vector<traffic::BusTrace>& traces) {
-  std::ostringstream buffer;
-  CsvWriter writer(&buffer);
-  for (const traffic::BusTrace& trace : traces) {
-    writer.Write(trace.ToCsvRow());
-  }
-  return fs_->Append(config_.history_path, buffer.str());
+  std::string buffer;
+  for (const traffic::BusTrace& trace : traces) trace.AppendCsvLine(&buffer);
+  return fs_->Append(config_.history_path, buffer);
 }
 
 Result<size_t> DynamicRuleManager::RunBatchCycle() {
   using T = traffic::TraceCsv;
-
-  batch::StatisticsJobConfig area_job;
-  area_job.input_paths = {config_.history_path};
-  area_job.output_dir = config_.area_output_dir;
-  area_job.location_col = T::kAreaLeaf;
-  area_job.hour_col = T::kHour;
-  area_job.date_type_col = T::kDateType;
-  area_job.attribute_cols = AttributeColumns(/*stop_suffix=*/false);
-  area_job.num_reducers = config_.num_reducers;
-  area_job.parallelism = config_.parallelism;
-  INSIGHT_RETURN_NOT_OK(batch::RunStatisticsJob(fs_, area_job).status());
-
-  batch::StatisticsJobConfig stop_job = area_job;
-  stop_job.output_dir = config_.stop_output_dir;
-  stop_job.location_col = T::kBusStop;
-  stop_job.attribute_cols = AttributeColumns(/*stop_suffix=*/true);
-  INSIGHT_RETURN_NOT_OK(batch::RunStatisticsJob(fs_, stop_job).status());
-
+  batch::StatisticsJobConfig job;
+  job.input_paths = {config_.history_path};
+  job.output_dir = config_.output_dir;
+  job.hour_col = T::kHour;
+  job.date_type_col = T::kDateType;
+  job.statistics = Statistics();
+  job.num_reducers = config_.num_reducers;
+  job.parallelism = config_.parallelism;
+  INSIGHT_RETURN_NOT_OK(batch::RunStatisticsJob(fs_, job).status());
   INSIGHT_ASSIGN_OR_RETURN(
-      size_t area_rows,
-      batch::LoadStatisticsIntoStore(*fs_, config_.area_output_dir, store_));
-  INSIGHT_ASSIGN_OR_RETURN(
-      size_t stop_rows,
-      batch::LoadStatisticsIntoStore(*fs_, config_.stop_output_dir, store_));
+      size_t rows, batch::LoadStatisticsIntoStore(*fs_, config_.output_dir, store_));
   ++cycles_;
-  return area_rows + stop_rows;
+  return rows;
 }
 
 Result<size_t> DynamicRuleManager::RefreshEngine(

@@ -25,8 +25,7 @@ class DynamicRuleManager {
  public:
   struct Config {
     std::string history_path = "/history/traces.csv";
-    std::string area_output_dir = "/jobs/statistics_area";
-    std::string stop_output_dir = "/jobs/statistics_stop";
+    std::string output_dir = "/jobs/statistics";
     /// Threshold distance in standard deviations (Listing 2's `s`).
     double s = 1.0;
     int num_reducers = 4;
@@ -40,9 +39,10 @@ class DynamicRuleManager {
   /// Appends pre-processed traces to the DFS history (step 2 of Figure 3).
   Status AppendHistory(const std::vector<traffic::BusTrace>& traces);
 
-  /// Runs the statistics jobs — one keyed by quadtree leaf, one by canonical
-  /// bus stop — and loads both outputs into the storage medium. Returns the
-  /// number of statistics rows loaded.
+  /// Runs the statistics job over the history — every attribute keyed by
+  /// quadtree leaf and, as <attribute>_stop, by canonical bus stop — and
+  /// loads its output into the storage medium. Returns the number of
+  /// statistics rows loaded.
   Result<size_t> RunBatchCycle();
 
   /// Pushes the current thresholds for every attribute the rules reference
@@ -54,8 +54,9 @@ class DynamicRuleManager {
   size_t cycles_completed() const { return cycles_; }
   const Config& config() const { return config_; }
 
-  /// The attribute->CSV-column mapping shared by both statistics jobs.
-  static std::map<std::string, int> AttributeColumns(bool stop_suffix);
+  /// The statistics the batch cycle computes: each Table-6 attribute per
+  /// area and per bus stop.
+  static std::vector<batch::Statistic> Statistics();
 
  private:
   dfs::MiniDfs* fs_;

@@ -76,6 +76,26 @@ Result<std::string> MiniDfs::ReadChunk(const std::string& path,
   return it->second.chunks[chunk_index];
 }
 
+Result<std::string> MiniDfs::ReadChunkRange(const std::string& path,
+                                            size_t chunk_index, size_t offset,
+                                            size_t length) const {
+  MutexLock lock(mutex_);
+  auto it = files_.find(path);
+  if (it == files_.end()) return Status::NotFound("no file '" + path + "'");
+  if (chunk_index >= it->second.chunks.size()) {
+    return Status::OutOfRange("file '" + path + "' has " +
+                              std::to_string(it->second.chunks.size()) +
+                              " chunks");
+  }
+  const std::string& chunk = it->second.chunks[chunk_index];
+  if (offset > chunk.size()) {
+    return Status::OutOfRange("offset " + std::to_string(offset) +
+                              " past the end of chunk " +
+                              std::to_string(chunk_index) + " of '" + path + "'");
+  }
+  return chunk.substr(offset, length);
+}
+
 Result<std::vector<ChunkInfo>> MiniDfs::GetChunks(const std::string& path) const {
   MutexLock lock(mutex_);
   auto it = files_.find(path);

@@ -49,6 +49,9 @@ class MiniDfs {
   Result<std::string> ReadAll(const std::string& path) const;
   /// Reads a single chunk's bytes.
   Result<std::string> ReadChunk(const std::string& path, size_t chunk_index) const;
+  /// Reads up to `length` bytes of a chunk from `offset` (a positioned read).
+  Result<std::string> ReadChunkRange(const std::string& path, size_t chunk_index,
+                                     size_t offset, size_t length) const;
   Result<std::vector<ChunkInfo>> GetChunks(const std::string& path) const;
 
   bool Exists(const std::string& path) const;

@@ -1,9 +1,30 @@
 #include "traffic/trace.h"
 
+#include <charconv>
+
+#include "common/csv.h"
 #include "common/strings.h"
 
 namespace insight {
 namespace traffic {
+
+namespace {
+
+template <typename Int>
+void AppendInt(Int value, std::string* out) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+/// printf's "%.<precision>f": both round the exact binary value half to even.
+void AppendFixed(double value, int precision, std::string* out) {
+  char buf[400];  // DBL_MAX has 309 integer digits
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), value,
+                                 std::chars_format::fixed, precision)
+                       .ptr);
+}
+
+}  // namespace
 
 std::vector<std::string> BusTrace::ToCsvRow() const {
   std::vector<std::string> row(TraceCsv::kNumColumns);
@@ -23,6 +44,40 @@ std::vector<std::string> BusTrace::ToCsvRow() const {
   row[TraceCsv::kAreaLeaf] = std::to_string(area_leaf);
   row[TraceCsv::kBusStop] = std::to_string(bus_stop);
   return row;
+}
+
+void BusTrace::AppendCsvLine(std::string* out) const {
+  // Column order of TraceCsv, formats of ToCsvRow().
+  AppendInt(timestamp, out);
+  out->push_back(',');
+  AppendInt(line_id, out);
+  out->push_back(',');
+  out->push_back(direction ? '1' : '0');
+  out->push_back(',');
+  AppendFixed(position.lon, 6, out);
+  out->push_back(',');
+  AppendFixed(position.lat, 6, out);
+  out->push_back(',');
+  AppendFixed(delay_seconds, 2, out);
+  out->push_back(',');
+  out->push_back(congestion ? '1' : '0');
+  out->push_back(',');
+  AppendInt(reported_stop_id, out);
+  out->push_back(',');
+  AppendInt(vehicle_id, out);
+  out->push_back(',');
+  AppendFixed(speed_kmh, 2, out);
+  out->push_back(',');
+  AppendFixed(actual_delay, 2, out);
+  out->push_back(',');
+  AppendInt(hour, out);
+  out->push_back(',');
+  AppendCsvField(date_type, out);
+  out->push_back(',');
+  AppendInt(area_leaf, out);
+  out->push_back(',');
+  AppendInt(bus_stop, out);
+  out->push_back('\n');
 }
 
 Result<BusTrace> BusTrace::FromCsvRow(const std::vector<std::string>& row) {

@@ -41,6 +41,9 @@ struct BusTrace {
 
   /// CSV round trip. Raw+enriched format, 15 columns; see column constants.
   std::vector<std::string> ToCsvRow() const;
+  /// Appends the CsvWriter line of ToCsvRow() (newline included) to *out,
+  /// formatting in place instead of building a string per column.
+  void AppendCsvLine(std::string* out) const;
   static Result<BusTrace> FromCsvRow(const std::vector<std::string>& row);
 
   std::string ToString() const;

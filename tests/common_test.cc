@@ -144,6 +144,53 @@ TEST(CsvTest, RejectsBadQuoting) {
   EXPECT_FALSE(reader.last_status().ok());
 }
 
+TEST(CsvTest, CsvFieldsAgreesWithParseCsvLine) {
+  // Random lines over the bytes the quoting rules care about, plus fixed
+  // edge cases: every line must be accepted or rejected alike, with the
+  // same fields.
+  std::vector<std::string> lines = {"",        ",",         "\"\"",    "\"\"\"",
+                                    "\"\"\"\"", "\"a\"b",    "a\"b",   "\"a,b\",c",
+                                    "\"a\"\"b\"", "\"\",\"\"", "x,\"y",  " \"a\"",
+                                    "a,b\r",   std::string("a\0b,c", 5)};
+  const char alphabet[] = {'a', '1', ',', '"', ' ', '\r', '\t', '\0'};
+  Rng rng(7);
+  for (int i = 0; i < 20000; ++i) {
+    std::string line;
+    const uint64_t length = rng.NextUint(12);
+    for (uint64_t j = 0; j < length; ++j) {
+      line += alphabet[rng.NextUint(sizeof(alphabet))];
+    }
+    lines.push_back(line);
+  }
+  CsvFields fields;
+  size_t accepted = 0;
+  for (const std::string& line : lines) {
+    auto expected = ParseCsvLine(line);
+    ASSERT_EQ(fields.Parse(line), expected.ok()) << line;
+    if (!expected.ok()) continue;
+    ++accepted;
+    ASSERT_EQ(fields.size(), expected->size()) << line;
+    for (size_t f = 0; f < fields.size(); ++f) {
+      EXPECT_EQ(fields[f], (*expected)[f]) << line;
+      EXPECT_EQ(fields.c_str(f)[fields[f].size()], '\0');
+    }
+  }
+  EXPECT_GT(accepted, 1000u);
+  EXPECT_LT(accepted, lines.size());
+}
+
+TEST(CsvTest, AppendCsvFieldQuotesLikeCsvWriter) {
+  const std::vector<std::string> fields = {"",         "plain", "a,b",
+                                           "say \"hi\"", "cr\r",  "nl\n"};
+  for (const std::string& field : fields) {
+    std::ostringstream written;
+    CsvWriter(&written).Write({field});
+    std::string appended;
+    AppendCsvField(field, &appended);
+    EXPECT_EQ(appended + "\n", written.str());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // XML
 // ---------------------------------------------------------------------------

@@ -3,10 +3,14 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <sstream>
 
+#include "common/csv.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "common/thread.h"
 #include "core/allocation.h"
+#include "core/dynamic.h"
 #include "core/partitioning.h"
 #include "core/retrieval.h"
 #include "core/rule_template.h"
@@ -731,6 +735,57 @@ TEST_F(RetrievalTest, JoinWithDatabaseQueriesPerTuple) {
   // Same key again: queried again (per-tuple join) but not re-sent.
   setup->before_send(&engine, 0, tuple);
   EXPECT_EQ((*stmt)->RetainedEvents(), 1u);
+}
+
+TEST(DynamicRuleManagerTest, AppendHistoryWritesCsvWriterBytes) {
+  traffic::BusTrace plain;
+  plain.timestamp = 8 * 3600 * 1'000'000LL + 17;
+  plain.line_id = 12;
+  plain.direction = true;
+  plain.position = {53.349805, -6.26031};
+  plain.delay_seconds = 61.5;
+  plain.congestion = true;
+  plain.reported_stop_id = 4711;
+  plain.vehicle_id = 33001;
+  plain.speed_kmh = 27.125;  // a tie: "%.2f" rounds half to even
+  plain.actual_delay = -0.004;
+  plain.hour = 8;
+  plain.area_leaf = 42;
+  plain.bus_stop = 7;
+  std::vector<traffic::BusTrace> traces = {plain, traffic::BusTrace{}};
+  traffic::BusTrace quoted = plain;
+  quoted.date_type = "week\"end,\"";  // needs quoting and "" escapes
+  traces.push_back(quoted);
+  traffic::BusTrace extreme = plain;
+  extreme.position = {-0.0, 1e300};
+  extreme.delay_seconds = std::numeric_limits<double>::quiet_NaN();
+  extreme.speed_kmh = -std::numeric_limits<double>::infinity();
+  extreme.actual_delay = 2.675;
+  extreme.timestamp = std::numeric_limits<int64_t>::min();
+  extreme.reported_stop_id = std::numeric_limits<int64_t>::max();
+  extreme.date_type = "";
+  traces.push_back(extreme);
+  Rng rng(3);
+  for (int i = 0; i < 2000; ++i) {
+    traffic::BusTrace t = plain;
+    t.position = {rng.Uniform(-90, 90), rng.Uniform(-180, 180)};
+    t.delay_seconds = rng.Uniform(-1000, 1000);
+    t.speed_kmh = static_cast<double>(rng.NextUint(100000)) / 1000.0;
+    t.actual_delay = static_cast<double>(rng.UniformInt(-50000, 50000)) / 8.0;
+    traces.push_back(t);
+  }
+
+  std::ostringstream expected;
+  CsvWriter writer(&expected);
+  for (const traffic::BusTrace& trace : traces) writer.Write(trace.ToCsvRow());
+
+  dfs::MiniDfs fs;
+  storage::TableStore store;
+  DynamicRuleManager manager(&fs, &store, {});
+  ASSERT_TRUE(manager.AppendHistory(traces).ok());
+  ASSERT_TRUE(manager.AppendHistory({quoted}).ok());
+  writer.Write(quoted.ToCsvRow());
+  EXPECT_EQ(*fs.ReadAll(manager.config().history_path), expected.str());
 }
 
 }  // namespace

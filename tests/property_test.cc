@@ -1,7 +1,8 @@
 // Parameterized property tests (TEST_P sweeps) over the library's
 // invariants: quadtree tiling, grid-indexed stop lookup and DENCLUE against
 // brute-force references, partition balance, window-size bounds, DES work
-// conservation, regression exactness and MapReduce determinism.
+// conservation, regression exactness, MapReduce determinism and the
+// statistics job against its string-typed reference.
 
 #include <gtest/gtest.h>
 
@@ -10,13 +11,19 @@
 #include <cstring>
 #include <deque>
 #include <limits>
+#include <map>
+#include <memory>
 #include <numeric>
 
 #include "batch/mapreduce.h"
+#include "batch/statistics_job.h"
 #include "cep/engine.h"
+#include "common/csv.h"
 #include "common/rng.h"
 #include "common/strings.h"
+#include "core/dynamic.h"
 #include "core/partitioning.h"
+#include "core/system.h"
 #include "geo/bus_stops.h"
 #include "geo/denclue.h"
 #include "geo/quadtree.h"
@@ -591,6 +598,15 @@ INSTANTIATE_TEST_SUITE_P(Sweep, RegressionProperty, ::testing::Values(1, 2, 3));
 // MapReduce determinism over reducer counts
 // ---------------------------------------------------------------------------
 
+/// Emits (key, value) for each "key value" record.
+class KeyValueMapper : public batch::Mapper {
+ public:
+  void Map(std::string_view record, batch::Emitter* e) override {
+    auto parts = SplitWhitespace(record);
+    if (parts.size() == 2) e->Emit(parts[0], parts[1]);
+  }
+};
+
 class MapReduceProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(MapReduceProperty, OutputIndependentOfReducerCount) {
@@ -609,10 +625,7 @@ TEST_P(MapReduceProperty, OutputIndependentOfReducerCount) {
     spec.input_paths = {"/in"};
     spec.output_dir = "/out" + std::to_string(r);
     spec.num_reducers = r;
-    spec.map = [](const std::string& record, batch::Emitter* e) {
-      auto parts = SplitWhitespace(record);
-      if (parts.size() == 2) e->Emit(parts[0], parts[1]);
-    };
+    spec.mapper = [] { return std::make_unique<KeyValueMapper>(); };
     spec.reduce = [](const std::string& key,
                      const std::vector<std::string>& values,
                      batch::Emitter* e) {
@@ -631,6 +644,289 @@ TEST_P(MapReduceProperty, OutputIndependentOfReducerCount) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, MapReduceProperty,
                          ::testing::Values(2, 3, 7, 16));
+
+// ---------------------------------------------------------------------------
+// Statistics job against the string-typed reference
+// ---------------------------------------------------------------------------
+
+/// One statistics output row.
+struct StatRow {
+  std::string key;
+  double mean = 0.0;
+  double stdev = 0.0;
+  long long count = 0;
+};
+using StatParts = std::vector<std::vector<StatRow>>;  // [part file][row]
+
+/// The partitioner of batch::MapReduceJob (FNV-1a).
+uint64_t Fnv1a(const std::string& key) {
+  uint64_t h = 1469598103934665603ULL;
+  for (char c : key) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// The statistics job as it was computed before in-mapper combining: every
+/// record through ParseCsvLine, every value through ParseDouble, one
+/// (count, sum, sumsq) per key, then the job's partitioning and per-part key
+/// order.
+StatParts ReferenceStatistics(const dfs::MiniDfs& fs,
+                              const batch::StatisticsJobConfig& config) {
+  struct Sums {
+    double count = 0, sum = 0, sumsq = 0;
+  };
+  int max_col = std::max(config.hour_col, config.date_type_col);
+  for (const batch::Statistic& stat : config.statistics) {
+    max_col = std::max({max_col, stat.value_col, stat.location_col});
+  }
+  std::map<std::string, Sums> sums;
+  for (const std::string& path : config.input_paths) {
+    for (const std::string& record : Split(*fs.ReadAll(path), '\n')) {
+      auto fields = ParseCsvLine(record);
+      if (!fields.ok() || static_cast<int>(fields->size()) <= max_col) continue;
+      const std::string& hour = (*fields)[static_cast<size_t>(config.hour_col)];
+      const std::string& date_type =
+          (*fields)[static_cast<size_t>(config.date_type_col)];
+      for (const batch::Statistic& stat : config.statistics) {
+        auto value = ParseDouble((*fields)[static_cast<size_t>(stat.value_col)]);
+        if (!value.ok()) continue;
+        std::string key = stat.name;
+        key += '|';
+        key += (*fields)[static_cast<size_t>(stat.location_col)];
+        key += '|';
+        key += hour;
+        key += '|';
+        key += date_type;
+        Sums& s = sums[key];
+        s.count += 1;
+        s.sum += *value;
+        s.sumsq += *value * *value;
+      }
+    }
+  }
+  StatParts parts(static_cast<size_t>(config.num_reducers));
+  for (const auto& [key, s] : sums) {  // std::map: key order within each part
+    double mean = s.count == 0 ? 0.0 : s.sum / s.count;
+    double var = s.sumsq / s.count - mean * mean;
+    double stdev = s.count < 2 || var <= 0 ? 0.0 : std::sqrt(var);
+    parts[Fnv1a(key) % parts.size()].push_back(
+        {key, mean, stdev, static_cast<long long>(s.count)});
+  }
+  return parts;
+}
+
+/// The job's part files, row by row ("key\tmean,stdev,count").
+StatParts ReadStatParts(const dfs::MiniDfs& fs, const std::string& dir) {
+  StatParts parts;
+  for (const std::string& path : fs.List(dir + "/part-r-")) {
+    parts.emplace_back();
+    for (const std::string& line : Split(*fs.ReadAll(path), '\n')) {
+      if (line.empty()) continue;
+      size_t tab = line.rfind('\t');
+      auto value = Split(line.substr(tab + 1), ',');
+      EXPECT_EQ(value.size(), 3u) << line;
+      if (value.size() != 3) continue;
+      parts.back().push_back({line.substr(0, tab), std::strtod(value[0].c_str(), nullptr),
+                              std::strtod(value[1].c_str(), nullptr),
+                              std::stoll(value[2])});
+    }
+  }
+  return parts;
+}
+
+void ExpectClose(double got, double want, double tolerance, const std::string& what) {
+  if (std::isnan(want)) {
+    EXPECT_TRUE(std::isnan(got)) << what << ": " << got;
+  } else if (std::isinf(want)) {
+    EXPECT_EQ(got, want) << what;
+  } else {
+    EXPECT_NEAR(got, want, tolerance) << what;
+  }
+}
+
+/// Same keys in the same part-file order, equal counts; means within
+/// 1e-12 relative and stdevs within 1e-6 absolute (sumsq/n - mean^2 cancels,
+/// so a near-zero stdev's low bits depend on summation order).
+void ExpectMatchesReference(const StatParts& got, const StatParts& want) {
+  ASSERT_EQ(got.size(), want.size());
+  size_t rows = 0;
+  for (size_t p = 0; p < want.size(); ++p) {
+    ASSERT_EQ(got[p].size(), want[p].size()) << "part " << p;
+    for (size_t i = 0; i < want[p].size(); ++i) {
+      const StatRow& g = got[p][i];
+      const StatRow& w = want[p][i];
+      ASSERT_EQ(g.key, w.key) << "part " << p << " row " << i;
+      EXPECT_EQ(g.count, w.count) << w.key;
+      ExpectClose(g.mean, w.mean, 1e-12 * std::max(1.0, std::fabs(w.mean)),
+                  w.key + " mean");
+      ExpectClose(g.stdev, w.stdev, 1e-6, w.key + " stdev");
+      ++rows;
+    }
+  }
+  EXPECT_GT(rows, 0u);
+}
+
+/// An enriched history as the system writes it to the DFS.
+std::vector<traffic::BusTrace> EnrichedHistory(uint64_t seed, size_t traces) {
+  traffic::TraceGenerator::Options options;
+  options.num_buses = 40;
+  options.num_lines = 8;
+  options.start_hour = 6;
+  options.end_hour = 22;
+  options.incidents_per_hour = 3.0;
+  options.seed = seed;
+  geo::RegionQuadtree quadtree = geo::BuildDublinQuadtree(seed);
+  traffic::TraceGenerator sampler(options);
+  geo::BusStopIndex stops;
+  stops.Build(sampler.CollectStopReports(500));
+  options.seed = seed + 1;
+  traffic::TraceGenerator generator(options);
+  std::vector<traffic::BusTrace> history = generator.GenerateAll(traces);
+  core::EnrichTraces(&history, quadtree, stops);
+  return history;
+}
+
+batch::StatisticsJobConfig SystemStatisticsConfig(const std::string& input,
+                                                  int reducers) {
+  batch::StatisticsJobConfig config;
+  config.input_paths = {input};
+  config.output_dir = "/stats";
+  config.hour_col = traffic::TraceCsv::kHour;
+  config.date_type_col = traffic::TraceCsv::kDateType;
+  config.statistics = core::DynamicRuleManager::Statistics();
+  config.num_reducers = reducers;
+  return config;
+}
+
+class StatisticsReferenceProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(StatisticsReferenceProperty, EnrichedHistoryMatchesReference) {
+  const uint64_t seed = GetParam();
+  std::vector<traffic::BusTrace> history = EnrichedHistory(seed, 6000);
+  for (size_t chunk_size : {size_t{4} << 20, size_t{8192}, size_t{97}}) {
+    SCOPED_TRACE("chunk_size " + std::to_string(chunk_size));
+    dfs::MiniDfs::Options options;
+    options.chunk_size = chunk_size;
+    dfs::MiniDfs fs(options);
+    storage::TableStore store;
+    core::DynamicRuleManager::Config manager_config;
+    core::DynamicRuleManager manager(&fs, &store, manager_config);
+    ASSERT_TRUE(manager.AppendHistory(history).ok());
+    batch::StatisticsJobConfig config =
+        SystemStatisticsConfig(manager_config.history_path, 4);
+    auto counters = batch::RunStatisticsJob(&fs, config);
+    ASSERT_TRUE(counters.ok()) << counters.status().ToString();
+    EXPECT_EQ(counters->input_records, history.size());
+    EXPECT_LT(counters->map_output_records, 8 * history.size());
+    ExpectMatchesReference(ReadStatParts(fs, config.output_dir),
+                           ReferenceStatistics(fs, config));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StatisticsReferenceProperty,
+                         ::testing::Values(1u, 2u, 3u));
+
+TEST(StatisticsReferenceTest, HostileRecordsMatchReference) {
+  // CSV: area(0), stop(1), hour(2), dateType(3), delay(4), speed(5).
+  const std::vector<std::string> lines = {
+      "1,70,8,weekday,10,30",
+      "1,70,8,weekday,20,31\r",           // \r\n ending: '\r' trimmed from speed
+      "1,70,8,weekday\r,12,32",           // ... and kept inside dateType
+      "",                                  // empty line
+      "\"1\",\"70\",8,\"weekday\",14,33",  // quoted fields
+      "\"1,5\",70,8,\"week\"\"day\",16,34",  // comma and "" escape inside quotes
+      "\"\",70,8,weekday,18,35",           // empty quoted location
+      "1,70,8,\"weekday,19,36",            // unterminated quote
+      "1,70,8,wee\"kday,19,36",            // quote inside an unquoted field
+      "\"1\"x,70,8,weekday,21,37",         // text after a closing quote
+      "1,70,8,weekday,22",                 // short row
+      "1,70,8",                            // short row
+      "1,70,8,weekday, 23 ,\t38\t",        // whitespace-padded values
+      "1,70,8,weekday,  ,39",              // blank value
+      "1,70,8,weekday,24x,abc",            // non-numeric values
+      "1,70,8,weekday,nan,inf",            // nan / inf
+      "2,71,9,weekend,-inf,+inf",
+      "2,71,9,weekend,1e999,1e-999",       // out of range: skipped
+      "2,71,9,weekend,0x10,1e2",           // hex and exponent forms
+      " 2,71 ,9,weekend,25,40",            // padded key fields stay in the key
+      "2,71,9,weekend,26,41,extra,columns",
+      "2,71,9,weekend,\"27\",\"4\"\"2\"",  // quoted values
+  };
+  std::string data;
+  for (const std::string& line : lines) data += line + "\n";
+  data += "\n\r\n3,72,10,weekday,5,6";  // empty lines, no final newline
+
+  for (size_t chunk_size : {size_t{1} << 20, size_t{64}, size_t{13}, size_t{5}}) {
+    for (int reducers : {1, 3}) {
+      SCOPED_TRACE("chunk_size " + std::to_string(chunk_size) + " reducers " +
+                   std::to_string(reducers));
+      dfs::MiniDfs::Options options;
+      options.chunk_size = chunk_size;
+      dfs::MiniDfs fs(options);
+      ASSERT_TRUE(fs.Append("/in", data).ok());
+      batch::StatisticsJobConfig config;
+      config.input_paths = {"/in"};
+      config.output_dir = "/stats";
+      config.hour_col = 2;
+      config.date_type_col = 3;
+      config.statistics = {{"delay", 4, 0}, {"delay_stop", 4, 1}, {"speed", 5, 0}};
+      config.num_reducers = reducers;
+      ASSERT_TRUE(batch::RunStatisticsJob(&fs, config).ok());
+      ExpectMatchesReference(ReadStatParts(fs, config.output_dir),
+                             ReferenceStatistics(fs, config));
+    }
+  }
+}
+
+TEST(StatisticsReferenceTest, OutputIsByteIdenticalAcrossParallelism) {
+  // Many chunks, values whose sums depend on their order.
+  std::string data;
+  Rng rng(5);
+  for (int i = 0; i < 4000; ++i) {
+    const int area = static_cast<int>(rng.NextUint(6));
+    const int stop = static_cast<int>(rng.NextUint(9));
+    const int hour = static_cast<int>(rng.NextUint(3));
+    const double delay = rng.Uniform(-1e3, 1e3) / 7.0;
+    const double speed = rng.NextDouble() * std::pow(10.0, rng.Uniform(-3, 6));
+    data += StrFormat("%d,%d,%d,weekday,%.17g,%.17g\n", area, stop, hour, delay, speed);
+  }
+  dfs::MiniDfs::Options options;
+  options.chunk_size = 1000;  // ~150 map tasks
+  dfs::MiniDfs fs(options);
+  ASSERT_TRUE(fs.Append("/in", data).ok());
+
+  auto run = [&](int parallelism, int reducers) {
+    batch::StatisticsJobConfig config;
+    config.input_paths = {"/in"};
+    config.output_dir = "/stats";
+    config.hour_col = 2;
+    config.date_type_col = 3;
+    config.statistics = {{"delay", 4, 0}, {"delay_stop", 4, 1}, {"speed", 5, 0}};
+    config.num_reducers = reducers;
+    config.parallelism = parallelism;
+    auto counters = batch::RunStatisticsJob(&fs, config);
+    EXPECT_TRUE(counters.ok());
+    EXPECT_GT(counters->map_tasks, 100u);
+    std::string bytes;
+    for (const std::string& path : fs.List("/stats/part-r-")) {
+      bytes += path + "\n" + *fs.ReadAll(path);
+    }
+    return bytes;
+  };
+  for (int reducers : {1, 3, 4, 7}) {
+    SCOPED_TRACE("reducers " + std::to_string(reducers));
+    const std::string baseline = run(1, reducers);
+    ASSERT_FALSE(baseline.empty());
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      for (int parallelism : {1, 2, 4, 8}) {
+        EXPECT_EQ(run(parallelism, reducers), baseline)
+            << "parallelism " << parallelism << " repeat " << repeat;
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace insight

@@ -191,10 +191,9 @@ TEST(StressTest, MapReduceSurvivesHostileRecords) {
   batch::StatisticsJobConfig config;
   config.input_paths = {"/hostile"};
   config.output_dir = "/out";
-  config.location_col = 0;
   config.hour_col = 1;
   config.date_type_col = 2;
-  config.attribute_cols = {{"delay", 3}};
+  config.statistics = {{"delay", 3, 0}};
   auto counters = batch::RunStatisticsJob(&fs, config);
   ASSERT_TRUE(counters.ok()) << counters.status().ToString();
   storage::TableStore store;
