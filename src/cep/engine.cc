@@ -320,6 +320,10 @@ Engine::EngineStats Engine::GetStats() const {
   return stats;
 }
 
+void Engine::ResetStream(const std::string& type_name) {
+  for (auto& [name, stmt] : statements_) stmt->ResetSource(type_name);
+}
+
 void Engine::ResetStats() {
   events_processed_ = 0;
   matches_fired_ = 0;

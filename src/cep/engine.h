@@ -78,6 +78,13 @@ class Engine {
   EngineStats GetStats() const;
   void ResetStats();
 
+  /// Starts `type_name` afresh: every statement drops what its sources of
+  /// that type retain (Statement::ResetSource), while windows over other
+  /// types and the compiled statements stay. A long-lived topology calls
+  /// this at each run boundary for the bus stream, keeping the threshold
+  /// windows.
+  void ResetStream(const std::string& type_name);
+
   // --- Stateful recovery (DESIGN.md "State & recovery") ---
 
   /// Serializes every statement's operator state (view buffers, incremental

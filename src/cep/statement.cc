@@ -509,6 +509,29 @@ void Statement::ResetState() {
   batch_plan_ = BatchPlan{};
 }
 
+void Statement::ResetSource(const std::string& event_type) {
+  for (size_t i = 0; i < def_.from.size(); ++i) {
+    if (def_.from[i].event_type != event_type) continue;
+    windows_[i]->Clear();
+    for (int index_id : source_indexes_[i]) {
+      indexes_[static_cast<size_t>(index_id)].map.clear();
+    }
+    if (incremental_ && static_cast<int>(i) == inc_group_source_) accums_.clear();
+  }
+  // Evaluation scratch may point into the cleared windows; the flat
+  // group-slot cache must be replanned, as after ResetState.
+  group_table_.clear();
+  batch_plan_ = BatchPlan{};
+}
+
+void Statement::ForEachRetained(
+    const std::string& event_type,
+    const std::function<void(const EventPtr&)>& fn) const {
+  for (size_t i = 0; i < def_.from.size(); ++i) {
+    if (def_.from[i].event_type == event_type) windows_[i]->ForEachEvent(fn);
+  }
+}
+
 void Statement::InsertRestored(size_t source, const EventPtr& event) {
   expired_scratch_.clear();
   windows_[source]->Insert(event, &expired_scratch_);

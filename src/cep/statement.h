@@ -167,6 +167,17 @@ class Statement {
   /// Drops all retained state (windows, indexes, accumulators, counters).
   void ResetState();
 
+  /// Drops the retained state of every source of `event_type` only: its
+  /// window, the hash indexes over it and, when it is the incrementally
+  /// aggregated source, the group accumulators. Windows of other sources
+  /// (e.g. a std:unique threshold window) and the counters are kept.
+  void ResetSource(const std::string& event_type);
+
+  /// Invokes fn(event) over every event retained by sources of
+  /// `event_type`, source by source in FROM order.
+  void ForEachRetained(const std::string& event_type,
+                       const std::function<void(const EventPtr&)>& fn) const;
+
  private:
   Statement() = default;
 

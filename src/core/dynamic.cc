@@ -1,6 +1,5 @@
 #include "core/dynamic.h"
 
-#include <map>
 #include <utility>
 
 #include "core/retrieval.h"
@@ -50,15 +49,8 @@ Result<size_t> DynamicRuleManager::RunBatchCycle() {
 
 Result<size_t> DynamicRuleManager::RefreshEngine(
     cep::Engine* engine, const std::vector<RuleTemplate>& rules) const {
-  // Below-rules (speed) alert under mean - s*stdev, so their s is negated.
-  std::map<std::string, double> keys;
-  for (const RuleTemplate& rule : rules) {
-    for (const RuleAttribute& attr : rule.attributes) {
-      keys[rule.AttributeKey(attr.name)] = attr.below ? -config_.s : config_.s;
-    }
-  }
   size_t sent = 0;
-  for (const auto& [key, signed_s] : keys) {
+  for (const auto& [key, signed_s] : ThresholdKeys(rules, config_.s)) {
     INSIGHT_ASSIGN_OR_RETURN(auto thresholds,
                              storage::QueryThresholds(*store_, key, signed_s));
     for (const storage::ThresholdRow& row : thresholds) {

@@ -132,6 +132,15 @@ void RegionRateTracker::Observe(int64_t region) {
   ++observed_total_;
 }
 
+void RegionRateTracker::ObserveCounts(
+    const std::unordered_map<int64_t, uint64_t>& counts) {
+  MutexLock lock(mutex_);
+  for (const auto& [region, count] : counts) {
+    observed_[region] += count;
+    observed_total_ += count;
+  }
+}
+
 uint64_t RegionRateTracker::observed_total() const {
   MutexLock lock(mutex_);
   return observed_total_;
@@ -183,18 +192,21 @@ void SpatialRouter::Route(const dsps::Tuple& tuple,
     const GroupingRoute& route = routes_[r];
     int slot = location_slots_.IndexOf(tuple, r);
     if (slot < 0) continue;
-    int64_t region_id = tuple.Get(static_cast<size_t>(slot)).AsInt();
-    auto it = route.region_to_engine.find(region_id);
-    if (it != route.region_to_engine.end()) {
-      tasks->push_back(it->second);
-    } else if (!route.fallback_engines.empty()) {
-      size_t pick = static_cast<size_t>(region_id < 0 ? -region_id : region_id) %
-                    route.fallback_engines.size();
-      tasks->push_back(route.fallback_engines[pick]);
-    }
+    int engine = EngineFor(r, tuple.Get(static_cast<size_t>(slot)).AsInt());
+    if (engine >= 0) tasks->push_back(engine);
   }
   std::sort(tasks->begin(), tasks->end());
   tasks->erase(std::unique(tasks->begin(), tasks->end()), tasks->end());
+}
+
+int SpatialRouter::EngineFor(size_t grouping, int64_t region) const {
+  const GroupingRoute& route = routes_[grouping];
+  auto it = route.region_to_engine.find(region);
+  if (it != route.region_to_engine.end()) return it->second;
+  if (route.fallback_engines.empty()) return -1;
+  size_t pick = static_cast<size_t>(region < 0 ? -region : region) %
+                route.fallback_engines.size();
+  return route.fallback_engines[pick];
 }
 
 std::function<void(const dsps::Tuple&, std::vector<int>*)>

@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.h"
@@ -68,6 +69,9 @@ class RegionRateTracker {
   void Seed(const std::vector<RegionRate>& rates);
   /// Records one observed tuple for the region.
   void Observe(int64_t region);
+  /// Records `count` observed tuples per region in one update (tallies
+  /// merged at a run boundary).
+  void ObserveCounts(const std::unordered_map<int64_t, uint64_t>& counts);
   /// Current estimates: seeded rate blended with observed counts.
   std::vector<RegionRate> Estimates() const;
   uint64_t observed_total() const;
@@ -99,6 +103,10 @@ class SpatialRouter {
 
   /// Target engine-task list for a tuple (deduplicated, sorted).
   void Route(const dsps::Tuple& tuple, std::vector<int>* tasks) const;
+
+  /// The engine task grouping `grouping` sends region `region` to, or -1
+  /// when the grouping has no engine for it.
+  int EngineFor(size_t grouping, int64_t region) const;
 
   /// Adapter for traffic::SplitterBolt.
   std::function<void(const dsps::Tuple&, std::vector<int>*)> AsFunction() const;

@@ -39,24 +39,8 @@ Status SendThresholdEvent(cep::Engine* engine, const std::string& attribute_key,
   return Status::OK();
 }
 
-namespace {
-
-/// Unique attribute keys referenced by the rules (namespaced per location
-/// kind, e.g. "delay" and "delay_stop").
-std::set<std::string> AttributeKeys(const std::vector<RuleTemplate>& rules) {
-  std::set<std::string> keys;
-  for (const RuleTemplate& rule : rules) {
-    for (const RuleAttribute& attr : rule.attributes) {
-      keys.insert(rule.AttributeKey(attr.name));
-    }
-  }
-  return keys;
-}
-
-/// Signed `s` per attribute key: below-rules (e.g. speed) alert on values
-/// under mean - s*stdev, so their thresholds subtract the deviation.
-std::map<std::string, double> SignedS(const std::vector<RuleTemplate>& rules,
-                                      double s) {
+std::map<std::string, double> ThresholdKeys(const std::vector<RuleTemplate>& rules,
+                                            double s) {
   std::map<std::string, double> out;
   for (const RuleTemplate& rule : rules) {
     for (const RuleAttribute& attr : rule.attributes) {
@@ -65,6 +49,8 @@ std::map<std::string, double> SignedS(const std::vector<RuleTemplate>& rules,
   }
   return out;
 }
+
+namespace {
 
 /// EPL for one concrete (location, hour, day) instance of a rule — the
 /// "Create Multiple Rules" strategy.
@@ -118,12 +104,10 @@ Result<RetrievalSetup> BuildRetrieval(ThresholdRetrieval strategy,
         setup.rules.emplace_back(rule.name, std::move(epl));
       }
       // One bulk query per attribute key at engine start-up.
-      auto keys = AttributeKeys(rules);
-      auto signed_s = SignedS(rules, options.s);
-      setup.preload = [store, keys, signed_s](cep::Engine* engine, int /*task*/) {
-        for (const std::string& key : keys) {
-          auto thresholds =
-              storage::QueryThresholds(*store, key, signed_s.at(key));
+      auto keys = ThresholdKeys(rules, options.s);
+      setup.preload = [store, keys](cep::Engine* engine, int /*task*/) {
+        for (const auto& [key, signed_s] : keys) {
+          auto thresholds = storage::QueryThresholds(*store, key, signed_s);
           if (!thresholds.ok()) continue;  // table may not exist yet
           for (const storage::ThresholdRow& row : *thresholds) {
             (void)SendThresholdEvent(engine, key, row);
@@ -153,7 +137,7 @@ Result<RetrievalSetup> BuildRetrieval(ThresholdRetrieval strategy,
         }
       }
       setup.preload_db_cost_micros =
-          static_cast<int64_t>(AttributeKeys(rules).size()) *
+          static_cast<int64_t>(ThresholdKeys(rules, options.s).size()) *
           store->per_query_cost_micros();
       return setup;
     }

@@ -2,6 +2,7 @@
 #define INSIGHT_CORE_RETRIEVAL_H_
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -60,6 +61,13 @@ struct RetrievalOptions {
   /// kStatic: the literal threshold.
   double static_threshold = 100.0;
 };
+
+/// The threshold streams a rule set joins with: attribute key (namespaced
+/// per location kind, e.g. "delay" and "delay_stop") -> signed `s`.
+/// Below-rules (e.g. speed) alert under mean - s*stdev, so their s is
+/// negated.
+std::map<std::string, double> ThresholdKeys(const std::vector<RuleTemplate>& rules,
+                                            double s);
 
 /// Builds the setup for a rule set under a strategy. The store must hold the
 /// statistics_<attr>[_stop] tables (see batch::LoadStatisticsIntoStore); it

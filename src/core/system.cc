@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <map>
+#include <tuple>
+#include <unordered_map>
 
 #include "common/logging.h"
 
@@ -130,6 +133,7 @@ Status TrafficManagementSystem::AddRules(const std::vector<RuleTemplate>& rules)
     INSIGHT_RETURN_NOT_OK(rule.ToEpl().status());  // validate early
     config_.rules.push_back(rule);
   }
+  live_.reset();  // the next Run() builds the topology for the new rules
   return RebuildGroupings();
 }
 
@@ -156,78 +160,242 @@ Result<SpatialRouter> TrafficManagementSystem::BuildRouter(
   return SpatialRouter(std::move(routes));
 }
 
-Result<TrafficManagementSystem::RunReport> TrafficManagementSystem::Run() {
-  if (!initialized_) {
-    return Status::FailedPrecondition("call Initialize() first");
+std::shared_ptr<traffic::EsperBoltConfig> MakeEsperBoltConfig(
+    std::vector<RetrievalSetup> setups, const std::vector<int>& engines_per_grouping) {
+  auto config = std::make_shared<traffic::EsperBoltConfig>();
+  config->layers = {};  // rules use area_leaf / bus_stop
+  std::vector<size_t> grouping_of_task;
+  for (size_t g = 0; g < setups.size(); ++g) {
+    for (int e = 0; e < engines_per_grouping[g]; ++e) {
+      config->rules_per_task.push_back(setups[g].rules);
+      grouping_of_task.push_back(g);
+    }
+  }
+  const bool hook =
+      std::any_of(setups.begin(), setups.end(),
+                  [](const RetrievalSetup& s) { return s.before_send != nullptr; });
+  if (hook) {
+    auto shared = std::make_shared<const std::vector<RetrievalSetup>>(std::move(setups));
+    config->before_send = [shared, grouping_of_task](cep::Engine* engine, int task,
+                                                     const dsps::Tuple& tuple) {
+      const RetrievalSetup& setup =
+          (*shared)[grouping_of_task[static_cast<size_t>(task)]];
+      if (setup.before_send) setup.before_send(engine, task, tuple);
+    };
+  }
+  return config;
+}
+
+namespace {
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// Routed tuples per region of one splitter task. Written only by that
+/// task's executor; read and cleared at the Run() barrier, when nothing is
+/// in flight.
+struct RegionTally {
+  std::unordered_map<int64_t, uint64_t> areas;
+  std::unordered_map<int64_t, uint64_t> stops;
+};
+
+/// One threshold row as an engine's std:unique window holds it; `stream`
+/// indexes Live::streams.
+struct HeldThreshold {
+  size_t stream = 0;
+  storage::ThresholdRow row;
+};
+
+/// Order of the std:unique key (stream, location, hour, day).
+bool SlotLess(const HeldThreshold& a, const HeldThreshold& b) {
+  return std::tie(a.stream, a.row.location, a.row.hour, a.row.date_type) <
+         std::tie(b.stream, b.row.location, b.row.hour, b.row.date_type);
+}
+
+bool SameSlot(const HeldThreshold& a, const HeldThreshold& b) {
+  return !SlotLess(a, b) && !SlotLess(b, a);
+}
+
+bool SameThreshold(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// What one engine gets at a run boundary.
+struct ThresholdUpdate {
+  /// Threshold event types to empty first (the engine lost a slot).
+  std::vector<std::string> reset_types;
+  std::vector<HeldThreshold> rows;
+};
+
+bool SameRoutes(const SpatialRouter& a, const SpatialRouter& b) {
+  if (a.routes().size() != b.routes().size()) return false;
+  for (size_t g = 0; g < a.routes().size(); ++g) {
+    if (a.routes()[g].region_to_engine != b.routes()[g].region_to_engine ||
+        a.routes()[g].fallback_engines != b.routes()[g].fallback_engines) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+struct TrafficManagementSystem::Live {
+  /// A threshold stream the rules join with (kThresholdStream only).
+  struct Stream {
+    std::string key;  // attribute key, e.g. "delay_stop"
+    double signed_s = 0.0;
+    size_t grouping = 0;
+  };
+
+  AllocationResult allocation;
+  /// Esper task -> its grouping.
+  std::vector<size_t> grouping_of_task;
+  std::vector<Stream> streams;
+  /// Statistics cycle the thresholds (or, under kMultipleRules and
+  /// kJoinWithDatabase, the compiled rules) come from.
+  size_t cycle = 0;
+  /// Rows per stream at `cycle`: one query per stream per cycle.
+  std::vector<std::vector<storage::ThresholdRow>> rows;
+  /// Per Esper task, what its threshold windows hold, sorted by slot.
+  std::vector<std::vector<HeldThreshold>> held;
+  /// The splitters route with this. Replaced only at a run boundary.
+  std::shared_ptr<const SpatialRouter> router;
+  std::shared_ptr<const std::vector<traffic::BusTrace>> traces;
+  Mutex tallies_mutex{TMS_LOCK_RANK(74)};
+  std::vector<std::shared_ptr<RegionTally>> tallies GUARDED_BY(tallies_mutex);
+  /// Last: stops before the state above its tasks use.
+  std::unique_ptr<dsps::LocalRuntime> runtime;
+
+  /// Queries every stream's rows from the store.
+  void LoadThresholds(const storage::TableStore& store) {
+    rows.assign(streams.size(), {});
+    for (size_t k = 0; k < streams.size(); ++k) {
+      auto result = storage::QueryThresholds(store, streams[k].key, streams[k].signed_s);
+      if (result.ok()) rows[k] = std::move(*result);  // table may not exist yet
+    }
   }
 
-  // Allocate engines to groupings (Algorithm 2).
+  /// Per Esper task, what a fresh scoped preload gives it: its grouping's
+  /// rows for the locations the router sends it, the last row of each slot
+  /// (what std:unique keeps), sorted by slot.
+  std::vector<std::vector<HeldThreshold>> Scoped() const {
+    std::vector<std::vector<HeldThreshold>> out(grouping_of_task.size());
+    for (size_t k = 0; k < streams.size(); ++k) {
+      for (const storage::ThresholdRow& row : rows[k]) {
+        int task = router->EngineFor(streams[k].grouping, row.location);
+        if (task >= 0) out[static_cast<size_t>(task)].push_back({k, row});
+      }
+    }
+    for (std::vector<HeldThreshold>& held_rows : out) {
+      std::stable_sort(held_rows.begin(), held_rows.end(), SlotLess);
+      size_t kept = 0;
+      for (size_t i = 0; i < held_rows.size(); ++i) {
+        const bool superseded =
+            i + 1 < held_rows.size() && SameSlot(held_rows[i], held_rows[i + 1]);
+        if (superseded) continue;
+        if (kept != i) held_rows[kept] = std::move(held_rows[i]);
+        ++kept;
+      }
+      held_rows.resize(kept);
+    }
+    return out;
+  }
+
+  /// The update taking task `task` from what it holds to `target`: the
+  /// changed and new rows or, when it holds a slot `target` lacks, empty
+  /// threshold windows and all of `target`.
+  ThresholdUpdate Diff(size_t task, const std::vector<HeldThreshold>& target) const {
+    const std::vector<HeldThreshold>& now = held[task];
+    ThresholdUpdate update;
+    size_t i = 0;
+    bool lost = false;
+    for (const HeldThreshold& want : target) {
+      if (i < now.size() && SlotLess(now[i], want)) {
+        lost = true;
+        break;
+      }
+      if (i < now.size() && SameSlot(now[i], want)) {
+        if (!SameThreshold(now[i].row.threshold, want.row.threshold)) {
+          update.rows.push_back(want);
+        }
+        ++i;
+      } else {
+        update.rows.push_back(want);
+      }
+    }
+    if (!lost && i == now.size()) return update;
+    for (const Stream& stream : streams) {
+      if (stream.grouping == grouping_of_task[task]) {
+        update.reset_types.push_back(traffic::ThresholdEventTypeName(stream.key));
+      }
+    }
+    update.rows = target;
+    return update;
+  }
+};
+
+TrafficManagementSystem::~TrafficManagementSystem() = default;
+
+Status TrafficManagementSystem::BuildLive() {
+  auto live = std::make_unique<Live>();
+  Live* raw = live.get();
+
+  // Allocate engines to groupings (Algorithm 2) and partition (Algorithm 1).
   RulesAllocator allocator(&latency_model_);
-  INSIGHT_ASSIGN_OR_RETURN(
-      AllocationResult allocation,
-      allocator.Allocate(groupings_, config_.num_esper_engines));
-  INSIGHT_ASSIGN_OR_RETURN(SpatialRouter router, BuildRouter(allocation));
-  auto shared_router = std::make_shared<SpatialRouter>(std::move(router));
+  INSIGHT_ASSIGN_OR_RETURN(live->allocation,
+                           allocator.Allocate(groupings_, config_.num_esper_engines));
+  INSIGHT_ASSIGN_OR_RETURN(SpatialRouter router, BuildRouter(live->allocation));
+  live->router = std::make_shared<const SpatialRouter>(std::move(router));
 
   // Retrieval setup per grouping; tasks map to groupings by index range.
-  auto esper_config = std::make_shared<traffic::EsperBoltConfig>();
-  esper_config->layers = {};  // rules use area_leaf / bus_stop
-  esper_config->rules_per_task.resize(
-      static_cast<size_t>(config_.num_esper_engines));
+  const bool stream = config_.retrieval == ThresholdRetrieval::kThresholdStream;
   std::vector<RetrievalSetup> setups;
-  {
-    int task_base = 0;
-    for (size_t g = 0; g < groupings_.size(); ++g) {
-      INSIGHT_ASSIGN_OR_RETURN(
-          RetrievalSetup setup,
-          BuildRetrieval(config_.retrieval, groupings_[g].rules, &store_,
-                         config_.retrieval_options));
-      for (int e = 0; e < allocation.engines_per_grouping[g]; ++e) {
-        esper_config->rules_per_task[static_cast<size_t>(task_base + e)] =
-            setup.rules;
-      }
-      task_base += allocation.engines_per_grouping[g];
-      setups.push_back(std::move(setup));
+  for (size_t g = 0; g < groupings_.size(); ++g) {
+    INSIGHT_ASSIGN_OR_RETURN(
+        RetrievalSetup setup,
+        BuildRetrieval(config_.retrieval, groupings_[g].rules, &store_,
+                       config_.retrieval_options));
+    setups.push_back(std::move(setup));
+    for (int e = 0; e < live->allocation.engines_per_grouping[g]; ++e) {
+      live->grouping_of_task.push_back(g);
+    }
+    if (!stream) continue;
+    for (const auto& [key, signed_s] :
+         ThresholdKeys(groupings_[g].rules, config_.retrieval_options.s)) {
+      live->streams.push_back({key, signed_s, g});
     }
   }
-  // Dispatch preload / before_send to the owning grouping's setup.
-  std::vector<int> task_to_grouping(
-      static_cast<size_t>(config_.num_esper_engines), 0);
-  {
-    int task_base = 0;
-    for (size_t g = 0; g < groupings_.size(); ++g) {
-      for (int e = 0; e < allocation.engines_per_grouping[g]; ++e) {
-        task_to_grouping[static_cast<size_t>(task_base + e)] = static_cast<int>(g);
+  auto esper_config =
+      MakeEsperBoltConfig(std::move(setups), live->allocation.engines_per_grouping);
+  live->cycle = dynamic_->cycles_completed();
+  live->held.resize(live->grouping_of_task.size());
+  if (stream) {
+    live->LoadThresholds(store_);
+    live->held = live->Scoped();
+    // Each engine starts with its own regions' rows only.
+    esper_config->preload = [raw](cep::Engine* engine, int task) {
+      for (const HeldThreshold& held : raw->held[static_cast<size_t>(task)]) {
+        (void)SendThresholdEvent(engine, raw->streams[held.stream].key, held.row);
       }
-      task_base += allocation.engines_per_grouping[g];
-    }
+    };
   }
-  auto shared_setups = std::make_shared<std::vector<RetrievalSetup>>(
-      std::move(setups));
-  esper_config->preload = [shared_setups, task_to_grouping](cep::Engine* engine,
-                                                            int task) {
-    const auto& setup =
-        (*shared_setups)[static_cast<size_t>(task_to_grouping[static_cast<size_t>(task)])];
-    if (setup.preload) setup.preload(engine, task);
-  };
-  esper_config->before_send = [shared_setups, task_to_grouping](
-                                  cep::Engine* engine, int task,
-                                  const dsps::Tuple& tuple) {
-    const auto& setup =
-        (*shared_setups)[static_cast<size_t>(task_to_grouping[static_cast<size_t>(task)])];
-    if (setup.before_send) setup.before_send(engine, task, tuple);
-  };
 
-  // Stream dataset for this run.
+  // The stream dataset: the same traces every Run().
   traffic::TraceGenerator generator(config_.generator);
-  auto traces = std::make_shared<std::vector<traffic::BusTrace>>(
+  live->traces = std::make_shared<const std::vector<traffic::BusTrace>>(
       generator.GenerateAll(config_.max_traces));
 
-  // Figure 8 topology.
+  // Figure 8 topology. The spout starts empty; Run() feeds it.
   dsps::TopologyBuilder builder;
   builder.SetSpout(
       "busReader",
-      [traces] { return std::make_unique<traffic::BusReaderSpout>(traces); },
+      [] {
+        return std::make_unique<traffic::BusReaderSpout>(
+            std::make_shared<const std::vector<traffic::BusTrace>>());
+      },
       traffic::RawTraceFields(), config_.reader_executors);
   builder
       .SetBolt(
@@ -254,26 +422,32 @@ Result<TrafficManagementSystem::RunReport> TrafficManagementSystem::Run() {
           },
           traffic::EnrichedFields({}), config_.tracker_executors)
       .ShuffleGrouping("areaTracker");
-  // The splitter also feeds the rate trackers so the next Run() partitions
-  // with observed rates ("incrementally update them while the application
-  // runs").
-  auto observing_router = [shared_router, this,
-                           slots = dsps::FieldSlots({"area_leaf", "bus_stop"})](
-                              const dsps::Tuple& tuple, std::vector<int>* tasks) {
-    shared_router->Route(tuple, tasks);
-    RegionRateTracker* trackers[] = {&area_tracker_, &stop_tracker_};
-    for (size_t i = 0; i < 2; ++i) {
-      int slot = slots.IndexOf(tuple, i);
-      if (slot < 0) continue;
-      int64_t region = tuple.Get(static_cast<size_t>(slot)).AsInt();
-      if (region >= 0) trackers[i]->Observe(region);
-    }
-  };
+  // Each splitter task also counts its tuples per region; Run() merges the
+  // counts into the rate trackers at its barrier, so the next Run()
+  // partitions with observed rates ("incrementally update them while the
+  // application runs").
   builder
       .SetBolt(
           "splitter",
-          [observing_router] {
-            return std::make_unique<traffic::SplitterBolt>(observing_router);
+          [raw] {
+            auto tally = std::make_shared<RegionTally>();
+            {
+              MutexLock lock(raw->tallies_mutex);
+              raw->tallies.push_back(tally);
+            }
+            return std::make_unique<traffic::SplitterBolt>(
+                [raw, tally, slots = dsps::FieldSlots({"area_leaf", "bus_stop"})](
+                    const dsps::Tuple& tuple, std::vector<int>* tasks) {
+                  raw->router->Route(tuple, tasks);
+                  std::unordered_map<int64_t, uint64_t>* counts[] = {&tally->areas,
+                                                                     &tally->stops};
+                  for (size_t i = 0; i < 2; ++i) {
+                    int slot = slots.IndexOf(tuple, i);
+                    if (slot < 0) continue;
+                    int64_t region = tuple.Get(static_cast<size_t>(slot)).AsInt();
+                    if (region >= 0) ++(*counts[i])[region];
+                  }
+                });
           },
           traffic::EnrichedFields({}), config_.splitter_executors)
       .ShuffleGrouping("busStopsTracker");
@@ -296,27 +470,121 @@ Result<TrafficManagementSystem::RunReport> TrafficManagementSystem::Run() {
   INSIGHT_ASSIGN_OR_RETURN(dsps::Topology topology, builder.Build());
   dsps::LocalRuntime::Options runtime_options = config_.runtime;
   runtime_options.num_workers = config_.num_workers;
-  dsps::LocalRuntime runtime(std::move(topology), runtime_options);
+  live->runtime =
+      std::make_unique<dsps::LocalRuntime>(std::move(topology), runtime_options);
+  INSIGHT_RETURN_NOT_OK(live->runtime->StartLongLived());
+  live_ = std::move(live);
+  return Status::OK();
+}
 
-  auto start = std::chrono::steady_clock::now();
-  INSIGHT_RETURN_NOT_OK(runtime.Start());
-  runtime.AwaitCompletion();
-  auto end = std::chrono::steady_clock::now();
+Status TrafficManagementSystem::StartRun() {
+  Live& live = *live_;
+  // Re-partition with the rates observed so far. Nothing is in flight, so
+  // the splitters can simply switch tables.
+  INSIGHT_ASSIGN_OR_RETURN(SpatialRouter router, BuildRouter(live.allocation));
+  const bool rerouted = !SameRoutes(router, *live.router);
+  if (rerouted) live.router = std::make_shared<const SpatialRouter>(std::move(router));
+  // Statistics refreshed since the engines' thresholds were loaded.
+  const bool refreshed =
+      !live.streams.empty() && live.cycle != dynamic_->cycles_completed();
+  if (refreshed) {
+    live.cycle = dynamic_->cycles_completed();
+    live.LoadThresholds(store_);
+  }
+  auto updates = std::make_shared<std::vector<ThresholdUpdate>>(live.held.size());
+  if (rerouted || refreshed) {
+    std::vector<std::vector<HeldThreshold>> target = live.Scoped();
+    for (size_t t = 0; t < target.size(); ++t) (*updates)[t] = live.Diff(t, target[t]);
+    live.held = std::move(target);
+  }
+  // Each engine starts a fresh bus stream and takes its threshold updates
+  // as events into its existing windows, on its own executor thread.
+  Live* raw = &live;
+  INSIGHT_RETURN_NOT_OK(live.runtime->RunOnTasks(
+      "esper", [raw, updates](dsps::Bolt* bolt, int task) {
+        auto* esper = static_cast<traffic::EsperBolt*>(bolt);
+        esper->NewStream();
+        const ThresholdUpdate& update = (*updates)[static_cast<size_t>(task)];
+        for (const std::string& type : update.reset_types) {
+          esper->engine()->ResetStream(type);
+        }
+        for (const HeldThreshold& held : update.rows) {
+          (void)SendThresholdEvent(esper->engine(), raw->streams[held.stream].key,
+                                   held.row);
+        }
+      }));
+  return live.runtime->RunOnTasks("preProcess", [](dsps::Bolt* bolt, int) {
+    static_cast<traffic::PreProcessBolt*>(bolt)->NewStream();
+  });
+}
+
+Result<TrafficManagementSystem::RunReport> TrafficManagementSystem::Run() {
+  if (!initialized_) {
+    return Status::FailedPrecondition("call Initialize() first");
+  }
+  // Rules compiled from (kMultipleRules) or deduplicated against
+  // (kJoinWithDatabase) the old statistics: rebuild.
+  const bool rules_read_statistics =
+      config_.retrieval == ThresholdRetrieval::kMultipleRules ||
+      config_.retrieval == ThresholdRetrieval::kJoinWithDatabase;
+  if (live_ != nullptr && rules_read_statistics &&
+      live_->cycle != dynamic_->cycles_completed()) {
+    live_.reset();
+  }
 
   RunReport report;
-  report.traces_fed = traces->size();
-  report.wall_seconds =
-      std::chrono::duration_cast<std::chrono::duration<double>>(end - start)
-          .count();
-  report.esper = runtime.metrics()->Totals("esper");
+  const auto build_start = std::chrono::steady_clock::now();
+  const bool build = live_ == nullptr;
+  if (build) INSIGHT_RETURN_NOT_OK(BuildLive());
+  INSIGHT_RETURN_NOT_OK(StartRun());
+  if (build) report.build_seconds = SecondsSince(build_start);
+
+  Live& live = *live_;
+  const auto esper_before = live.runtime->metrics()->Totals("esper");
+  const auto start = std::chrono::steady_clock::now();
+  INSIGHT_RETURN_NOT_OK(live.runtime->Feed(
+      "busReader", [traces = live.traces](dsps::Spout* spout, int) {
+        static_cast<traffic::BusReaderSpout*>(spout)->Feed(traces);
+      }));
+  if (!live.runtime->AwaitQuiescence()) {
+    return Status::Internal("topology stopped during the run");
+  }
+  report.wall_seconds = SecondsSince(start);
+
+  std::vector<std::shared_ptr<RegionTally>> tallies;
+  {
+    MutexLock lock(live.tallies_mutex);
+    tallies = live.tallies;
+  }
+  for (const auto& tally : tallies) {
+    area_tracker_.ObserveCounts(tally->areas);
+    stop_tracker_.ObserveCounts(tally->stops);
+    tally->areas.clear();
+    tally->stops.clear();
+  }
+
+  report.traces_fed = live.traces->size();
+  report.esper = live.runtime->metrics()->Totals("esper").Since(esper_before);
   if (report.wall_seconds > 0) {
     report.esper_throughput =
         static_cast<double>(report.esper.executed) / report.wall_seconds;
   }
   auto detections = store_.RowCount(traffic::EventsStorerBolt::kTableName);
   report.detections = detections.ok() ? *detections : 0;
-  report.engines_per_grouping = allocation.engines_per_grouping;
+  report.engines_per_grouping = live.allocation.engines_per_grouping;
   return report;
+}
+
+Status TrafficManagementSystem::VisitEngines(
+    const std::function<void(int task, const cep::Engine& engine)>& visit) {
+  if (live_ == nullptr) return Status::FailedPrecondition("no running topology");
+  return live_->runtime->RunOnTasks("esper", [&visit](dsps::Bolt* bolt, int task) {
+    visit(task, *static_cast<traffic::EsperBolt*>(bolt)->engine());
+  });
+}
+
+std::shared_ptr<const SpatialRouter> TrafficManagementSystem::router() const {
+  return live_ == nullptr ? nullptr : live_->router;
 }
 
 }  // namespace core

@@ -1,6 +1,7 @@
 #ifndef INSIGHT_CORE_SYSTEM_H_
 #define INSIGHT_CORE_SYSTEM_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,6 +35,14 @@ void EnrichTraces(std::vector<traffic::BusTrace>* traces,
 /// Per-region tuple counts over a trace set (seed rates for Algorithm 1).
 std::vector<RegionRate> ComputeRegionRates(
     const std::vector<traffic::BusTrace>& traces, bool by_bus_stop);
+
+/// The Esper bolt configuration for one allocation. Tasks are laid out
+/// grouping by grouping, `engines_per_grouping[g]` tasks for grouping g,
+/// and each gets setups[g]'s rules. The before_send hook is installed only
+/// when some setup has one, so an Esper bolt without it keeps its batch path
+/// (EsperBolt::ExecuteBatch). Preloading is left to the caller.
+std::shared_ptr<traffic::EsperBoltConfig> MakeEsperBoltConfig(
+    std::vector<RetrievalSetup> setups, const std::vector<int>& engines_per_grouping);
 
 /// The end-to-end system of Figure 3 / Figure 8: workload generation,
 /// spatial indexing, batch bootstrap, rule partitioning/allocation, the
@@ -69,9 +78,16 @@ class TrafficManagementSystem {
 
   struct RunReport {
     size_t traces_fed = 0;
+    /// Rows in the events store after this run (all runs so far).
     size_t detections = 0;
+    /// From handing the traces to the spout to the quiescence barrier.
     double wall_seconds = 0.0;
-    /// Esper-bolt totals (the bolt the paper's evaluation focuses on).
+    /// Time this Run() spent building the topology before the stream
+    /// started (engines, statements, threshold preload); 0 when it reused
+    /// the running one.
+    double build_seconds = 0.0;
+    /// Esper-bolt totals of this run (the bolt the paper's evaluation
+    /// focuses on).
     dsps::MetricsRegistry::ComponentTotals esper;
     /// Tuples/second through the Esper bolt.
     double esper_throughput = 0.0;
@@ -80,21 +96,36 @@ class TrafficManagementSystem {
   };
 
   explicit TrafficManagementSystem(Config config);
+  ~TrafficManagementSystem();
 
   /// Builds the quadtree and canonical bus stops, generates the bootstrap
   /// history, runs the first batch cycle and computes seed region rates.
   Status Initialize();
 
-  /// Builds the topology, runs the stream to completion and reports metrics.
-  /// Region rates observed by the splitter update the rate trackers, so a
-  /// subsequent Run() re-partitions with fresher estimates (the paper's
-  /// periodic Start-Up Optimization, Section 4.2).
+  /// Streams the traces through the Figure-8 topology once and reports this
+  /// run's metrics. The topology is built at the first Run() after
+  /// Initialize() or AddRules() and then kept running; each Run() is a
+  /// fresh stream over it (see DESIGN.md "Long-lived topology"). Region
+  /// rates observed by the splitter update the rate trackers, so the next
+  /// Run() re-partitions with fresher estimates (the paper's periodic
+  /// Start-Up Optimization, Section 4.2), and statistics refreshed since the
+  /// last Run() reach the engines' threshold windows before it streams.
   Result<RunReport> Run();
 
   /// Registers additional rules after Initialize(); groupings and the
-  /// allocation are recomputed on the next Run() ("the component's
-  /// optimizations can be invoked ... when new rules are submitted").
+  /// allocation are recomputed and the topology rebuilt on the next Run()
+  /// ("the component's optimizations can be invoked ... when new rules are
+  /// submitted").
   Status AddRules(const std::vector<RuleTemplate>& rules);
+
+  /// Calls visit(task, engine) for every Esper task's engine, each on its
+  /// task's executor thread, between runs. FailedPrecondition before the
+  /// first Run().
+  Status VisitEngines(
+      const std::function<void(int task, const cep::Engine& engine)>& visit);
+  /// The routing schema the last Run() streamed with; null before the
+  /// first Run().
+  std::shared_ptr<const SpatialRouter> router() const;
 
   // ---- introspection ----
   storage::TableStore* store() { return &store_; }
@@ -107,7 +138,15 @@ class TrafficManagementSystem {
   const RegionRateTracker& stop_rates() const { return stop_tracker_; }
 
  private:
+  /// The running topology and what it was built from (system.cc).
+  struct Live;
+
   Result<SpatialRouter> BuildRouter(const AllocationResult& allocation) const;
+  /// Builds and starts the topology for the current rules.
+  Status BuildLive();
+  /// Brings the running topology to a run boundary: the current routing,
+  /// the thresholds of the current statistics, fresh per-stream state.
+  Status StartRun();
 
   Config config_;
   storage::TableStore store_;
@@ -122,6 +161,8 @@ class TrafficManagementSystem {
   RegionRateTracker stop_tracker_;
   model::LatencyModel latency_model_ = model::LatencyModel::Default();
   bool initialized_ = false;
+  /// Last member: its runtime stops before anything it uses is destroyed.
+  std::unique_ptr<Live> live_;
 };
 
 }  // namespace core

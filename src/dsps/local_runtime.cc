@@ -414,6 +414,135 @@ Status LocalRuntime::Start() {
   return Status::OK();
 }
 
+Status LocalRuntime::StartLongLived() {
+  if (started_.load()) {
+    return Status::FailedPrecondition("runtime already started");
+  }
+  long_lived_ = true;
+  return Start();
+}
+
+bool LocalRuntime::AwaitQuiescence() {
+  MutexLock lock(done_mutex_);
+  while (!(stopping_.load() ||
+           (live_spout_tasks_.load() == 0 && in_flight_.load() == 0 &&
+            pending_roots_.load() == 0))) {
+    done_cv_.Wait(done_mutex_);
+  }
+  if (stopping_.load()) return false;
+  idle_.store(true);
+  return true;
+}
+
+Status LocalRuntime::Feed(const std::string& component,
+                          std::function<void(Spout*, int)> feed) {
+  if (!long_lived_) {
+    return Status::FailedPrecondition("Feed needs StartLongLived()");
+  }
+  idle_.store(false);
+  return PostTaskAction(component, std::move(feed), nullptr);
+}
+
+Status LocalRuntime::RunOnTasks(const std::string& component,
+                                std::function<void(Bolt*, int)> action) {
+  return PostTaskAction(component, nullptr, std::move(action));
+}
+
+Status LocalRuntime::PostTaskAction(const std::string& component,
+                                    std::function<void(Spout*, int)> spout_action,
+                                    std::function<void(Bolt*, int)> bolt_action) {
+  if (!started_.load() || stopping_.load()) {
+    return Status::FailedPrecondition("runtime is not running");
+  }
+  const auto& components = topology_.components();
+  int component_index = -1;
+  for (size_t c = 0; c < components.size(); ++c) {
+    if (components[c].name == component) component_index = static_cast<int>(c);
+  }
+  if (component_index < 0) {
+    return Status::NotFound("no component '" + component + "'");
+  }
+  const ComponentDef& def = components[static_cast<size_t>(component_index)];
+  if (def.is_spout != (spout_action != nullptr)) {
+    return Status::InvalidArgument("'" + component + "' is " +
+                                   (def.is_spout ? "a spout" : "a bolt"));
+  }
+  MutexLock call(action_call_mutex_);
+  const uint64_t epoch = action_epoch_.load() + 1;
+  {
+    MutexLock lock(action_.mutex);
+    action_.epoch = epoch;
+    action_.component_index = component_index;
+    action_.spout_action = std::move(spout_action);
+    action_.bolt_action = std::move(bolt_action);
+    action_.remaining = def.num_tasks;
+  }
+  action_epoch_.store(epoch, std::memory_order_release);
+  // Wake the component's executors wherever they park: idle between
+  // batches, or on their first task's queue.
+  {
+    MutexLock lock(done_mutex_);
+    idle_cv_.NotifyAll();
+  }
+  for (auto& task : tasks_[static_cast<size_t>(component_index)]) {
+    if (task.input == nullptr) continue;
+    MutexLock lock(task.input->mutex);
+    task.input->not_empty.NotifyAll();
+  }
+  MutexLock lock(action_.mutex);
+  while (action_.remaining > 0 && !stopping_.load()) {
+    action_.done.WaitFor(action_.mutex, std::chrono::milliseconds(10));
+  }
+  const bool done = action_.remaining == 0;
+  action_.component_index = -1;
+  action_.spout_action = nullptr;
+  action_.bolt_action = nullptr;
+  if (!done) return Status::FailedPrecondition("runtime stopped");
+  return Status::OK();
+}
+
+void LocalRuntime::RunTaskAction(uint64_t epoch, int component_index,
+                                 const std::vector<TaskRuntime*>& my_tasks) {
+  std::function<void(Spout*, int)> spout_action;
+  std::function<void(Bolt*, int)> bolt_action;
+  {
+    MutexLock lock(action_.mutex);
+    if (action_.epoch != epoch || action_.component_index != component_index) {
+      return;
+    }
+    spout_action = action_.spout_action;
+    bolt_action = action_.bolt_action;
+  }
+  int ran = 0;
+  for (TaskRuntime* task : my_tasks) {
+    if (task->action_epoch == epoch) continue;
+    task->action_epoch = epoch;
+    if (task->spout != nullptr) {
+      spout_action(task->spout.get(), task->task_index);
+      if (task->spout_done) {
+        task->spout_done = false;
+        live_spout_tasks_.fetch_add(1);
+      }
+    } else {
+      bolt_action(task->bolt.get(), task->task_index);
+    }
+    ++ran;
+  }
+  if (ran == 0) return;
+  MutexLock lock(action_.mutex);
+  action_.remaining -= ran;
+  if (action_.remaining == 0) action_.done.NotifyAll();
+}
+
+void LocalRuntime::ParkIdle(uint64_t seen_epoch, bool is_spout) {
+  MutexLock lock(done_mutex_);
+  while (!stopping_.load() &&
+         action_epoch_.load(std::memory_order_acquire) == seen_epoch &&
+         (is_spout || idle_.load())) {
+    if (!idle_cv_.WaitFor(done_mutex_, std::chrono::milliseconds(100))) return;
+  }
+}
+
 void LocalRuntime::NotifyPossiblyDone() {
   if (live_spout_tasks_.load() == 0 && in_flight_.load() == 0 &&
       pending_roots_.load() == 0) {
@@ -463,6 +592,11 @@ void LocalRuntime::Stop() {
   {
     MutexLock lock(done_mutex_);
     done_cv_.NotifyAll();
+    idle_cv_.NotifyAll();
+  }
+  {
+    MutexLock lock(action_.mutex);
+    action_.done.NotifyAll();
   }
   if (was_stopping) return;
   // Supervisor first, so it cannot relaunch executor threads underneath the
@@ -1062,7 +1196,13 @@ void LocalRuntime::SpoutLoop(
   for (TaskRuntime* task : my_tasks) {
     refs.push_back(metrics_.RefFor(def.name, task->task_index));
   }
+  uint64_t seen_epoch = 0;
   while (!stopping_.load()) {
+    const uint64_t epoch = action_epoch_.load(std::memory_order_acquire);
+    if (epoch != seen_epoch) {
+      RunTaskAction(epoch, component_index, my_tasks);
+      seen_epoch = epoch;
+    }
     bool all_exhausted = true;
     bool progressed = false;
     uint64_t pass_emitted = 0;
@@ -1127,7 +1267,12 @@ void LocalRuntime::SpoutLoop(
       for (auto& collector : collectors) FlushOutbox(collector->outbox());
       // Exhausted spouts stay alive under acking to deliver Ack/Fail
       // callbacks and re-emit timed-out trees until every tree resolves.
-      if (!acking || pending_roots_.load() == 0) break;
+      // A long-lived topology's spouts then wait for their next batch.
+      if (!acking || pending_roots_.load() == 0) {
+        if (!long_lived_) break;
+        ParkIdle(seen_epoch, /*is_spout=*/true);
+        continue;
+      }
       if (!progressed) {
         std::this_thread::sleep_for(std::chrono::microseconds(500));
       }
@@ -1215,7 +1360,13 @@ void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
   // execution of co-scheduled tasks, one not_full wake per drained block).
   std::vector<Tuple> batch;
   batch.reserve(options_.max_batch);
+  uint64_t seen_epoch = 0;
   while (true) {
+    const uint64_t epoch = action_epoch_.load(std::memory_order_acquire);
+    if (epoch != seen_epoch) {
+      RunTaskAction(epoch, component_index, my_tasks);
+      seen_epoch = epoch;
+    }
     bool any = false;
     for (size_t i = 0; i < my_tasks.size(); ++i) {
       TaskRuntime* task = my_tasks[i];
@@ -1439,6 +1590,10 @@ void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
         }
       }
       if (stopping_.load()) break;
+      if (long_lived_ && idle_.load()) {
+        ParkIdle(seen_epoch, /*is_spout=*/false);
+        continue;
+      }
       // Park briefly on the first owned queue.
       TaskRuntime* task = my_tasks.empty() ? nullptr : my_tasks[0];
       if (task == nullptr) break;

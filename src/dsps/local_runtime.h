@@ -38,6 +38,12 @@ namespace dsps {
 /// with acking enabled — every tracked tuple tree has been acked, replayed
 /// to success, or permanently failed.
 ///
+/// Long-lived use (StartLongLived): the topology outlives its input. A spout
+/// task whose NextTuple returned false parks instead of ending, Feed() hands
+/// the spouts their next batch, and AwaitQuiescence() marks the end of each
+/// batch. RunOnTasks() runs an action on each task of a bolt on the task's
+/// own executor thread, e.g. to reset per-batch state between batches.
+///
 /// Reliability (opt-in, `Options::enable_acking`): spout emissions via
 /// Collector::EmitRooted are tracked by a Storm-style XOR acker
 /// (src/reliability). Trees not fully processed within `ack_timeout_micros`
@@ -173,6 +179,33 @@ class LocalRuntime {
   /// Blocks until the topology drains (see class comment), then stops all
   /// threads. Also usable after Stop().
   void AwaitCompletion();
+
+  // --- Long-lived topologies (see DESIGN.md "Long-lived topology") ---
+
+  /// Start() for a topology that outlives its input: spout executors do not
+  /// exit once every task is exhausted but park, without polling, until
+  /// Feed() re-arms them or Stop() ends the runtime. Between AwaitQuiescence()
+  /// and the next Feed() idle bolt executors park the same way.
+  Status StartLongLived();
+
+  /// Blocks until the current batch is done: every spout task's NextTuple
+  /// has returned false, no tuple is in flight and no tracked tree is
+  /// pending. Unlike AwaitCompletion the threads keep running. Returns false
+  /// if the runtime stopped instead.
+  bool AwaitQuiescence();
+
+  /// Hands the spouts of `component` their next batch: runs `feed` on every
+  /// task of that spout on the task's executor thread, then re-arms the
+  /// exhausted tasks so NextTuple is called again. Returns once every task
+  /// ran `feed`. Call between batches (after AwaitQuiescence).
+  Status Feed(const std::string& component,
+              std::function<void(Spout* spout, int task_index)> feed);
+
+  /// Runs `action` on every task of bolt `component`, each on its task's
+  /// executor thread between two drained blocks, and returns once all ran.
+  /// The action must not emit. Not concurrent with MigrateTask.
+  Status RunOnTasks(const std::string& component,
+                    std::function<void(Bolt* bolt, int task_index)> action);
 
   /// Requests asynchronous stop (tuples may be dropped) and joins threads.
   void Stop();
@@ -315,6 +348,9 @@ class LocalRuntime {
     /// persist completion closure at submit time, so exactly one thread
     /// owns any given delta set.
     std::unordered_map<uint64_t, uint64_t> pending_acks;
+    /// Epoch of the last task action (Feed / RunOnTasks) run on this task;
+    /// a relaunched executor never runs an action twice.
+    uint64_t action_epoch = 0;
   };
 
   struct RouteTarget {
@@ -408,6 +444,22 @@ class LocalRuntime {
                uint64_t* ack_batch, uint64_t dedup_base, uint64_t* dedup_seq,
                Outbox* outbox);
   void NotifyPossiblyDone();
+
+  // --- Long-lived helpers ---
+
+  /// Posts a task action for every task of `component` and waits until all
+  /// ran (Feed passes a spout action, RunOnTasks a bolt action).
+  Status PostTaskAction(const std::string& component,
+                        std::function<void(Spout*, int)> spout_action,
+                        std::function<void(Bolt*, int)> bolt_action);
+  /// Executor side: runs the posted action `epoch` on the owned tasks it is
+  /// meant for, once per task, and reports them done.
+  void RunTaskAction(uint64_t epoch, int component_index,
+                     const std::vector<TaskRuntime*>& my_tasks);
+  /// Parks an executor with nothing to do until a task action is posted,
+  /// the runtime stops or (bolts) the next batch starts. Bounded, so work
+  /// that arrives without a wake (supervisor, migration) is still seen.
+  void ParkIdle(uint64_t seen_epoch, bool is_spout);
   /// Fresh nonzero pseudo-random edge id for the acker.
   uint64_t NextEdgeId() TMS_NO_ALLOC;
 
@@ -586,6 +638,32 @@ class LocalRuntime {
   /// TaskQueue mutexes.
   Mutex done_mutex_{TMS_LOCK_RANK(95)};
   CondVar done_cv_;
+
+  // Long-lived topologies (StartLongLived).
+  bool long_lived_ = false;
+  /// Set by AwaitQuiescence, cleared by Feed: between batches idle bolt
+  /// executors park on idle_cv_ instead of polling their queues each
+  /// millisecond.
+  std::atomic<bool> idle_{false};
+  /// Parked idle executors wait here (on done_mutex_).
+  CondVar idle_cv_;
+  /// Bumped once per posted task action; executors compare it to the epoch
+  /// they last handled at the top of every pass.
+  std::atomic<uint64_t> action_epoch_{0};
+  /// One task action at a time: held across PostTaskAction, which takes the
+  /// rank-89 action mutex, rank-90 queue mutexes and rank-95 done_mutex_.
+  Mutex action_call_mutex_{TMS_LOCK_RANK(14)};
+  /// The posted action and its outstanding task count. Leaf lock.
+  struct TaskAction {
+    Mutex mutex{TMS_LOCK_RANK(89)};
+    CondVar done;
+    uint64_t epoch GUARDED_BY(mutex) = 0;
+    int component_index GUARDED_BY(mutex) = -1;
+    std::function<void(Spout*, int)> spout_action GUARDED_BY(mutex);
+    std::function<void(Bolt*, int)> bolt_action GUARDED_BY(mutex);
+    int remaining GUARDED_BY(mutex) = 0;
+  };
+  TaskAction action_;
 };
 
 }  // namespace dsps

@@ -140,6 +140,31 @@ MetricsRegistry::ComponentTotals MetricsRegistry::Totals(
   return totals;
 }
 
+MetricsRegistry::ComponentTotals MetricsRegistry::ComponentTotals::Since(
+    const ComponentTotals& earlier) const {
+  ComponentTotals d = *this;
+  for (uint64_t ComponentTotals::*field :
+       {&ComponentTotals::executed, &ComponentTotals::emitted,
+        &ComponentTotals::latency_sum_micros, &ComponentTotals::acked,
+        &ComponentTotals::failed, &ComponentTotals::replayed,
+        &ComponentTotals::checkpoints, &ComponentTotals::checkpoint_restores,
+        &ComponentTotals::checkpoint_restore_failures, &ComponentTotals::deduped,
+        &ComponentTotals::breaker_trips, &ComponentTotals::shed_low,
+        &ComponentTotals::shed_normal, &ComponentTotals::shed_high,
+        &ComponentTotals::squelched, &ComponentTotals::task_migrations,
+        &ComponentTotals::migration_failures}) {
+    d.*field -= earlier.*field;
+  }
+  for (size_t i = 0; i < d.latency_histogram.counts.size(); ++i) {
+    d.latency_histogram.counts[i] -= earlier.latency_histogram.counts[i];
+  }
+  d.avg_latency_micros = d.executed > 0
+                             ? static_cast<double>(d.latency_sum_micros) /
+                                   static_cast<double>(d.executed)
+                             : 0.0;
+  return d;
+}
+
 std::vector<std::string> MetricsRegistry::Components() const {
   std::vector<std::string> out;
   for (const auto& [name, stats] : components_) out.push_back(name);

@@ -52,6 +52,10 @@ class MetricsRegistry {
     uint64_t migration_failures = 0;  // aborted/rolled-back migrations
     /// Lifetime execute-latency distribution, merged across tasks.
     observability::HistogramSnapshot latency_histogram;
+
+    /// What accumulated since `earlier`, a Totals() of the same component
+    /// taken before this one (e.g. one run of a long-lived topology).
+    ComponentTotals Since(const ComponentTotals& earlier) const;
   };
 
   struct WindowReport {

@@ -1,6 +1,8 @@
 #include "storage/table_store.h"
 
+#include <cstring>
 #include <set>
+#include <tuple>
 
 namespace insight {
 namespace storage {
@@ -123,6 +125,30 @@ Result<QueryResult> TableStore::SelectAll(const std::string& table) const {
   return Select(table, projections);
 }
 
+Status TableStore::Scan(
+    const std::string& table, const std::vector<std::string>& columns,
+    const std::function<void(const std::vector<const Value*>&)>& visit) const {
+  MutexLock lock(mutex_);
+  INSIGHT_ASSIGN_OR_RETURN(const Table* t, Find(table));
+  ++query_count_;
+  std::vector<size_t> positions;
+  positions.reserve(columns.size());
+  for (const std::string& name : columns) {
+    size_t i = 0;
+    while (i < t->columns.size() && t->columns[i].name != name) ++i;
+    if (i == t->columns.size()) {
+      return Status::NotFound("table '" + table + "' has no column '" + name + "'");
+    }
+    positions.push_back(i);
+  }
+  std::vector<const Value*> values(columns.size());
+  for (const RowValues& row : t->rows) {
+    for (size_t c = 0; c < positions.size(); ++c) values[c] = &row[positions[c]];
+    visit(values);
+  }
+  return Status::OK();
+}
+
 Result<size_t> TableStore::RowCount(const std::string& table) const {
   MutexLock lock(mutex_);
   INSIGHT_ASSIGN_OR_RETURN(const Table* t, Find(table));
@@ -159,35 +185,25 @@ std::string StatisticsTableName(const std::string& attribute) {
 Result<std::vector<ThresholdRow>> QueryThresholds(const TableStore& store,
                                                   const std::string& attribute,
                                                   double s) {
-  std::vector<TableStore::Projection> projections;
-  projections.push_back(
-      {"thresholdLocation",
-       [s](const QueryResult& schema, const RowValues& row) -> Value {
-         double mean = row[static_cast<size_t>(schema.ColumnIndex("attr_mean"))]
-                           .AsDouble();
-         double stdv = row[static_cast<size_t>(schema.ColumnIndex("attr_stdv"))]
-                           .AsDouble();
-         return mean + s * stdv;
-       }});
-  projections.push_back({"currentHour", nullptr});
-  projections.push_back({"dateType", nullptr});
-  projections.push_back({"areaId", nullptr});
-
-  INSIGHT_ASSIGN_OR_RETURN(
-      QueryResult result,
-      store.Select(StatisticsTableName(attribute), projections, nullptr,
-                   /*distinct=*/true));
   std::vector<ThresholdRow> rows;
-  rows.reserve(result.rows.size());
-  for (const RowValues& row : result.rows) {
-    ThresholdRow t;
-    t.threshold = row[0].AsDouble();
-    t.hour = row[1].AsInt();
-    t.date_type = row[2].AsString();
-    t.location = row[3].AsInt();
-    rows.push_back(std::move(t));
+  INSIGHT_RETURN_NOT_OK(store.Scan(
+      StatisticsTableName(attribute),
+      {"attr_mean", "attr_stdv", "currentHour", "dateType", "areaId"},
+      [&](const std::vector<const Value*>& v) {
+        rows.push_back({v[4]->AsInt(), v[2]->AsInt(), v[3]->AsString(),
+                        v[0]->AsDouble() + s * v[1]->AsDouble()});
+      }));
+  // DISTINCT on exact values, outside the store's lock.
+  std::set<std::tuple<uint64_t, int64_t, int64_t, std::string>> seen;
+  std::vector<ThresholdRow> out;
+  out.reserve(rows.size());
+  for (ThresholdRow& row : rows) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &row.threshold, sizeof(bits));
+    if (!seen.emplace(bits, row.hour, row.location, row.date_type).second) continue;
+    out.push_back(std::move(row));
   }
-  return rows;
+  return out;
 }
 
 Result<double> QueryThresholdFor(const TableStore& store,

@@ -81,6 +81,14 @@ class TableStore {
   /// Convenience full-table scan.
   Result<QueryResult> SelectAll(const std::string& table) const;
 
+  /// Typed scan: resolves `columns` once, then calls `visit` with each row's
+  /// values of those columns (in that order), rows in insertion order.
+  /// Holds the store's lock for the whole scan, so `visit` must be short and
+  /// must not call back into the store. Charges one simulated query cost.
+  Status Scan(const std::string& table, const std::vector<std::string>& columns,
+              const std::function<void(const std::vector<const Value*>& values)>&
+                  visit) const;
+
   Result<size_t> RowCount(const std::string& table) const;
   std::vector<std::string> TableNames() const;
 
@@ -121,7 +129,9 @@ std::vector<Column> StatisticsColumns();
 std::string StatisticsTableName(const std::string& attribute);
 
 /// Listing 2: SELECT DISTINCT attr_mean + s*attr_stdv AS thresholdLocation,
-/// currentHour, dateType, areaId FROM statistics_<attribute>.
+/// currentHour, dateType, areaId FROM statistics_<attribute>. DISTINCT
+/// compares exact values (the threshold bit for bit), keeping each first
+/// occurrence in table order.
 Result<std::vector<ThresholdRow>> QueryThresholds(const TableStore& store,
                                                   const std::string& attribute,
                                                   double s);

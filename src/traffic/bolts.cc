@@ -112,8 +112,14 @@ std::vector<cep::EventType::Field> ThresholdEventFields() {
 // ---------------------------------------------------------------------------
 
 void BusReaderSpout::Open(const dsps::TaskContext& context) {
-  next_ = static_cast<size_t>(context.task_index);
+  first_ = static_cast<size_t>(context.task_index);
+  next_ = first_;
   stride_ = static_cast<size_t>(context.num_tasks);
+}
+
+void BusReaderSpout::Feed(std::shared_ptr<const std::vector<BusTrace>> traces) {
+  traces_ = std::move(traces);
+  next_ = first_;
 }
 
 bool BusReaderSpout::NextTuple(dsps::Collector* collector) {

@@ -66,9 +66,14 @@ class BusReaderSpout : public dsps::Spout {
   void Open(const dsps::TaskContext& context) override;
   bool NextTuple(dsps::Collector* collector) override;
 
+  /// Replaces the dataset and rewinds to its start: the next batch of a
+  /// long-lived topology (dsps::LocalRuntime::Feed).
+  void Feed(std::shared_ptr<const std::vector<BusTrace>> traces);
+
  private:
   std::shared_ptr<const std::vector<BusTrace>> traces_;
   bool enriched_;
+  size_t first_ = 0;
   size_t next_ = 0;
   size_t stride_ = 1;
 };
@@ -110,6 +115,10 @@ class PreProcessBolt : public dsps::Bolt, public dsps::Snapshottable {
  public:
   explicit PreProcessBolt(bool weekend = false) : weekend_(weekend) {}
   void Execute(const dsps::Tuple& input, dsps::Collector* collector) override;
+
+  /// Starts a new input stream: forgets every vehicle's last report, so the
+  /// next report of each vehicle only seeds its state again.
+  void NewStream() { vehicles_.clear(); }
 
   Status SnapshotState(std::string* out) const override;
   Status RestoreState(const std::string& bytes) override;
@@ -215,6 +224,11 @@ class EsperBolt : public dsps::Bolt, public dsps::Snapshottable {
 
   Status SnapshotState(std::string* out) const override;
   Status RestoreState(const std::string& bytes) override;
+
+  /// Starts a new input stream: the engine drops its `bus` windows, their
+  /// indexes and accumulators, and keeps its compiled statements and
+  /// threshold windows.
+  void NewStream() { engine_->ResetStream("bus"); }
 
   cep::Engine* engine() { return engine_.get(); }
 

@@ -124,6 +124,46 @@ TEST_F(EngineTest, Listing1ThresholdArrivalDoesNotTrigger) {
   EXPECT_EQ(fires, 1u);
 }
 
+TEST_F(EngineTest, ResetStreamStartsTheBusStreamAfreshAndKeepsThresholds) {
+  constexpr char kUniqueThresholds[] = R"(
+      @Trigger(bus)
+      SELECT bd.location AS location
+      FROM bus.std:lastevent() as bd,
+           bus.std:groupwin(location).win:length(3) as bd2,
+           thresholdLocation.std:unique(location, hour, day) as thresholds
+      WHERE bd.hour = thresholds.hour and bd.day = thresholds.day and
+            bd.location = thresholds.location and bd.location = bd2.location
+      GROUP BY bd2.location
+      HAVING avg(bd2.delay) > avg(thresholds.delay))";
+  auto stmt = engine_.AddStatement(kUniqueThresholds, "unique");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  std::vector<int64_t> fired_at;
+  (*stmt)->AddListener([&](const MatchResult&) {
+    fired_at.push_back(engine_.current_trigger_timestamp());
+  });
+  engine_.SendEvent(Threshold(7, 8, "weekday", 100.0));
+  auto stream = [&](int64_t t0) {
+    for (double delay : {50.0, 100.0, 150.0, 200.0}) {
+      engine_.SendEvent(Bus(t0++, 1, 7, 8, "weekday", delay));
+    }
+  };
+  stream(1);
+  ASSERT_EQ(fired_at, std::vector<int64_t>({4}));  // window {100, 150, 200}
+
+  engine_.ResetStream("bus");
+  auto retained = [&](const std::string& type) {
+    size_t n = 0;
+    (*stmt)->ForEachRetained(type, [&n](const EventPtr&) { ++n; });
+    return n;
+  };
+  EXPECT_EQ(retained("bus"), 0u);
+  ASSERT_EQ(retained("thresholdLocation"), 1u);
+  // A fresh stream fires exactly as the first one did; the kept window of
+  // {100, 150, 200} would have fired on the first event (avg 133 > 100).
+  stream(11);
+  EXPECT_EQ(fired_at, std::vector<int64_t>({4, 14}));
+}
+
 TEST_F(EngineTest, GroupWindowIsolatesLocations) {
   auto stmt = engine_.AddStatement(kListing1, "generic");
   ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();

@@ -13,6 +13,7 @@
 #include "core/dynamic.h"
 #include "core/partitioning.h"
 #include "core/retrieval.h"
+#include "core/system.h"
 #include "core/rule_template.h"
 #include "traffic/bolts.h"
 
@@ -226,6 +227,23 @@ TEST(RegionRateTrackerTest, ObservationsBlendWithSeed) {
     if (e.region == 2) r2 = e.rate;
   }
   EXPECT_GT(r1, r2);
+}
+
+TEST(RegionRateTrackerTest, ObserveCountsEqualsObservingEachTuple) {
+  RegionRateTracker each;
+  RegionRateTracker counted;
+  each.Seed({{1, 50.0}, {9, 700.0}});
+  counted.Seed({{1, 50.0}, {9, 700.0}});
+  for (int64_t region : {1, 1, 2, 5, 5, 5}) each.Observe(region);
+  counted.ObserveCounts({{1, 2}, {2, 1}, {5, 3}});
+  EXPECT_EQ(counted.observed_total(), 6u);
+  auto a = each.Estimates();
+  auto b = counted.Estimates();
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].region, b[i].region);
+    EXPECT_EQ(a[i].rate, b[i].rate);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -735,6 +753,26 @@ TEST_F(RetrievalTest, JoinWithDatabaseQueriesPerTuple) {
   // Same key again: queried again (per-tuple join) but not re-sent.
   setup->before_send(&engine, 0, tuple);
   EXPECT_EQ((*stmt)->RetainedEvents(), 1u);
+}
+
+TEST_F(RetrievalTest, EsperBoltConfigHooksBeforeSendOnlyWhenASetupHasOne) {
+  for (ThresholdRetrieval strategy :
+       {ThresholdRetrieval::kThresholdStream, ThresholdRetrieval::kJoinWithDatabase}) {
+    std::vector<RetrievalSetup> setups;
+    for (int g = 0; g < 2; ++g) {
+      auto setup = BuildRetrieval(strategy, rules_, &store_, {});
+      ASSERT_TRUE(setup.ok());
+      setups.push_back(std::move(*setup));
+    }
+    auto config = MakeEsperBoltConfig(std::move(setups), {1, 2});
+    ASSERT_EQ(config->rules_per_task.size(), 3u);
+    EXPECT_EQ(config->rules_per_task[2].size(), 1u);
+    // A null hook leaves EsperBolt::ExecuteBatch on its batch path.
+    EXPECT_EQ(static_cast<bool>(config->before_send),
+              strategy == ThresholdRetrieval::kJoinWithDatabase)
+        << ThresholdRetrievalToString(strategy);
+    EXPECT_FALSE(static_cast<bool>(config->preload));
+  }
 }
 
 TEST(DynamicRuleManagerTest, AppendHistoryWritesCsvWriterBytes) {

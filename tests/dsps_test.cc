@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <map>
 #include <set>
+#include <thread>
 
 #include "observability/export.h"
 
@@ -815,6 +818,199 @@ TEST(LocalRuntimeTest, RepeatedSpoutCrashesStillDrainTheStream) {
   std::set<int64_t> distinct(sink->values.begin(), sink->values.end());
   EXPECT_EQ(distinct.size(), static_cast<size_t>(kTuples));
   EXPECT_EQ(sink->values.size(), static_cast<size_t>(kTuples));
+}
+
+// ---------------------------------------------------------------------------
+// Long-lived topologies: Feed / AwaitQuiescence / RunOnTasks
+// ---------------------------------------------------------------------------
+
+/// CounterSpout a long-lived runtime feeds: Rewind(n) starts the batch
+/// [0, n) over this task's stripe.
+class FedCounterSpout : public Spout {
+ public:
+  void Open(const TaskContext& context) override {
+    first_ = context.task_index;
+    stride_ = context.num_tasks;
+    next_ = first_;
+  }
+  bool NextTuple(Collector* collector) override {
+    if (next_ >= n_) return false;
+    collector->Emit({Value(int64_t{next_})});
+    next_ += stride_;
+    return next_ < n_;
+  }
+  void Rewind(int n) {
+    n_ = n;
+    next_ = first_;
+  }
+
+ private:
+  int n_ = 0;
+  int first_ = 0;
+  int next_ = 0;
+  int stride_ = 1;
+};
+
+/// Forwards its input; counts what its task executed since the last
+/// NewBatch(), and remembers the thread it executed on.
+class BatchCountBolt : public Bolt {
+ public:
+  void Execute(const Tuple& input, Collector* collector) override {
+    ++count_;
+    thread_ = std::this_thread::get_id();
+    collector->Emit(input.values());
+  }
+  void NewBatch() { count_ = 0; }
+  int count() const { return count_; }
+  std::thread::id thread() const { return thread_; }
+
+ private:
+  int count_ = 0;
+  std::thread::id thread_;
+};
+
+double CpuSeconds() {
+  struct rusage usage {};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) +
+         static_cast<double>(usage.ru_utime.tv_usec + usage.ru_stime.tv_usec) * 1e-6;
+}
+
+Topology FedTopology(std::shared_ptr<SinkBolt::Sink> sink) {
+  TopologyBuilder builder;
+  builder.SetSpout("s", [] { return std::make_unique<FedCounterSpout>(); },
+                   Fields({"v"}), 1, 2);
+  builder.SetBolt("double", [] { return std::make_unique<DoubleBolt>(); },
+                  Fields({"v"}), 2)
+      .ShuffleGrouping("s");
+  // A chain: one subscriber per component, so each shuffle spreads evenly.
+  builder.SetBolt("count", [] { return std::make_unique<BatchCountBolt>(); },
+                  Fields({"v"}), 2, 4)
+      .ShuffleGrouping("double");
+  builder.SetBolt("sink", [sink] { return std::make_unique<SinkBolt>(sink); },
+                  Fields({}))
+      .ShuffleGrouping("count");
+  auto topology = builder.Build();
+  EXPECT_TRUE(topology.ok());
+  return std::move(*topology);
+}
+
+TEST(LongLivedRuntimeTest, FeedsBatchesThroughOneRunningTopology) {
+  auto sink = std::make_shared<SinkBolt::Sink>();
+  LocalRuntime runtime(FedTopology(sink), {});
+  ASSERT_TRUE(runtime.StartLongLived().ok());
+  ASSERT_TRUE(runtime.AwaitQuiescence());  // the spouts start empty
+
+  size_t before = 0;
+  for (int n : {100, 257, 1, 40}) {
+    ASSERT_TRUE(runtime
+                    .Feed("s",
+                          [n](Spout* spout, int) {
+                            static_cast<FedCounterSpout*>(spout)->Rewind(n);
+                          })
+                    .ok());
+    ASSERT_TRUE(runtime.AwaitQuiescence());
+    MutexLock lock(sink->mutex);
+    ASSERT_EQ(sink->values.size(), before + static_cast<size_t>(n));
+    std::multiset<int64_t> batch(sink->values.begin() + static_cast<long>(before),
+                                 sink->values.end());
+    std::multiset<int64_t> expected;
+    for (int64_t v = 0; v < n; ++v) expected.insert(2 * v);
+    EXPECT_EQ(batch, expected) << "batch of " << n;
+    before = sink->values.size();
+  }
+  EXPECT_EQ(runtime.in_flight(), 0);
+  EXPECT_FALSE(runtime.finished());
+  EXPECT_EQ(runtime.metrics()->Totals("sink").executed, 398u);
+  runtime.Stop();
+  EXPECT_TRUE(runtime.finished());
+}
+
+TEST(LongLivedRuntimeTest, RunOnTasksRunsOnEachTasksExecutorThread) {
+  auto sink = std::make_shared<SinkBolt::Sink>();
+  LocalRuntime runtime(FedTopology(sink), {});
+  ASSERT_TRUE(runtime.StartLongLived().ok());
+  ASSERT_TRUE(runtime
+                  .Feed("s",
+                        [](Spout* spout, int) {
+                          static_cast<FedCounterSpout*>(spout)->Rewind(400);
+                        })
+                  .ok());
+  ASSERT_TRUE(runtime.AwaitQuiescence());
+
+  // Four tasks on two executors: every task's action runs on the thread
+  // that executed its tuples, and sees all of them.
+  Mutex mutex;
+  std::map<int, int> counts;
+  std::set<std::thread::id> threads;
+  int on_own_thread = 0;
+  ASSERT_TRUE(runtime
+                  .RunOnTasks("count",
+                              [&](Bolt* bolt, int task) {
+                                auto* counter = static_cast<BatchCountBolt*>(bolt);
+                                MutexLock lock(mutex);
+                                counts[task] = counter->count();
+                                threads.insert(std::this_thread::get_id());
+                                if (counter->thread() == std::this_thread::get_id()) {
+                                  ++on_own_thread;
+                                }
+                                counter->NewBatch();
+                              })
+                  .ok());
+  MutexLock lock(mutex);
+  ASSERT_EQ(counts.size(), 4u);
+  int total = 0;
+  for (const auto& [task, count] : counts) total += count;
+  EXPECT_EQ(total, 400);
+  EXPECT_EQ(on_own_thread, 4);
+  EXPECT_EQ(threads.size(), 2u);
+  EXPECT_EQ(threads.count(std::this_thread::get_id()), 0u);
+}
+
+TEST(LongLivedRuntimeTest, IdleTopologyUsesNoCpu) {
+  auto sink = std::make_shared<SinkBolt::Sink>();
+  LocalRuntime runtime(FedTopology(sink), {});
+  ASSERT_TRUE(runtime.StartLongLived().ok());
+  ASSERT_TRUE(runtime
+                  .Feed("s",
+                        [](Spout* spout, int) {
+                          static_cast<FedCounterSpout*>(spout)->Rewind(1000);
+                        })
+                  .ok());
+  ASSERT_TRUE(runtime.AwaitQuiescence());
+  // Parked executors neither poll their queues nor spin the spout.
+  const double cpu_before = CpuSeconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_LT(CpuSeconds() - cpu_before, 0.020);
+}
+
+TEST(LongLivedRuntimeTest, TaskActionsCheckTheirTarget) {
+  auto sink = std::make_shared<SinkBolt::Sink>();
+  {
+    LocalRuntime runtime(FedTopology(sink), {});
+    EXPECT_EQ(runtime.RunOnTasks("count", [](Bolt*, int) {}).code(),
+              StatusCode::kFailedPrecondition);  // not started
+    ASSERT_TRUE(runtime.StartLongLived().ok());
+    EXPECT_EQ(runtime.Feed("count", [](Spout*, int) {}).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(runtime.RunOnTasks("s", [](Bolt*, int) {}).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(runtime.RunOnTasks("nope", [](Bolt*, int) {}).code(),
+              StatusCode::kNotFound);
+    runtime.Stop();
+    EXPECT_EQ(runtime.RunOnTasks("count", [](Bolt*, int) {}).code(),
+              StatusCode::kFailedPrecondition);
+  }
+  // A run-to-completion runtime has no batches to feed, but its bolts
+  // take actions.
+  LocalRuntime runtime(FedTopology(sink), {});
+  ASSERT_TRUE(runtime.Start().ok());
+  EXPECT_EQ(runtime.Feed("s", [](Spout*, int) {}).code(),
+            StatusCode::kFailedPrecondition);
+  std::atomic<int> ran{0};
+  EXPECT_TRUE(runtime.RunOnTasks("count", [&ran](Bolt*, int) { ++ran; }).ok());
+  EXPECT_EQ(ran.load(), 4);
+  runtime.AwaitCompletion();
 }
 
 }  // namespace

@@ -80,6 +80,36 @@ TEST_F(TableStoreTest, DistinctDropsDuplicateProjectedRows) {
   EXPECT_EQ(thresholds->size(), 1u);
 }
 
+TEST_F(TableStoreTest, DistinctKeepsThresholdsThatAgreeToSixDigits) {
+  // 100.0001 and 100.0002 print alike with %g; they are distinct rows.
+  InsertStat(7, 8, "weekday", 100.0001, 0.0);
+  InsertStat(7, 8, "weekday", 100.0002, 0.0);
+  auto thresholds = QueryThresholds(store_, "delay", 1.0);
+  ASSERT_TRUE(thresholds.ok());
+  ASSERT_EQ(thresholds->size(), 2u);
+  EXPECT_EQ((*thresholds)[0].threshold, 100.0001);
+  EXPECT_EQ((*thresholds)[1].threshold, 100.0002);
+}
+
+TEST_F(TableStoreTest, ScanVisitsRowsInOrderAndCountsOneQuery) {
+  InsertStat(7, 8, "weekday", 100.0, 20.0);
+  InsertStat(9, 10, "weekend", 50.0, 5.0);
+  std::vector<std::string> seen;
+  ASSERT_TRUE(store_
+                  .Scan("statistics_delay", {"dateType", "areaId"},
+                        [&](const std::vector<const Value*>& values) {
+                          seen.push_back(values[0]->AsString() + "@" +
+                                         std::to_string(values[1]->AsInt()));
+                        })
+                  .ok());
+  EXPECT_EQ(seen, std::vector<std::string>({"weekday@7", "weekend@9"}));
+  EXPECT_EQ(store_.query_count(), 1u);
+  EXPECT_EQ(store_.Scan("statistics_delay", {"nope"}, [](const auto&) {}).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(store_.Scan("missing", {"areaId"}, [](const auto&) {}).code(),
+            StatusCode::kNotFound);
+}
+
 TEST_F(TableStoreTest, PointThresholdLookup) {
   InsertStat(7, 8, "weekday", 100.0, 20.0);
   auto t = QueryThresholdFor(store_, "delay", 1.0, 7, 8, "weekday");

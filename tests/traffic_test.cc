@@ -237,6 +237,119 @@ TEST(TupleSchemaTest, RawValuesAlignWithRawFields) {
   EXPECT_EQ(values[static_cast<size_t>(fields.IndexOf("timestamp"))].AsInt(), 5);
 }
 
+// ---------------------------------------------------------------------------
+// Run boundaries of a long-lived topology
+// ---------------------------------------------------------------------------
+
+class CapturingCollector : public dsps::Collector {
+ public:
+  void Emit(std::vector<dsps::Value> values) override {
+    emitted.push_back(std::move(values));
+  }
+  void EmitDirect(int, std::vector<dsps::Value> values) override {
+    emitted.push_back(std::move(values));
+  }
+  std::vector<std::vector<dsps::Value>> emitted;
+};
+
+BusTrace Report(int vehicle, MicrosT timestamp, double delay) {
+  BusTrace t;
+  t.vehicle_id = vehicle;
+  t.timestamp = timestamp;
+  t.position = {53.35, -6.26};
+  t.delay_seconds = delay;
+  t.hour = 8;
+  t.date_type = "weekday";
+  t.area_leaf = 7;
+  return t;
+}
+
+TEST(RunBoundaryTest, BusReaderSpoutFeedRewindsToTheNewDataset) {
+  auto first = std::make_shared<const std::vector<BusTrace>>(
+      std::vector<BusTrace>{Report(1, 1, 0), Report(2, 2, 0), Report(3, 3, 0)});
+  BusReaderSpout spout(first);
+  spout.Open({"busReader", 0, 1});
+  CapturingCollector out;
+  while (spout.NextTuple(&out)) {
+  }
+  ASSERT_EQ(out.emitted.size(), 3u);
+  EXPECT_FALSE(spout.NextTuple(&out));  // exhausted
+  EXPECT_EQ(out.emitted.size(), 3u);
+
+  spout.Feed(std::make_shared<const std::vector<BusTrace>>(
+      std::vector<BusTrace>{Report(8, 5, 0), Report(9, 6, 0)}));
+  while (spout.NextTuple(&out)) {
+  }
+  ASSERT_EQ(out.emitted.size(), 5u);
+  EXPECT_EQ(out.emitted[3][8].AsInt(), 8);  // vehicle
+  EXPECT_EQ(out.emitted[4][8].AsInt(), 9);
+}
+
+TEST(RunBoundaryTest, PreProcessNewStreamReseedsEveryVehicle) {
+  auto fields = std::make_shared<const dsps::Fields>(RawTraceFields());
+  PreProcessBolt bolt;
+  CapturingCollector out;
+  auto send = [&](MicrosT timestamp) {
+    bolt.Execute(dsps::Tuple(fields, TraceToRawValues(Report(1, timestamp, 0))), &out);
+  };
+  send(1'000'000);  // seeds the vehicle
+  send(2'000'000);
+  EXPECT_EQ(out.emitted.size(), 1u);
+  bolt.NewStream();
+  send(3'000'000);  // seeds it again: no delta across the boundary
+  EXPECT_EQ(out.emitted.size(), 1u);
+  send(4'000'000);
+  EXPECT_EQ(out.emitted.size(), 2u);
+}
+
+TEST(RunBoundaryTest, EsperNewStreamDropsBusWindowsAndKeepsThresholds) {
+  auto config = std::make_shared<EsperBoltConfig>();
+  config->rules_per_task = {{{"delay", R"(
+      @Trigger(bus)
+      SELECT bd.area_leaf AS location, avg(bd2.delay) AS value
+      FROM bus.std:lastevent() as bd,
+           bus.std:groupwin(area_leaf).win:length(2) as bd2,
+           threshold_delay.std:unique(location, hour, day) as thr
+      WHERE bd.area_leaf = bd2.area_leaf and bd.hour = thr.hour and
+            bd.date_type = thr.day and bd.area_leaf = thr.location
+      GROUP BY bd2.area_leaf
+      HAVING avg(bd2.delay) > avg(thr.value))"}}};
+  config->preload = [](cep::Engine* engine, int) {
+    engine->SendEvent(engine->NewEvent(ThresholdEventTypeName("delay"))
+                          .Set("location", int64_t{7})
+                          .Set("hour", int64_t{8})
+                          .Set("day", "weekday")
+                          .Set("value", 100.0)
+                          .Build());
+  };
+  EsperBolt bolt(config);
+  bolt.Prepare({"esper", 0, 1});
+  auto fields = std::make_shared<const dsps::Fields>(EnrichedFields({}));
+  CapturingCollector out;
+  auto send = [&](MicrosT timestamp, double delay) {
+    bolt.Execute(dsps::Tuple(fields, TraceToEnrichedValues(Report(1, timestamp, delay))),
+                 &out);
+  };
+  send(1, 300.0);
+  ASSERT_EQ(out.emitted.size(), 1u);
+
+  bolt.NewStream();
+  auto retained = [&](const std::string& type) {
+    size_t n = 0;
+    (*bolt.engine()->GetStatement("delay"))
+        ->ForEachRetained(type, [&n](const cep::EventPtr&) { ++n; });
+    return n;
+  };
+  EXPECT_EQ(retained("bus"), 0u);
+  EXPECT_EQ(retained(ThresholdEventTypeName("delay")), 1u);
+  // A fresh window: 10 alone stays under 100 (with the 300 kept, the
+  // average would be 155 and fire).
+  send(2, 10.0);
+  EXPECT_EQ(out.emitted.size(), 1u);
+  send(3, 250.0);  // {10, 250}: 130 > 100, the kept threshold still joins
+  EXPECT_EQ(out.emitted.size(), 2u);
+}
+
 }  // namespace
 }  // namespace traffic
 }  // namespace insight
