@@ -4,14 +4,11 @@
 //    threshold-stream size, rule count). Not a paper figure; these calibrate
 //    and guard the per-tuple costs the DES-based figure benches consume.
 //
-//  - `bench_cep_engine BENCH_cep.json`: row-vs-columnar comparison with an
-//    instrumented allocator. Drives the same event stream through SendEvent
-//    and SendBatch for the two hot shapes (compiled filter, shape-A
-//    incremental aggregation) and emits BENCH_cep.json in the same schema as
-//    BENCH_hotpath.json, plus speedup ratios. Exit code gates CI: the batch
-//    path must be allocation-free and at least 3x the row path (the 5x
-//    target is tracked in EXPERIMENTS.md; the CI gate leaves headroom for
-//    loaded runners).
+//  - `bench_cep_engine BENCH_cep.json`: per-event cost of SendEvent with an
+//    instrumented allocator, for two hot rule shapes (a single-source filter
+//    and the shape-A incremental aggregation of the detection rules), written
+//    in the same schema as BENCH_hotpath.json. Exit code gates CI: both
+//    scenarios must be allocation-free in steady state.
 
 #include <benchmark/benchmark.h>
 
@@ -23,7 +20,6 @@
 #include <new>
 
 #include "bench_util.h"
-#include "cep/batch.h"
 
 // ---------------------------------------------------------------------------
 // Instrumented global allocator (counts every new/new[]; JSON mode only
@@ -127,16 +123,17 @@ void BM_EplParse(benchmark::State& state) {
 }
 BENCHMARK(BM_EplParse);
 
+}  // namespace
+
 // ---------------------------------------------------------------------------
-// SendBatch counterparts of the window benchmark, for interactive runs.
+// JSON mode: per-event SendEvent cost on two hot rule shapes.
 // ---------------------------------------------------------------------------
 
-constexpr size_t kBatchLanes = 64;  // the runtime's default drained block
+namespace {
 
 /// Pre-generated random fields: the Gaussian draws are the expensive part of
-/// synthesizing an event, and they are identical work on both paths, so the
-/// JSON comparison hoists them out of the timed loops (the ratio should
-/// measure the engine, not the RNG).
+/// synthesizing an event, so the JSON mode hoists them out of the timed loop
+/// (it should measure the engine, not the RNG).
 struct RandomFields {
   std::vector<double> lon, lat, delay, speed, actual_delay;
   std::vector<uint8_t> congestion;
@@ -162,35 +159,7 @@ RandomFields MakeRandomFields(size_t n, uint64_t seed) {
   return f;
 }
 
-/// Appends one synthetic bus row through the typed appenders (the
-/// zero-conversion path a batch-aware adapter uses). Value stream matches
-/// FillBusRow below field for field.
-void AppendBusLane(cep::EventBatch* batch, const RandomFields& f,
-                   size_t num_locations, uint64_t index) {
-  static const std::string kWeekday = "weekday";
-  size_t r = static_cast<size_t>(index) % f.lon.size();
-  int64_t location = static_cast<int64_t>(index % num_locations);
-  batch->BeginRow(static_cast<MicrosT>(index));
-  batch->SetInt(0, static_cast<int64_t>(index * 1000));        // timestamp
-  batch->SetInt(1, static_cast<int64_t>(index % 67));          // line
-  batch->SetBool(2, (index & 1) == 0);                         // direction
-  batch->SetDouble(3, f.lon[r]);                               // lon
-  batch->SetDouble(4, f.lat[r]);                               // lat
-  batch->SetDouble(5, f.delay[r]);                             // delay
-  batch->SetBool(6, f.congestion[r] != 0);                     // congestion
-  batch->SetInt(7, int64_t{-1});                               // reported_stop
-  batch->SetInt(8, static_cast<int64_t>(index % 911));         // vehicle
-  batch->SetDouble(9, f.speed[r]);                             // speed
-  batch->SetDouble(10, f.actual_delay[r]);                     // actual_delay
-  batch->SetInt(11, static_cast<int64_t>((index / 500) % 24)); // hour
-  batch->SetString(12, kWeekday);                              // date_type
-  batch->SetInt(13, location);                                 // area_leaf
-  batch->SetInt(14, location);                                 // bus_stop
-  batch->EndRow();
-}
-
-/// Fills a recycled row buffer positionally in BusEventFields({}) order,
-/// producing the same value stream as AppendBusLane.
+/// Fills a recycled row buffer positionally in BusEventFields({}) order.
 void FillBusRow(std::vector<cep::Value>& out, const RandomFields& f,
                 size_t num_locations, uint64_t index) {
   using cep::Value;
@@ -214,16 +183,16 @@ void FillBusRow(std::vector<cep::Value>& out, const RandomFields& f,
   out.emplace_back(location);                                      // bus_stop
 }
 
-/// A compiled-filter-eligible rule: single lastevent source, whole WHERE
-/// lowers to column kernels, steady state never matches.
+/// A single-source filter rule: one lastevent source, steady state never
+/// matches.
 const char* kFilterRule =
     "@Trigger(bus)\n"
     "SELECT bd.area_leaf AS location, bd.speed AS value\n"
     "FROM bus.std:lastevent() as bd\n"
     "WHERE bd.speed < -1000.0 OR (bd.delay > 1e12 AND bd.congestion)";
 
-/// The canonical detection-rule pair (Table 6 / Section 4.1 shape), both
-/// shape-A incremental and batch-compilable to the group-table kernels.
+/// The canonical detection-rule pair (Table 6 / Section 4.1 shape), both on
+/// the shape-A incremental aggregation plan.
 const char* kAggRules[] = {
     "@Trigger(bus)\n"
     "SELECT bd.area_leaf AS location, avg(bd2.speed) AS value,\n"
@@ -256,38 +225,6 @@ std::unique_ptr<cep::Engine> MakeJsonEngine(
   return engine;
 }
 
-void BM_SendBatchWindow(benchmark::State& state) {
-  LoadedEngine loaded = MakeLoadedEngine(
-      {core::MakeRule("r", "delay", "area_leaf",
-                      static_cast<size_t>(state.range(0)))},
-      32);
-  auto bus_type = loaded.engine->GetEventType("bus");
-  INSIGHT_CHECK(bus_type.ok());
-  cep::EventBatch batch(*bus_type);
-  RandomFields fields = MakeRandomFields(1 << 14, 7);
-  uint64_t i = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    batch.Clear();
-    for (size_t lane = 0; lane < kBatchLanes; ++lane) {
-      AppendBusLane(&batch, fields, 32, i++);
-    }
-    state.ResumeTiming();
-    loaded.engine->SendBatch(batch);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kBatchLanes));
-}
-BENCHMARK(BM_SendBatchWindow)->Arg(1)->Arg(10)->Arg(100)->Arg(1000);
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// JSON mode: row vs columnar on the two compiled shapes.
-// ---------------------------------------------------------------------------
-
-namespace {
-
 uint64_t TakeAllocs() {
   return g_allocs.exchange(0, std::memory_order_relaxed);
 }
@@ -303,15 +240,14 @@ struct ScenarioResult {
   double events_per_sec = 0.0;
   double ns_per_event = 0.0;
   double allocs_per_event = 0.0;
-  uint64_t matches = 0;
 };
 
 constexpr size_t kJsonLocations = 32;
 constexpr uint64_t kJsonEvents = 200000;
 constexpr uint64_t kWarmupEvents = kJsonLocations * 102;
 
-/// Row baseline: pooled events through SendEvent, one at a time.
-ScenarioResult RunRow(const std::vector<const char*>& rules) {
+/// Pooled events through SendEvent, one at a time.
+ScenarioResult RunScenario(const std::vector<const char*>& rules) {
   auto engine = MakeJsonEngine(rules);
   cep::EventPool& pool = engine->event_pool();
   auto bus_type = engine->GetEventType("bus");
@@ -326,11 +262,10 @@ ScenarioResult RunRow(const std::vector<const char*>& rules) {
 
   TakeAllocs();
   double start = NowSeconds();
-  uint64_t matches = 0;
   for (uint64_t i = 0; i < kJsonEvents; ++i) {
     std::vector<cep::Value> buffer = pool.TakeBuffer();
     FillBusRow(buffer, fields, kJsonLocations, i);
-    matches += engine->SendEvent(
+    engine->SendEvent(
         pool.Create(*bus_type, std::move(buffer), static_cast<MicrosT>(i)));
   }
   double elapsed = NowSeconds() - start;
@@ -342,58 +277,6 @@ ScenarioResult RunRow(const std::vector<const char*>& rules) {
   result.ns_per_event = elapsed * 1e9 / static_cast<double>(kJsonEvents);
   result.allocs_per_event =
       static_cast<double>(allocs) / static_cast<double>(kJsonEvents);
-  result.matches = matches;
-  return result;
-}
-
-/// Columnar path: the same value stream packed into 64-lane batches through
-/// the typed appenders, crossing the engine boundary via SendBatch.
-ScenarioResult RunBatch(const std::vector<const char*>& rules,
-                        bool expect_fast_path) {
-  auto engine = MakeJsonEngine(rules);
-  auto bus_type = engine->GetEventType("bus");
-  INSIGHT_CHECK(bus_type.ok());
-  cep::EventBatch batch(*bus_type);
-  RandomFields fields = MakeRandomFields(1 << 16, 41);
-  uint64_t sent = 0;
-  while (sent < kWarmupEvents) {
-    batch.Clear();
-    for (size_t lane = 0; lane < kBatchLanes; ++lane) {
-      AppendBusLane(&batch, fields, kJsonLocations, sent++);
-    }
-    engine->SendBatch(batch);
-  }
-  if (expect_fast_path) {
-    // Guard against silent fallback: a plan regression would quietly turn
-    // this into a per-lane benchmark and the speedup gate would misfire.
-    for (const std::string& name : engine->StatementNames()) {
-      auto stmt = engine->GetStatement(name);
-      INSIGHT_CHECK(stmt.ok());
-      INSIGHT_CHECK((*stmt)->UsingBatchFastPath())
-          << "statement '" << name << "' fell back to per-lane batch mode";
-    }
-  }
-
-  TakeAllocs();
-  double start = NowSeconds();
-  uint64_t matches = 0;
-  uint64_t i = 0;
-  while (i < kJsonEvents) {
-    batch.Clear();
-    for (size_t lane = 0; lane < kBatchLanes; ++lane) {
-      AppendBusLane(&batch, fields, kJsonLocations, i++);
-    }
-    matches += engine->SendBatch(batch);
-  }
-  double elapsed = NowSeconds() - start;
-  uint64_t allocs = TakeAllocs();
-
-  ScenarioResult result;
-  result.events = i;
-  result.events_per_sec = static_cast<double>(i) / elapsed;
-  result.ns_per_event = elapsed * 1e9 / static_cast<double>(i);
-  result.allocs_per_event = static_cast<double>(allocs) / static_cast<double>(i);
-  result.matches = matches;
   return result;
 }
 
@@ -412,70 +295,31 @@ void PrintScenario(std::FILE* f, const char* name, const ScenarioResult& r,
 }
 
 int JsonMain(const char* out_path) {
-  const std::vector<const char*> filter_rules = {kFilterRule};
-  const std::vector<const char*> agg_rules = {kAggRules[0], kAggRules[1]};
+  const ScenarioResult filter_row = RunScenario({kFilterRule});
+  const ScenarioResult agg_row = RunScenario({kAggRules[0], kAggRules[1]});
 
-  ScenarioResult filter_row = RunRow(filter_rules);
-  ScenarioResult filter_batch = RunBatch(filter_rules, /*expect_fast_path=*/true);
-  ScenarioResult agg_row = RunRow(agg_rules);
-  ScenarioResult agg_batch = RunBatch(agg_rules, /*expect_fast_path=*/true);
-  // Identical value streams must fire identical match counts; a mismatch
-  // means a correctness bug, not a perf delta, so fail loudly.
-  INSIGHT_CHECK(filter_row.matches == filter_batch.matches)
-      << filter_row.matches << " row vs " << filter_batch.matches << " batch";
-  INSIGHT_CHECK(agg_row.matches == agg_batch.matches)
-      << agg_row.matches << " row vs " << agg_batch.matches << " batch";
-
-  double filter_speedup = filter_row.ns_per_event / filter_batch.ns_per_event;
-  double agg_speedup = agg_row.ns_per_event / agg_batch.ns_per_event;
-
-  std::printf("filter_row:   %9.0f events/s  %7.1f ns/event  %.4f allocs/event\n",
+  std::printf("filter_row: %9.0f events/s  %7.1f ns/event  %.4f allocs/event\n",
               filter_row.events_per_sec, filter_row.ns_per_event,
               filter_row.allocs_per_event);
-  std::printf("filter_batch: %9.0f events/s  %7.1f ns/event  %.4f allocs/event  (%.2fx)\n",
-              filter_batch.events_per_sec, filter_batch.ns_per_event,
-              filter_batch.allocs_per_event, filter_speedup);
-  std::printf("agg_row:      %9.0f events/s  %7.1f ns/event  %.4f allocs/event\n",
+  std::printf("agg_row:    %9.0f events/s  %7.1f ns/event  %.4f allocs/event\n",
               agg_row.events_per_sec, agg_row.ns_per_event,
               agg_row.allocs_per_event);
-  std::printf("agg_batch:    %9.0f events/s  %7.1f ns/event  %.4f allocs/event  (%.2fx)\n",
-              agg_batch.events_per_sec, agg_batch.ns_per_event,
-              agg_batch.allocs_per_event, agg_speedup);
 
   std::FILE* f = std::fopen(out_path, "w");
   INSIGHT_CHECK(f != nullptr) << "cannot write " << out_path;
   std::fprintf(f, "{\n");
   PrintScenario(f, "filter_row", filter_row, /*last=*/false);
-  PrintScenario(f, "filter_batch", filter_batch, /*last=*/false);
-  PrintScenario(f, "agg_row", agg_row, /*last=*/false);
-  PrintScenario(f, "agg_batch", agg_batch, /*last=*/false);
-  std::fprintf(f,
-               "  \"filter_speedup\": %.2f,\n"
-               "  \"agg_speedup\": %.2f\n",
-               filter_speedup, agg_speedup);
+  PrintScenario(f, "agg_row", agg_row, /*last=*/true);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s\n", out_path);
 
-  int failures = 0;
-  if (filter_batch.allocs_per_event >= 0.001 ||
-      agg_batch.allocs_per_event >= 0.001) {
-    std::printf("WARNING: batch path is not allocation-free\n");
-    ++failures;
+  if (filter_row.allocs_per_event >= 0.001 ||
+      agg_row.allocs_per_event >= 0.001) {
+    std::printf("WARNING: SendEvent is not allocation-free\n");
+    return 1;
   }
-  // CI gate at 3x (headroom for loaded shared runners); the 5x target is
-  // recorded against a quiet machine in EXPERIMENTS.md.
-  if (filter_speedup < 3.0) {
-    std::printf("WARNING: filter batch speedup %.2fx below the 3x gate\n",
-                filter_speedup);
-    ++failures;
-  }
-  if (agg_speedup < 3.0) {
-    std::printf("WARNING: aggregate batch speedup %.2fx below the 3x gate\n",
-                agg_speedup);
-    ++failures;
-  }
-  return failures > 0 ? 1 : 0;
+  return 0;
 }
 
 }  // namespace
@@ -483,8 +327,9 @@ int JsonMain(const char* out_path) {
 }  // namespace insight
 
 int main(int argc, char** argv) {
-  // `bench_cep_engine <path>.json` runs the row-vs-columnar comparison and
-  // writes the JSON report there; anything else is google-benchmark.
+  // `bench_cep_engine <path>.json` runs the allocation-gated SendEvent
+  // scenarios and writes the JSON report there; anything else is
+  // google-benchmark.
   if (argc > 1) {
     const char* arg = argv[1];
     size_t len = std::strlen(arg);

@@ -16,7 +16,7 @@
 //  2. Zero unaccounted tuples at every load: emitted == executed + shed,
 //     and kHigh is never shed.
 //  3. Disabled identity: with every overload feature off, a sub-capacity
-//     run delivers everything and moves no shed/squelch/stall counter —
+//     run delivers everything and moves no shed/stall counter —
 //     the seed's behavior exactly.
 //
 // Usage: bench_saturation [--quick] [out.json]  (default BENCH_saturation.json)

@@ -149,85 +149,6 @@ size_t Engine::SendEvent(const EventPtr& event) {
   return matches;
 }
 
-size_t Engine::SendBatch(const EventBatch& batch) {
-#if TMS_DCHECK_ENABLED
-  if (owner_thread_ == std::thread::id()) {
-    owner_thread_ = std::this_thread::get_id();
-  }
-  TMS_DCHECK(owner_thread_ == std::this_thread::get_id())
-      << "engine is single-threaded but SendBatch came from a second thread";
-#endif
-  const size_t n = batch.size();
-  if (n == 0) return 0;
-  const std::vector<Statement*>* stmts = nullptr;
-  auto ptr_it = routing_by_ptr_.find(&batch.type());
-  if (ptr_it != routing_by_ptr_.end()) {
-    stmts = &ptr_it->second;
-  } else {
-    auto it = routing_.find(batch.type().name());
-    if (it != routing_.end()) stmts = &it->second;
-  }
-  if (stmts != nullptr) {
-    for (Statement* stmt : *stmts) {
-      if (!stmt->def().insert_into.empty()) {
-        // A feedback statement re-enters SendEvent mid-stream; batching the
-        // other statements would reorder their matches relative to the fed-
-        // back events, so process the whole batch lane by lane instead.
-        size_t matches = 0;
-        for (size_t lane = 0; lane < n; ++lane) {
-          matches += SendEvent(batch.LaneEvent(lane, &event_pool_));
-        }
-        return matches;
-      }
-    }
-  }
-  if (send_depth_ >= kMaxInsertDepth) {
-    INSIGHT_LOG(Warning) << "insert-into recursion capped at depth "
-                         << kMaxInsertDepth << " for type "
-                         << batch.type().name();
-    return 0;
-  }
-  ++send_depth_;
-  MicrosT start = clock_->NowMicros();
-  size_t matches = 0;
-  if (stmts != nullptr) {
-    batch_matches_.clear();
-    // Deliver from a local vector so a listener that calls back into
-    // SendBatch cannot clobber the one being iterated; the move dance
-    // preserves capacity across batches.
-    std::vector<Statement::BatchMatch> collected = std::move(batch_matches_);
-    batch_matches_ = std::vector<Statement::BatchMatch>();
-    for (Statement* stmt : *stmts) {
-      stmt->OnBatch(batch, &event_pool_, &collected);
-    }
-    // Statements ran batch-major; the row path interleaves them per event.
-    // A stable sort by lane restores that exact global delivery order.
-    std::stable_sort(collected.begin(), collected.end(),
-                     [](const Statement::BatchMatch& a,
-                        const Statement::BatchMatch& b) {
-                       return a.lane < b.lane;
-                     });
-    matches = collected.size();
-    const std::vector<MicrosT>& lane_ts = batch.timestamps();
-    for (Statement::BatchMatch& m : collected) {
-      // Outermost send stamps the trigger per delivered match (see
-      // SendEvent); a nested send from a listener keeps the outer stamp.
-      if (send_depth_ == 1) current_trigger_ts_ = lane_ts[m.lane];
-      m.statement->DeliverMatch(m.match);
-    }
-    collected.clear();
-    batch_matches_ = std::move(collected);
-  }
-  MicrosT elapsed = clock_->NowMicros() - start;
-  // One wall-clock sample per batch, scaled to per-event cost, keeps the
-  // latency stats the calibration reads comparable with the row path.
-  latency_micros_.Add(static_cast<double>(elapsed) / static_cast<double>(n));
-  events_processed_ += n;
-  matches_fired_ += matches;
-  --send_depth_;
-  return matches;
-}
-
 EventBuilder Engine::NewEvent(const std::string& type_name) const {
   auto it = types_.find(type_name);
   INSIGHT_CHECK(it != types_.end()) << "unknown event type " << type_name;

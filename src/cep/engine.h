@@ -49,16 +49,6 @@ class Engine {
   /// Returns the number of matches fired across statements.
   size_t SendEvent(const EventPtr& event);
 
-  /// Processes a column-major batch of events of one registered type.
-  /// Semantically equivalent to calling SendEvent per lane in order — every
-  /// listener sees the same matches in the same order — but statements whose
-  /// shape fits the compiled batch fast paths evaluate column kernels over
-  /// the whole batch instead of re-interpreting expression trees per event.
-  /// Statements targeted by INSERT INTO feedback shred the batch back into
-  /// per-lane sends (feedback interleaving must match the row path exactly).
-  /// Returns the number of matches fired across statements.
-  size_t SendBatch(const EventBatch& batch);
-
   /// Builder bound to a registered type; CHECK-fails on unknown type (use
   /// GetEventType for fallible lookup).
   EventBuilder NewEvent(const std::string& type_name) const;
@@ -109,11 +99,9 @@ class Engine {
 
   /// Timestamp of the outermost event whose processing is firing the
   /// currently-running listener — valid only inside a listener callback.
-  /// SendEvent stamps it with the event's timestamp; SendBatch stamps it per
-  /// delivered match with the triggering lane's timestamp. Nested sends
-  /// (INSERT INTO feedback) keep the outer stamp, so matches fired by
-  /// fed-back events still report the external event that started the
-  /// cascade — identical on the row and batch paths.
+  /// SendEvent stamps it with the event's timestamp. Nested sends (INSERT
+  /// INTO feedback) keep the outer stamp, so matches fired by fed-back events
+  /// still report the external event that started the cascade.
   MicrosT current_trigger_timestamp() const { return current_trigger_ts_; }
 
  private:
@@ -137,9 +125,6 @@ class Engine {
   size_t events_processed_ = 0;
   size_t matches_fired_ = 0;
   RunningStats latency_micros_;
-  /// SendBatch scratch: lane-tagged matches collected across statements,
-  /// re-sorted into row-path delivery order before listeners run.
-  std::vector<Statement::BatchMatch> batch_matches_;
   /// See current_trigger_timestamp(). Written only when send_depth_ == 1 so
   /// nested (feedback) sends never overwrite the external trigger.
   MicrosT current_trigger_ts_ = 0;

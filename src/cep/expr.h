@@ -163,9 +163,6 @@ class UnaryExpr : public Expr {
   Result<ValueType> DeduceType() const override;
   std::string ToString() const override;
 
-  UnaryOp op() const { return op_; }
-  const Expr* operand() const { return operand_.get(); }
-
  private:
   UnaryOp op_;
   ExprPtr operand_;

@@ -396,14 +396,6 @@ size_t Statement::RetainedEvents() const {
 }
 
 size_t Statement::OnEvent(const EventPtr& event) {
-  std::vector<MatchResult> matches;
-  const size_t n = OnEventCollect(event, &matches);
-  for (const MatchResult& m : matches) DeliverMatch(m);
-  return n;
-}
-
-size_t Statement::OnEventCollect(const EventPtr& event,
-                                 std::vector<MatchResult>* out) {
   const EventType* event_type = &event->type();
   bool consumed = false;
   bool triggered = false;
@@ -433,11 +425,15 @@ size_t Statement::OnEventCollect(const EventPtr& event,
   ++total_events_;
   if (!triggered) return 0;
 
-  const size_t before = out->size();
-  EvaluateJoin(out);
-  const size_t n_matches = out->size() - before;
-  total_matches_ += n_matches;
-  return n_matches;
+  // Matches are collected before any listener runs: an INSERT INTO listener
+  // may re-enter this statement through the engine.
+  std::vector<MatchResult> matches;
+  EvaluateJoin(&matches);
+  total_matches_ += matches.size();
+  for (const MatchResult& m : matches) {
+    for (const Listener& l : listeners_) l(m);
+  }
+  return matches.size();
 }
 
 void Statement::SnapshotState(ByteWriter* writer) const {
@@ -504,9 +500,6 @@ void Statement::ResetState() {
   group_table_.clear();
   total_events_ = 0;
   total_matches_ = 0;
-  // The flat group-slot cache holds pointers into the windows and accums_
-  // just cleared; force a replan before the next batch.
-  batch_plan_ = BatchPlan{};
 }
 
 void Statement::ResetSource(const std::string& event_type) {
@@ -518,10 +511,8 @@ void Statement::ResetSource(const std::string& event_type) {
     }
     if (incremental_ && static_cast<int>(i) == inc_group_source_) accums_.clear();
   }
-  // Evaluation scratch may point into the cleared windows; the flat
-  // group-slot cache must be replanned, as after ResetState.
+  // Evaluation scratch may point into the cleared windows.
   group_table_.clear();
-  batch_plan_ = BatchPlan{};
 }
 
 void Statement::ForEachRetained(
@@ -764,12 +755,12 @@ void Statement::EvaluateIncremental() {
 }
 
 void Statement::EmitIncrementalGroup(const Value& key, const EventRing& bucket,
-                                     EvalContext* ctx, GroupAccum* acc_hint) {
+                                     EvalContext* ctx) {
   if (bucket.empty()) return;
   const size_t count = bucket.size();
   GroupAccum* acc = nullptr;
   if (!inc_accum_args_.empty()) {
-    GroupAccum& slot = acc_hint != nullptr ? *acc_hint : accums_[key];
+    GroupAccum& slot = accums_[key];
     if (slot.args.size() != inc_accum_args_.size() || slot.count != count) {
       // Defensive resync; steady state keeps count in lockstep with the
       // window, so this only fires on first touch.
@@ -941,442 +932,6 @@ void Statement::EmitMatch(const JoinRow& representative) {
     entry.sort_keys.push_back(item.expr->Eval(ctx));
   }
   pending_.push_back(std::move(entry));
-}
-
-// --- columnar batch path ---
-
-namespace {
-
-/// Reads batch column `field` at `lane` exactly as the row path's
-/// Value::AsDouble would (int -> its double image, bool -> 1.0/0.0).
-double ColAsDouble(const EventBatch& batch, int field, size_t lane) {
-  if (const auto* d = batch.DoubleCol(field)) return (*d)[lane];
-  if (const auto* i = batch.IntCol(field)) {
-    return static_cast<double>((*i)[lane]);
-  }
-  if (const auto* b = batch.BoolCol(field)) return (*b)[lane] != 0 ? 1.0 : 0.0;
-  return 0.0;  // unreachable: PlanBatch rejects string accumulator fields
-}
-
-size_t SlotIndexFor(int64_t key, size_t mask) {
-  const uint64_t h = static_cast<uint64_t>(key) * 0x9e3779b97f4a7c15ULL;
-  return static_cast<size_t>(h ^ (h >> 32)) & mask;
-}
-
-}  // namespace
-
-void Statement::OnBatch(const EventBatch& batch, EventPool* pool,
-                        std::vector<BatchMatch>* out) {
-  const size_t n = batch.size();
-  if (n == 0) return;
-  if (batch_plan_.type != &batch.type()) PlanBatch(&batch.type());
-  switch (batch_plan_.mode) {
-    case BatchMode::kFilter:
-      OnBatchFilter(batch, pool, out);
-      return;
-    case BatchMode::kIncAgg:
-      OnBatchIncAgg(batch, pool, out);
-      return;
-    case BatchMode::kPerLane:
-      break;
-  }
-  for (size_t lane = 0; lane < n; ++lane) {
-    per_lane_scratch_.clear();
-    OnEventCollect(batch.LaneEvent(lane, pool), &per_lane_scratch_);
-    for (MatchResult& m : per_lane_scratch_) {
-      out->push_back({static_cast<uint32_t>(lane), this, std::move(m)});
-    }
-  }
-}
-
-void Statement::PlanBatch(const EventType* type) {
-  BatchPlan plan;
-  plan.type = type;
-  plan.mode = BatchMode::kPerLane;
-
-  bool consumes_all = true;
-  bool consumes_any = false;
-  for (size_t i = 0; i < schemas_.types.size(); ++i) {
-    const EventType* source_type = schemas_.types[i].get();
-    const bool c =
-        source_type == type || source_type->name() == type->name();
-    consumes_any |= c;
-    consumes_all &= c;
-    if (c && source_is_trigger_[i] != 0) plan.triggered = true;
-  }
-  if (!consumes_any) {  // engine routing should prevent this; stay safe
-    batch_plan_ = std::move(plan);
-    return;
-  }
-
-  // kFilter: single ungrouped lastevent source, no grouping or aggregation,
-  // and the whole WHERE compiles into column kernels.
-  if (windows_.size() == 1 && !windows_[0]->grouped() &&
-      windows_[0]->data_kind() == ViewKind::kLastEvent &&
-      def_.group_by.empty() && aggregates_.empty() && indexes_.empty()) {
-    bool ok = true;
-    if (def_.where != nullptr) {
-      ColumnProgram prog;
-      ok = prog.CompileBool(*def_.where, *type);
-      if (ok) plan.predicates.push_back(std::move(prog));
-    }
-    if (ok) {
-      plan.mode = BatchMode::kFilter;
-      batch_plan_ = std::move(plan);
-      return;
-    }
-    plan.predicates.clear();
-  }
-
-  // kIncAgg: the shape-A incremental plan, restricted further to what the
-  // flat group-slot cache and column accumulators can mirror exactly —
-  // int-keyed length-window groups, lastevent companions, compiled gates.
-  do {
-    if (!incremental_ || !inc_shape_a_ || !consumes_all ||
-        !indexes_.empty()) {
-      break;
-    }
-    const size_t g = static_cast<size_t>(inc_group_source_);
-    Window* gw = windows_[g].get();
-    if (gw->data_kind() != ViewKind::kLength || gw->data_length() == 0) break;
-    const int gfi = gw->group_field_index();
-    if (gfi < 0 || static_cast<size_t>(gfi) >= type->num_fields() ||
-        type->fields()[static_cast<size_t>(gfi)].type != ValueType::kInt) {
-      break;
-    }
-    bool ok = true;
-    for (size_t s = 0; s < windows_.size(); ++s) {
-      if (s == g) continue;
-      if (windows_[s]->grouped() ||
-          windows_[s]->data_kind() != ViewKind::kLastEvent) {
-        ok = false;
-        break;
-      }
-      plan.lastevent_sources.push_back(static_cast<int>(s));
-    }
-    if (!ok) break;
-    const SourcePlan& gplan = plans_[g];
-    const auto* kref = dynamic_cast<const FieldRefExpr*>(
-        gplan.bound_exprs[static_cast<size_t>(gplan.group_expr_pos)]);
-    if (kref == nullptr || kref->field_index() < 0 ||
-        static_cast<size_t>(kref->field_index()) >= type->num_fields() ||
-        type->fields()[static_cast<size_t>(kref->field_index())].type !=
-            ValueType::kInt) {
-      break;
-    }
-    for (const Expr* arg : inc_accum_args_) {
-      const auto* ref = dynamic_cast<const FieldRefExpr*>(arg);
-      if (ref == nullptr || ref->field_index() < 0 ||
-          static_cast<size_t>(ref->field_index()) >= type->num_fields() ||
-          type->fields()[static_cast<size_t>(ref->field_index())].type ==
-              ValueType::kString) {
-        ok = false;
-        break;
-      }
-      plan.accum_fields.push_back(ref->field_index());
-    }
-    if (!ok) break;
-    for (int cid : inc_gate_conjuncts_) {
-      ColumnProgram prog;
-      if (!prog.CompileBool(*conjuncts_[static_cast<size_t>(cid)].expr,
-                            *type)) {
-        ok = false;
-        break;
-      }
-      plan.predicates.push_back(std::move(prog));
-    }
-    if (!ok) break;
-    plan.mode = BatchMode::kIncAgg;
-    plan.group_field = gfi;
-    plan.key_field = kref->field_index();
-    plan.group_capacity = gw->data_length();
-    // HAVING fast gate (see BatchPlan): only when no min/max aggregate
-    // exists, because skipping an emission also skips the lazy rescan an
-    // invalid min/max would trigger, and that rescan refreshes sums the row
-    // path would have refreshed.
-    if (def_.having != nullptr) {
-      bool rescan_free = true;
-      for (const IncAgg& ia : inc_aggs_) {
-        if (ia.func == AggFunc::kMin || ia.func == AggFunc::kMax) {
-          rescan_free = false;
-          break;
-        }
-      }
-      const auto* cmp = dynamic_cast<const BinaryExpr*>(def_.having.get());
-      const bool is_comparison =
-          cmp != nullptr &&
-          (cmp->op() == BinaryOp::kEq || cmp->op() == BinaryOp::kNe ||
-           cmp->op() == BinaryOp::kLt || cmp->op() == BinaryOp::kLe ||
-           cmp->op() == BinaryOp::kGt || cmp->op() == BinaryOp::kGe);
-      if (rescan_free && is_comparison) {
-        const auto* agg_l = dynamic_cast<const AggregateExpr*>(cmp->left());
-        const auto* lit_r = dynamic_cast<const LiteralExpr*>(cmp->right());
-        const auto* lit_l = dynamic_cast<const LiteralExpr*>(cmp->left());
-        const auto* agg_r = dynamic_cast<const AggregateExpr*>(cmp->right());
-        const AggregateExpr* agg = agg_l != nullptr ? agg_l : agg_r;
-        const LiteralExpr* lit = agg_l != nullptr ? lit_r : lit_l;
-        if (agg != nullptr && lit != nullptr && agg->agg_id() >= 0 &&
-            static_cast<size_t>(agg->agg_id()) < inc_aggs_.size() &&
-            lit->value().is_numeric()) {
-          const IncAgg& ia = inc_aggs_[static_cast<size_t>(agg->agg_id())];
-          const bool supported =
-              ia.src == IncAggSrc::kGroupCount ||
-              (ia.src == IncAggSrc::kAccum &&
-               (ia.func == AggFunc::kAvg || ia.func == AggFunc::kSum ||
-                ia.func == AggFunc::kCount));
-          if (supported) {
-            plan.having_gate = true;
-            plan.having_agg = agg->agg_id();
-            plan.having_op = cmp->op();
-            plan.having_const = lit->value().AsDouble();
-            plan.having_agg_left = agg_l != nullptr;
-          }
-        }
-      }
-    }
-    batch_plan_ = std::move(plan);
-    return;
-  } while (false);
-
-  // Per-lane fallback (plan scratch from failed attempts is dropped).
-  BatchPlan fallback;
-  fallback.type = type;
-  fallback.triggered = plan.triggered;
-  batch_plan_ = std::move(fallback);
-}
-
-void Statement::OnBatchFilter(const EventBatch& batch, EventPool* pool,
-                              std::vector<BatchMatch>* out) {
-  BatchPlan& p = batch_plan_;
-  const size_t n = batch.size();
-  if (p.triggered) {
-    lane_mask_.assign(n, 1);
-    for (const ColumnProgram& prog : p.predicates) {
-      prog.EvalAndInto(batch, &lane_mask_);
-    }
-    for (size_t lane = 0; lane < n; ++lane) {
-      if (lane_mask_[lane] == 0) continue;
-      const EventPtr& ev = batch.LaneEvent(lane, pool);
-      row_scratch_[0] = ev.get();
-      pending_.clear();
-      agg_scratch_.clear();
-      EmitMatch(JoinRow(row_scratch_.data(), 1));
-      row_scratch_[0] = nullptr;
-      batch_flush_scratch_.clear();
-      FlushPending(&batch_flush_scratch_);
-      total_matches_ += batch_flush_scratch_.size();
-      for (MatchResult& m : batch_flush_scratch_) {
-        out->push_back({static_cast<uint32_t>(lane), this, std::move(m)});
-      }
-    }
-  }
-  total_events_ += n;
-  // A lastevent window only ever exposes its latest occupant, and nothing
-  // observed the window mid-batch: inserting just the final lane's event
-  // leaves the identical end state without n-1 dead insertions.
-  if (n > 0) {
-    expired_scratch_.clear();
-    windows_[0]->Insert(batch.LaneEvent(n - 1, pool), &expired_scratch_);
-  }
-}
-
-void Statement::OnBatchIncAgg(const EventBatch& batch, EventPool* pool,
-                              std::vector<BatchMatch>* out) {
-  BatchPlan& p = batch_plan_;
-  const size_t n = batch.size();
-  const bool emit = p.triggered;
-  if (emit) {
-    lane_mask_.assign(n, 1);
-    // Gates reference only lane columns (never the grouped source), so they
-    // vectorize over the whole batch up front.
-    for (const ColumnProgram& prog : p.predicates) {
-      prog.EvalAndInto(batch, &lane_mask_);
-    }
-  }
-  const std::vector<int64_t>& gcol = *batch.IntCol(p.group_field);
-  const std::vector<int64_t>& kcol = *batch.IntCol(p.key_field);
-  const size_t cap = p.group_capacity;
-  const bool has_acc = !inc_accum_args_.empty();
-  const size_t n_args = p.accum_fields.size();
-
-  JoinRow row(row_scratch_.data(), row_scratch_.size());
-  EvalContext ctx;
-  ctx.row = &row;
-
-  // Every lane's event enters its group ring, so materialize them all in one
-  // column-major pass instead of paying the per-lane switch in LaneEvent.
-  batch.MaterializeAll(pool);
-  const std::vector<EventPtr>& lanes = batch.lane_events();
-
-  for (size_t lane = 0; lane < n; ++lane) {
-    const EventPtr& ev = lanes[lane];
-    for (int s : p.lastevent_sources) {
-      row_scratch_[static_cast<size_t>(s)] = ev.get();
-    }
-    GroupSlot* slot = ProbeGroupSlot(gcol[lane], /*create=*/true);
-    EventRing& ring = *slot->ring;
-    ring.push_back(ev);
-    const Event* evicted = nullptr;
-    EventPtr evicted_keep;
-    while (ring.size() > cap) {
-      evicted_keep = ring.TakeFront();
-      evicted = evicted_keep.get();
-    }
-    if (has_acc) {
-      // AccumInsert(current) then AccumRemove(evicted), in OnEvent's order,
-      // reading column values instead of re-evaluating field refs. The
-      // evicted event came out of this group's ring, so its accumulator is
-      // this slot's — no accums_ lookup needed.
-      GroupAccum& acc = *slot->acc;
-      ++acc.count;
-      for (size_t a = 0; a < n_args; ++a) {
-        const double v = ColAsDouble(batch, p.accum_fields[a], lane);
-        ArgAccum& aa = acc.args[a];
-        aa.sum += v;
-        if (aa.minmax_valid) {
-          if (v < aa.min_v) aa.min_v = v;
-          if (v > aa.max_v) aa.max_v = v;
-        }
-      }
-      if (evicted != nullptr) {
-        for (size_t a = 0; a < n_args; ++a) {
-          const double v = evicted->Get(p.accum_fields[a]).AsDouble();
-          ArgAccum& aa = acc.args[a];
-          aa.sum -= v;
-          if (aa.minmax_valid && (v <= aa.min_v || v >= aa.max_v)) {
-            aa.minmax_valid = false;
-          }
-        }
-        if (acc.count > 0 && --acc.count == 0) {
-          for (ArgAccum& aa : acc.args) aa = ArgAccum{};
-        }
-      }
-    }
-    if (emit && lane_mask_[lane] != 0) {
-      pending_.clear();
-      GroupSlot* emit_slot = slot;
-      if (p.key_field != p.group_field && kcol[lane] != gcol[lane]) {
-        // Lookup key differs from this lane's own group: probe without
-        // creating (GroupContents semantics — unseen keys emit nothing).
-        emit_slot = ProbeGroupSlot(kcol[lane], /*create=*/false);
-      }
-      if (emit_slot != nullptr &&
-          (!p.having_gate ||
-           HavingGatePasses(p, *emit_slot->ring, emit_slot->acc))) {
-        EmitIncrementalGroup(Value(kcol[lane]), *emit_slot->ring, &ctx,
-                             emit_slot->acc);
-        batch_flush_scratch_.clear();
-        FlushPending(&batch_flush_scratch_);
-        total_matches_ += batch_flush_scratch_.size();
-        for (MatchResult& m : batch_flush_scratch_) {
-          out->push_back({static_cast<uint32_t>(lane), this, std::move(m)});
-        }
-      }
-    }
-  }
-  for (int s : p.lastevent_sources) {
-    row_scratch_[static_cast<size_t>(s)] = nullptr;
-  }
-  total_events_ += n;
-
-  // lastevent companions: only the final lane's event persists (each lane
-  // was bound directly above, so intermediates were never observable).
-  if (n > 0) {
-    const EventPtr& last = lanes[n - 1];
-    for (int s : p.lastevent_sources) {
-      expired_scratch_.clear();
-      windows_[static_cast<size_t>(s)]->Insert(last, &expired_scratch_);
-    }
-  }
-}
-
-bool Statement::HavingGatePasses(const BatchPlan& p, const EventRing& ring,
-                                 const GroupAccum* acc) const {
-  const size_t count = ring.size();
-  if (count == 0) return false;  // EmitIncrementalGroup emits nothing anyway
-  const IncAgg& ia = inc_aggs_[static_cast<size_t>(p.having_agg)];
-  double v;
-  if (ia.src == IncAggSrc::kGroupCount || ia.func == AggFunc::kCount) {
-    v = static_cast<double>(count);
-  } else {
-    // Same expression EmitIncrementalGroup computes, over the same doubles.
-    const ArgAccum& aa = acc->args[static_cast<size_t>(ia.accum_pos)];
-    v = ia.func == AggFunc::kAvg ? aa.sum / static_cast<double>(count)
-                                 : aa.sum;
-  }
-  const double lhs = p.having_agg_left ? v : p.having_const;
-  const double rhs = p.having_agg_left ? p.having_const : v;
-  switch (p.having_op) {
-    case BinaryOp::kEq:
-      return lhs == rhs;
-    case BinaryOp::kNe:
-      return lhs != rhs;
-    case BinaryOp::kLt:
-      return lhs < rhs;
-    case BinaryOp::kLe:
-      return lhs <= rhs;
-    case BinaryOp::kGt:
-      return lhs > rhs;
-    case BinaryOp::kGe:
-      return lhs >= rhs;
-    default:
-      return true;  // unreachable: the plan only compiles comparisons
-  }
-}
-
-Statement::GroupSlot* Statement::ProbeGroupSlot(int64_t key, bool create) {
-  BatchPlan& p = batch_plan_;
-  if (p.group_slots.empty()) {
-    p.group_slots.assign(64, GroupSlot{});
-    p.group_slot_mask = 63;
-    p.group_slot_count = 0;
-  }
-  size_t pos = SlotIndexFor(key, p.group_slot_mask);
-  while (true) {
-    GroupSlot& s = p.group_slots[pos];
-    if (!s.used) break;
-    if (s.key == key) return &s;
-    pos = (pos + 1) & p.group_slot_mask;
-  }
-  // Cache miss: resolve through the window. The cache can lag the window
-  // (row-path traffic between batches populates groups behind its back), so
-  // a non-creating probe still consults GroupContents before giving up.
-  Window* gw = windows_[static_cast<size_t>(inc_group_source_)].get();
-  const Value key_value(key);
-  if (!create && gw->GroupContents(key_value) == nullptr) return nullptr;
-  if ((p.group_slot_count + 1) * 2 > p.group_slots.size()) {
-    GrowGroupSlots();
-    pos = SlotIndexFor(key, p.group_slot_mask);
-    while (p.group_slots[pos].used) pos = (pos + 1) & p.group_slot_mask;
-  }
-  GroupSlot& s = p.group_slots[pos];
-  s.used = true;
-  s.key = key;
-  s.ring = gw->MutableGroupRing(key_value);
-  s.acc = nullptr;
-  if (!inc_accum_args_.empty()) {
-    GroupAccum& acc = accums_[key_value];
-    if (acc.args.size() != inc_accum_args_.size()) {
-      acc.args.resize(inc_accum_args_.size());
-    }
-    s.acc = &acc;
-  }
-  ++p.group_slot_count;
-  return &s;
-}
-
-void Statement::GrowGroupSlots() {
-  BatchPlan& p = batch_plan_;
-  std::vector<GroupSlot> old = std::move(p.group_slots);
-  const size_t new_size = old.size() * 2;
-  p.group_slots.assign(new_size, GroupSlot{});
-  p.group_slot_mask = new_size - 1;
-  for (const GroupSlot& s : old) {
-    if (!s.used) continue;
-    size_t pos = SlotIndexFor(s.key, p.group_slot_mask);
-    while (p.group_slots[pos].used) pos = (pos + 1) & p.group_slot_mask;
-    p.group_slots[pos] = s;
-  }
 }
 
 void Statement::FlushPending(std::vector<MatchResult>* out) {

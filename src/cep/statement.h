@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "cep/batch.h"
 #include "cep/expr.h"
 #include "cep/view.h"
 #include "common/stats.h"
@@ -97,31 +96,6 @@ class Statement {
   /// the registered listeners. Returns the number of matches emitted.
   size_t OnEvent(const EventPtr& event);
 
-  /// A match produced by the batch path, tagged with the lane (row) that
-  /// fired it so the engine can restore the exact row-path delivery order
-  /// across statements before invoking listeners.
-  struct BatchMatch {
-    uint32_t lane = 0;
-    Statement* statement = nullptr;
-    MatchResult match;
-  };
-
-  /// Columnar batch entry point (called by Engine::SendBatch). Equivalent to
-  /// calling OnEvent for each lane in order, except that matches are appended
-  /// to `out` (lane-tagged) instead of delivered — the engine delivers them
-  /// in lane-major order after every routed statement ran. Statements whose
-  /// shape fits the compiled fast paths (single-source filters; shape-A
-  /// incremental aggregation) evaluate column kernels per batch; everything
-  /// else falls back to per-lane row evaluation on materialized events.
-  void OnBatch(const EventBatch& batch, EventPool* pool,
-               std::vector<BatchMatch>* out);
-
-  /// Invokes the registered listeners for one match (the engine's batch path
-  /// delivers deferred matches through this).
-  void DeliverMatch(const MatchResult& match) const {
-    for (const Listener& l : listeners_) l(match);
-  }
-
   void AddListener(Listener listener) { listeners_.push_back(std::move(listener)); }
 
   const std::string& name() const { return def_.name; }
@@ -134,14 +108,10 @@ class Statement {
   /// Cumulative events consumed (insertions).
   size_t total_events() const { return total_events_; }
 
-  /// Diagnostic: true once a batch plan exists for some event type and it
-  /// compiled to a column-kernel mode (filter or incremental aggregation)
-  /// rather than the per-lane row fallback. Meaningful only after the first
-  /// OnBatch call planned the statement; benches assert it to catch silent
-  /// fallback regressions.
-  bool UsingBatchFastPath() const {
-    return batch_plan_.type != nullptr && batch_plan_.mode != BatchMode::kPerLane;
-  }
+  /// Always false: every event runs through OnEvent. Kept only because the
+  /// system benchmark (perfbench/) reads it for `cep.fast_path_share`; the
+  /// runtime never calls it.
+  bool UsingBatchFastPath() const { return false; }
   /// Sum of retained window sizes; memory-pressure proxy.
   size_t RetainedEvents() const;
 
@@ -280,82 +250,11 @@ class Statement {
 
   bool PlanIncremental();
   void EvaluateIncremental();
-  /// `acc_hint` skips the accums_ lookup when the caller already resolved the
-  /// group's accumulator (the batch path's flat cache); pass nullptr to look
-  /// it up by key. Semantics are identical either way.
   void EmitIncrementalGroup(const Value& key, const EventRing& bucket,
-                            EvalContext* ctx, GroupAccum* acc_hint = nullptr);
+                            EvalContext* ctx);
   void RescanAccum(GroupAccum* acc, const EventRing& bucket);
   void AccumInsert(const Event& e);
   void AccumRemove(const Event& e);
-
-  // --- columnar batch path (DESIGN.md "Columnar CEP fast path") ---
-
-  /// How OnBatch processes a batch of the plan's event type.
-  enum class BatchMode : uint8_t {
-    kPerLane,  // materialize each lane and run the row path
-    kFilter,   // single-source filter: compiled predicate -> selected lanes
-    kIncAgg,   // shape-A incremental aggregation over flat group slots
-  };
-  /// Flat open-addressed cache from int64 group key to the group's window
-  /// ring and accumulator. Both pointers are stable (std::map / unordered_map
-  /// nodes); the cache dies with ResetState/RestoreState and whenever the
-  /// batch plan is recompiled.
-  struct GroupSlot {
-    int64_t key = 0;
-    EventRing* ring = nullptr;
-    GroupAccum* acc = nullptr;
-    bool used = false;
-  };
-  struct BatchPlan {
-    const EventType* type = nullptr;  // plan cache key (engine registry ptr)
-    BatchMode mode = BatchMode::kPerLane;
-    bool triggered = false;
-    /// Compiled predicates, all ANDed per lane: the full WHERE (kFilter) or
-    /// one program per non-group gate conjunct (kIncAgg). Empty = all-pass.
-    std::vector<ColumnProgram> predicates;
-    // kIncAgg only:
-    int group_field = -1;             // batch column bucketing insertions
-    int key_field = -1;               // batch column probed at emission
-    std::vector<int> accum_fields;    // batch column per inc_accum_args_ entry
-    std::vector<int> lastevent_sources;  // non-group sources bound per lane
-    size_t group_capacity = 0;        // kLength window size
-    std::vector<GroupSlot> group_slots;
-    size_t group_slot_mask = 0;
-    size_t group_slot_count = 0;
-    /// Compiled HAVING gate: when HAVING is `agg cmp numeric-literal` over an
-    /// incrementally maintained avg/sum/count (and no min/max aggregate whose
-    /// lazy rescan a skipped emission would suppress), the gate reads the
-    /// group accumulator directly and failing lanes skip match construction —
-    /// the steady state of a detection rule, where the threshold almost never
-    /// trips. The double compare is the row path's both-numeric semantics.
-    bool having_gate = false;
-    int having_agg = -1;               // index into inc_aggs_
-    BinaryOp having_op = BinaryOp::kLt;
-    double having_const = 0.0;
-    bool having_agg_left = true;       // agg cmp const (vs const cmp agg)
-  };
-
-  /// OnEvent minus listener delivery: matches append to `out`. The batch
-  /// path's per-lane fallback uses this so delivery can be deferred and
-  /// re-ordered lane-major by the engine.
-  size_t OnEventCollect(const EventPtr& event, std::vector<MatchResult>* out);
-
-  void PlanBatch(const EventType* type);
-  void OnBatchFilter(const EventBatch& batch, EventPool* pool,
-                     std::vector<BatchMatch>* out);
-  void OnBatchIncAgg(const EventBatch& batch, EventPool* pool,
-                     std::vector<BatchMatch>* out);
-  /// Flat-cache probe. `create` resolves a missing group through the window
-  /// (creating the ring, as insertion does); non-creating probes return
-  /// nullptr when the group does not exist — GroupContents semantics.
-  GroupSlot* ProbeGroupSlot(int64_t key, bool create);
-  /// Evaluates the compiled HAVING gate (BatchPlan::having_gate) against a
-  /// group's accumulator state, exactly as the tree evaluation would
-  /// (both-numeric double comparison, NaN-faithful).
-  bool HavingGatePasses(const BatchPlan& p, const EventRing& ring,
-                        const GroupAccum* acc) const;
-  void GrowGroupSlots();
 
   StatementDef def_;
   SourceSchemas schemas_;
@@ -396,12 +295,6 @@ class Statement {
   std::vector<IncAgg> inc_aggs_;             // parallel to aggregates_
   std::vector<int> inc_gate_conjuncts_;      // conjuncts not touching g
   std::unordered_map<Value, GroupAccum, ValueHash, ValueEq> accums_;
-
-  // --- columnar batch path state ---
-  BatchPlan batch_plan_;
-  std::vector<uint8_t> lane_mask_;           // per-lane predicate results
-  std::vector<MatchResult> batch_flush_scratch_;
-  std::vector<MatchResult> per_lane_scratch_;
 };
 
 }  // namespace cep

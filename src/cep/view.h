@@ -199,14 +199,6 @@ class Window {
   /// Contents of one group (nullptr when the key was never seen). Only valid
   /// for grouped windows.
   const EventRing* GroupContents(const Value& key) const;
-  /// Grouped windows: the ring for `key`, created on demand. The pointer is
-  /// stable until Clear() (std::map nodes do not move), which is what lets
-  /// the columnar batch path cache group rings in a flat table instead of
-  /// re-walking the map per event.
-  EventRing* MutableGroupRing(const Value& key) { return &groups_[key].events; }
-  /// kLength / kLengthBatch windows: declared size. 0 for other data views.
-  size_t data_length() const { return data_view_.length; }
-
   /// Invokes fn(event) over every event currently retained.
   void ForEach(const std::function<void(const EventPtr&)>& fn) const;
   /// Grouped windows: fn(key, contents) per group in ValueLess key order

@@ -39,8 +39,8 @@ std::vector<RegionRate> ComputeRegionRates(
 /// The Esper bolt configuration for one allocation. Tasks are laid out
 /// grouping by grouping, `engines_per_grouping[g]` tasks for grouping g,
 /// and each gets setups[g]'s rules. The before_send hook is installed only
-/// when some setup has one, so an Esper bolt without it keeps its batch path
-/// (EsperBolt::ExecuteBatch). Preloading is left to the caller.
+/// when some setup has one, so an Esper bolt without it makes no hook call
+/// per tuple. Preloading is left to the caller.
 std::shared_ptr<traffic::EsperBoltConfig> MakeEsperBoltConfig(
     std::vector<RetrievalSetup> setups, const std::vector<int>& engines_per_grouping);
 

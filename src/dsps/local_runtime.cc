@@ -84,10 +84,6 @@ class LocalRuntime::TaskCollector : public Collector {
         current_priority_(declared_priority_) {
     outbox_.per_task.resize(static_cast<size_t>(runtime->total_tasks_));
     const overload::Options& opts = runtime->options_.overload;
-    if (opts.enable_squelch) {
-      squelch_ = std::make_unique<overload::SourceSquelch>(
-          opts, runtime->options_.clock);
-    }
     // kHigh components keep the base flush threshold: growing their blocks
     // would trade away exactly the latency the tier exists to protect.
     if (opts.enable_adaptive_batch &&
@@ -110,9 +106,8 @@ class LocalRuntime::TaskCollector : public Collector {
       if (current_dedup_id_ != 0) dedup_seq = &dedup_seq_;
     }
     MaybeTraceSpoutEmit(&tuple);
-    runtime_->Route(component_index_, task_index_, tuple, /*direct_task=*/-1,
-                    &emitted_, batch, current_dedup_id_, dedup_seq, &outbox_,
-                    squelch_.get());
+    runtime_->Route(component_index_, tuple, /*direct_task=*/-1, &emitted_,
+                    batch, current_dedup_id_, dedup_seq, &outbox_);
   }
 
   void EmitDirect(int target_task, std::vector<Value> values) override {
@@ -127,9 +122,8 @@ class LocalRuntime::TaskCollector : public Collector {
       if (current_dedup_id_ != 0) dedup_seq = &dedup_seq_;
     }
     MaybeTraceSpoutEmit(&tuple);
-    runtime_->Route(component_index_, task_index_, tuple, target_task,
-                    &emitted_, batch, current_dedup_id_, dedup_seq, &outbox_,
-                    squelch_.get());
+    runtime_->Route(component_index_, tuple, target_task, &emitted_, batch,
+                    current_dedup_id_, dedup_seq, &outbox_);
   }
 
   void EmitRooted(uint64_t message_id, std::vector<Value> values) override {
@@ -137,7 +131,7 @@ class LocalRuntime::TaskCollector : public Collector {
       runtime_->EmitTracked(component_index_, task_index_, message_id,
                             /*attempt=*/0, std::move(values),
                             current_spout_time_, current_priority_, &emitted_,
-                            &outbox_, squelch_.get());
+                            &outbox_);
       return;
     }
     Emit(std::move(values));
@@ -160,7 +154,6 @@ class LocalRuntime::TaskCollector : public Collector {
   }
 
   Outbox* outbox() { return &outbox_; }
-  overload::SourceSquelch* squelch() { return squelch_.get(); }
 
   /// Bolt-side: bind the collector to the input about to be executed.
   void BeginExecute(const Tuple& input) {
@@ -214,8 +207,7 @@ class LocalRuntime::TaskCollector : public Collector {
   /// emissions; bolts override per input in BeginExecute.
   TuplePriority declared_priority_;
   TuplePriority current_priority_;
-  /// Overload hooks, null unless the matching feature is enabled.
-  std::unique_ptr<overload::SourceSquelch> squelch_;
+  /// Adaptive flush threshold; null unless adaptive batching is enabled.
   std::unique_ptr<overload::AdaptiveBatch> adaptive_;
   MicrosT current_spout_time_ = 0;
   uint64_t current_root_key_ = 0;
@@ -235,8 +227,6 @@ LocalRuntime::LocalRuntime(Topology topology, Options options)
     policy.max_replays = options_.max_replays;
     policy.backoff_base_micros = options_.replay_backoff_micros;
     policy.backoff_factor = options_.replay_backoff_factor;
-    policy.backoff_jitter = options_.replay_backoff_jitter;
-    policy.jitter_seed = options_.replay_jitter_seed;
     replay_ = std::make_unique<reliability::ReplayBuffer>(policy);
   }
   if (options_.enable_tracing) {
@@ -949,9 +939,9 @@ void LocalRuntime::StallForCredits(Outbox* outbox) {
 
 void LocalRuntime::Deliver(int source_component, int target_component,
                            int task_index, const Tuple& tuple,
-                           TuplePriority priority, uint64_t* emitted,
-                           uint64_t* ack_batch, uint64_t dedup_base,
-                           uint64_t* dedup_seq, Outbox* outbox) {
+                           uint64_t* emitted, uint64_t* ack_batch,
+                           uint64_t dedup_base, uint64_t* dedup_seq,
+                           Outbox* outbox) {
   reliability::FaultInjector::RouteDecision decision;
   if (options_.fault_injector != nullptr) {
     decision = options_.fault_injector->OnRoute(
@@ -979,6 +969,7 @@ void LocalRuntime::Deliver(int source_component, int target_component,
     size_t gid = static_cast<size_t>(
         task_base_[static_cast<size_t>(target_component)] + task_index);
     double occupancy = gates_[gid]->Occupancy();
+    const TuplePriority priority = tuple.priority();
     bool shed =
         (priority == TuplePriority::kLow &&
          occupancy >= options_.overload.shed_low_watermark) ||
@@ -1025,12 +1016,10 @@ void LocalRuntime::Deliver(int source_component, int target_component,
   }
 }
 
-void LocalRuntime::Route(int source_component, int source_task,
-                         const Tuple& tuple, int direct_task,
-                         uint64_t* emitted, uint64_t* ack_batch,
-                         uint64_t dedup_base, uint64_t* dedup_seq,
-                         Outbox* outbox, overload::SourceSquelch* squelch) {
-  const TuplePriority priority = tuple.priority();
+void LocalRuntime::Route(int source_component, const Tuple& tuple,
+                         int direct_task, uint64_t* emitted,
+                         uint64_t* ack_batch, uint64_t dedup_base,
+                         uint64_t* dedup_seq, Outbox* outbox) {
   for (const RouteTarget& target :
        routes_[static_cast<size_t>(source_component)]) {
     int num_tasks = static_cast<int>(
@@ -1040,7 +1029,7 @@ void LocalRuntime::Route(int source_component, int source_task,
       INSIGHT_CHECK(direct_task < num_tasks)
           << "EmitDirect task " << direct_task << " out of range";
       Deliver(source_component, target.component_index, direct_task, tuple,
-              priority, emitted, ack_batch, dedup_base, dedup_seq, outbox);
+              emitted, ack_batch, dedup_base, dedup_seq, outbox);
       continue;
     }
     switch (target.grouping) {
@@ -1048,43 +1037,26 @@ void LocalRuntime::Route(int source_component, int source_task,
         uint64_t n = shuffle_counters_[static_cast<size_t>(source_component)]
                          .fetch_add(1, std::memory_order_relaxed);
         Deliver(source_component, target.component_index,
-                static_cast<int>(n % num_tasks), tuple, priority, emitted,
-                ack_batch, dedup_base, dedup_seq, outbox);
+                static_cast<int>(n % num_tasks), tuple, emitted, ack_batch,
+                dedup_base, dedup_seq, outbox);
         break;
       }
       case Grouping::kFields: {
         uint64_t h = HashValues(tuple.values(), target.field_indexes);
-        // Hot-key squelch observes the keyed edges: a source whose recent
-        // routing keys are mostly repeats is squelched, and its deliveries
-        // are shed as kLow no matter their declared tier. The tuple itself
-        // is unchanged — the demotion applies to shed decisions only.
-        TuplePriority effective = priority;
-        if (squelch != nullptr) {
-          uint64_t transitions = squelch->squelch_events();
-          if (squelch->Observe(h)) effective = TuplePriority::kLow;
-          if (squelch->squelch_events() != transitions) {
-            // Cold path (state transition): name-map lookup is fine here.
-            metrics_.RecordSquelch(
-                topology_.components()[static_cast<size_t>(source_component)]
-                    .name,
-                source_task);
-          }
-        }
         Deliver(source_component, target.component_index,
                 static_cast<int>(h % static_cast<uint64_t>(num_tasks)), tuple,
-                effective, emitted, ack_batch, dedup_base, dedup_seq, outbox);
+                emitted, ack_batch, dedup_base, dedup_seq, outbox);
         break;
       }
       case Grouping::kAll:
         for (int t = 0; t < num_tasks; ++t) {
-          Deliver(source_component, target.component_index, t, tuple,
-                  priority, emitted, ack_batch, dedup_base, dedup_seq,
-                  outbox);
+          Deliver(source_component, target.component_index, t, tuple, emitted,
+                  ack_batch, dedup_base, dedup_seq, outbox);
         }
         break;
       case Grouping::kGlobal:
-        Deliver(source_component, target.component_index, 0, tuple, priority,
-                emitted, ack_batch, dedup_base, dedup_seq, outbox);
+        Deliver(source_component, target.component_index, 0, tuple, emitted,
+                ack_batch, dedup_base, dedup_seq, outbox);
         break;
       case Grouping::kDirect:
         // Plain Emit does not feed direct subscriptions.
@@ -1097,8 +1069,7 @@ void LocalRuntime::EmitTracked(int component_index, int task_index,
                                uint64_t message_id, int attempt,
                                std::vector<Value> values, MicrosT spout_time,
                                TuplePriority priority, uint64_t* emitted,
-                               Outbox* outbox,
-                               overload::SourceSquelch* squelch) {
+                               Outbox* outbox) {
   if (attempt == 0) {
     // Keep a copy for replays, scoped to this spout task.
     replay_->Store(message_id, component_index, task_index, values);
@@ -1142,8 +1113,8 @@ void LocalRuntime::EmitTracked(int component_index, int task_index,
     root_dedup = d == 0 ? 1 : d;
     seq_ptr = &dedup_seq;
   }
-  Route(component_index, task_index, tuple, /*direct_task=*/-1, emitted,
-        &batch, root_dedup, seq_ptr, outbox, squelch);
+  Route(component_index, tuple, /*direct_task=*/-1, emitted, &batch,
+        root_dedup, seq_ptr, outbox);
   if (auto done = acker_->Xor(info.root_key, guard ^ batch)) {
     OnTreeCompleted(*done);
   }
@@ -1221,7 +1192,7 @@ void LocalRuntime::SpoutLoop(
           EmitTracked(component_index, task->task_index, d.message_id,
                       d.attempt, std::move(d.values),
                       options_.clock->NowMicros(), def.priority, &emitted,
-                      collectors[i]->outbox(), collectors[i]->squelch());
+                      collectors[i]->outbox());
           if (emitted > 0) {
             refs[i].RecordEmit(emitted);
             pass_emitted += emitted;
@@ -1436,34 +1407,6 @@ void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
       }
       if (batch.empty()) continue;
       any = true;
-      if (injector == nullptr && task->ledger == nullptr &&
-          acker_ == nullptr && tracer_ == nullptr &&
-          task->bolt->SupportsExecuteBatch()) {
-        // Batch fast path: hand the whole drained block to the bolt in one
-        // call so a batch-aware bolt (e.g. EsperBolt's columnar CEP path)
-        // can amortize per-tuple dispatch. Only taken when every per-tuple
-        // bookkeeping feature is off — acking, dedup, tracing and fault
-        // injection all need tuple-grained hooks, so those configurations
-        // keep the loop below.
-        const size_t n = batch.size();
-        collectors[i]->BeginExecute(batch[0]);
-        MicrosT start = options_.clock->NowMicros();
-        task->bolt->ExecuteBatch(batch.data(), n, collectors[i].get());
-        MicrosT end = options_.clock->NowMicros();
-        refs[i].RecordBatch(n, end - start);
-        uint64_t emitted = collectors[i]->TakeEmitted();
-        if (emitted > 0) refs[i].RecordEmit(emitted);
-        int64_t prev = in_flight_.fetch_sub(static_cast<int64_t>(n));
-        TMS_DCHECK_GE(prev, static_cast<int64_t>(n))
-            << "in-flight count went negative after batch execute";
-        TrackInbound(task_gids[i], -static_cast<int64_t>(n));
-        NotifyPossiblyDone();
-        FlushOutbox(collectors[i]->outbox());
-        if (coordinator_ != nullptr && task->ckpt_slot >= 0) {
-          MaybeCheckpoint(task, def, /*force=*/false);
-        }
-        continue;
-      }
       for (size_t j = 0; j < batch.size(); ++j) {
         Tuple& tuple = batch[j];
         if (injector != nullptr &&

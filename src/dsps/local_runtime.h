@@ -92,10 +92,6 @@ class LocalRuntime {
     /// Optional fault injection; not owned, must outlive the runtime. The
     /// supervisor restarts crashed executors whether or not acking is on.
     reliability::FaultInjector* fault_injector = nullptr;
-    /// Replay backoff jitter (reliability::ReplayPolicy::backoff_jitter):
-    /// fraction in [0, 1) spreading simultaneous replays apart. 0 = off.
-    double replay_backoff_jitter = 0.0;
-    uint64_t replay_jitter_seed = 0x5eedULL;
 
     // --- Stateful recovery (all off by default = seed behaviour; see
     // DESIGN.md "State & recovery") ---
@@ -145,9 +141,9 @@ class LocalRuntime {
     // --- Overload protection (all off by default = seed behaviour; see
     // DESIGN.md "Overload protection") ---
 
-    /// Credit-based flow control, priority-aware load shedding, hot-key
-    /// squelch, and adaptive batch sizing (dsps/overload.h). With every
-    /// feature off none of the per-queue gates are even constructed.
+    /// Credit-based flow control, priority-aware load shedding and adaptive
+    /// batch sizing (dsps/overload.h). With every feature off none of the
+    /// per-queue gates are even constructed.
     overload::Options overload;
 
     // --- Elastic scheduling (off by default = seed behaviour; see
@@ -388,8 +384,7 @@ class LocalRuntime {
   /// replays). Adds to `emitted` per delivered copy.
   void EmitTracked(int component_index, int task_index, uint64_t message_id,
                    int attempt, std::vector<Value> values, MicrosT spout_time,
-                   TuplePriority priority, uint64_t* emitted, Outbox* outbox,
-                   overload::SourceSquelch* squelch);
+                   TuplePriority priority, uint64_t* emitted, Outbox* outbox);
   /// A tracked tuple tree fully processed: ack bookkeeping + spout
   /// notification.
   void OnTreeCompleted(const reliability::TreeInfo& info);
@@ -400,13 +395,9 @@ class LocalRuntime {
   /// When `dedup_seq` is non-null, each copy additionally gets a dedup id
   /// chained from `dedup_base` and the running per-execution sequence —
   /// replay-stable as long as the emitter and the routing are deterministic.
-  /// `squelch` (nullable) observes fields-grouping key hashes and, while the
-  /// emitting task is squelched, demotes the delivery's effective shedding
-  /// tier to kLow; `source_task` attributes squelch transitions.
-  void Route(int source_component, int source_task, const Tuple& tuple,
-             int direct_task, uint64_t* emitted, uint64_t* ack_batch,
-             uint64_t dedup_base, uint64_t* dedup_seq, Outbox* outbox,
-             overload::SourceSquelch* squelch);
+  void Route(int source_component, const Tuple& tuple, int direct_task,
+             uint64_t* emitted, uint64_t* ack_batch, uint64_t dedup_base,
+             uint64_t* dedup_seq, Outbox* outbox);
   /// Stages one tuple; counted in `in_flight_` immediately. Auto-flushes the
   /// outbox past Options::emit_batch (or the adaptive threshold).
   void Stage(int target_component, int task_index, Tuple tuple,
@@ -434,15 +425,14 @@ class LocalRuntime {
   /// `overload.max_deferred_tuples` deferred tuples; accounted in
   /// `credits_stalled_ns`.
   void StallForCredits(Outbox* outbox);
-  /// Fault-aware single delivery used by Route. `priority` is the effective
-  /// shedding tier (the tuple's own tier, or kLow for squelched sources);
-  /// above the occupancy watermarks of the target's queue the delivery is
-  /// shed instead of staged — counted per priority, and fail-fast for
-  /// tracked trees (the acker discards the tree and Spout::Fail fires).
+  /// Fault-aware single delivery used by Route. Above the occupancy
+  /// watermarks of the target's queue for the tuple's shedding tier the
+  /// delivery is shed instead of staged — counted per priority, and
+  /// fail-fast for tracked trees (the acker discards the tree and
+  /// Spout::Fail fires).
   void Deliver(int source_component, int target_component, int task_index,
-               const Tuple& tuple, TuplePriority priority, uint64_t* emitted,
-               uint64_t* ack_batch, uint64_t dedup_base, uint64_t* dedup_seq,
-               Outbox* outbox);
+               const Tuple& tuple, uint64_t* emitted, uint64_t* ack_batch,
+               uint64_t dedup_base, uint64_t* dedup_seq, Outbox* outbox);
   void NotifyPossiblyDone();
 
   // --- Long-lived helpers ---

@@ -91,10 +91,6 @@ void MetricsRegistry::RecordShed(const std::string& component, int task,
   }
 }
 
-void MetricsRegistry::RecordSquelch(const std::string& component, int task) {
-  StatsFor(component, task).squelched.fetch_add(1, std::memory_order_relaxed);
-}
-
 void MetricsRegistry::RecordMigration(const std::string& component, int task) {
   StatsFor(component, task).migrations.fetch_add(1, std::memory_order_relaxed);
 }
@@ -127,7 +123,6 @@ MetricsRegistry::ComponentTotals MetricsRegistry::Totals(
     totals.shed_low += task->shed_low.load(std::memory_order_relaxed);
     totals.shed_normal += task->shed_normal.load(std::memory_order_relaxed);
     totals.shed_high += task->shed_high.load(std::memory_order_relaxed);
-    totals.squelched += task->squelched.load(std::memory_order_relaxed);
     totals.task_migrations += task->migrations.load(std::memory_order_relaxed);
     totals.migration_failures +=
         task->migration_failures.load(std::memory_order_relaxed);
@@ -151,7 +146,7 @@ MetricsRegistry::ComponentTotals MetricsRegistry::ComponentTotals::Since(
         &ComponentTotals::checkpoint_restore_failures, &ComponentTotals::deduped,
         &ComponentTotals::breaker_trips, &ComponentTotals::shed_low,
         &ComponentTotals::shed_normal, &ComponentTotals::shed_high,
-        &ComponentTotals::squelched, &ComponentTotals::task_migrations,
+        &ComponentTotals::task_migrations,
         &ComponentTotals::migration_failures}) {
     d.*field -= earlier.*field;
   }
@@ -214,7 +209,7 @@ std::vector<MetricsRegistry::WindowReport> MetricsRegistry::TakeWindowSnapshot(
   for (auto& [name, stats] : components_) {
     uint64_t executed = 0, latency_sum = 0, acked = 0, failed = 0,
              replayed = 0, checkpoints = 0, restores = 0, restore_failures = 0,
-             deduped = 0, breaker_trips = 0, shed = 0, squelched = 0,
+             deduped = 0, breaker_trips = 0, shed = 0,
              migrations = 0, migration_failures = 0;
     observability::HistogramSnapshot histogram;
     for (const auto& task : stats.tasks) {
@@ -232,7 +227,6 @@ std::vector<MetricsRegistry::WindowReport> MetricsRegistry::TakeWindowSnapshot(
       shed += task->shed_low.load(std::memory_order_relaxed) +
               task->shed_normal.load(std::memory_order_relaxed) +
               task->shed_high.load(std::memory_order_relaxed);
-      squelched += task->squelched.load(std::memory_order_relaxed);
       migrations += task->migrations.load(std::memory_order_relaxed);
       migration_failures +=
           task->migration_failures.load(std::memory_order_relaxed);
@@ -278,7 +272,6 @@ std::vector<MetricsRegistry::WindowReport> MetricsRegistry::TakeWindowSnapshot(
     report.deduped = deduped - stats.last_deduped;
     report.breaker_trips = breaker_trips - stats.last_breaker_trips;
     report.shed = shed - stats.last_shed;
-    report.squelched = squelched - stats.last_squelched;
     report.task_migrations = migrations - stats.last_migrations;
     report.migration_failures =
         migration_failures - stats.last_migration_failures;
@@ -293,7 +286,6 @@ std::vector<MetricsRegistry::WindowReport> MetricsRegistry::TakeWindowSnapshot(
     stats.last_deduped = deduped;
     stats.last_breaker_trips = breaker_trips;
     stats.last_shed = shed;
-    stats.last_squelched = squelched;
     stats.last_migrations = migrations;
     stats.last_migration_failures = migration_failures;
     stats.last_histogram = histogram;
@@ -362,9 +354,8 @@ observability::MetricsSnapshot MetricsRegistry::PrometheusSnapshot() const {
     snapshot.counters.push_back(std::move(family));
   }
   // Overload families (see dsps/overload.h): sheds carry a priority label on
-  // top of the component label, squelches only the component. Emitted even
-  // when overload protection is off (all-zero) so dashboards never lose the
-  // series.
+  // top of the component label. Emitted even when overload protection is off
+  // (all-zero) so dashboards never lose the series.
   {
     observability::CounterFamily shed;
     shed.name = "insight_tuples_shed_total";
@@ -387,15 +378,6 @@ observability::MetricsSnapshot MetricsRegistry::PrometheusSnapshot() const {
       }
     }
     snapshot.counters.push_back(std::move(shed));
-    observability::CounterFamily squelched;
-    squelched.name = "insight_squelched_sources_total";
-    squelched.help = "Emitting tasks that entered the squelched state";
-    for (size_t i = 0; i < names.size(); ++i) {
-      squelched.samples.push_back(
-          {"component=\"" + names[i] + "\"",
-           static_cast<double>(totals[i].squelched)});
-    }
-    snapshot.counters.push_back(std::move(squelched));
     observability::CounterFamily stalled;
     stalled.name = "insight_credits_stalled_ns_total";
     stalled.help = "Producer wall time stalled awaiting flow-control credits";

@@ -41,12 +41,10 @@ class MetricsRegistry {
     uint64_t deduped = 0;             // replayed duplicates suppressed
     uint64_t breaker_trips = 0;       // executors permanently failed
     // Overload counters (zero unless overload protection is on). Sheds are
-    // attributed to the component whose queue was saturated, per priority;
-    // squelches to the emitting component.
+    // attributed to the component whose queue was saturated, per priority.
     uint64_t shed_low = 0;
     uint64_t shed_normal = 0;
     uint64_t shed_high = 0;
-    uint64_t squelched = 0;  // sources entering the squelched state
     // Elastic-scheduling counters (zero unless migration is enabled).
     uint64_t task_migrations = 0;     // completed live migrations (source task)
     uint64_t migration_failures = 0;  // aborted/rolled-back migrations
@@ -89,7 +87,6 @@ class MetricsRegistry {
     uint64_t deduped = 0;
     uint64_t breaker_trips = 0;
     uint64_t shed = 0;       // tuples shed (all priorities)
-    uint64_t squelched = 0;  // squelch activations
     uint64_t task_migrations = 0;     // live migrations completed this window
     uint64_t migration_failures = 0;  // migrations aborted this window
   };
@@ -111,12 +108,10 @@ class MetricsRegistry {
   void RecordRestoreFailure(const std::string& component, int task);
   void RecordDedup(const std::string& component, int task);
   void RecordBreakerTrip(const std::string& component, int task);
-  /// Overload events (see dsps/overload.h): a shed tuple, attributed to the
-  /// component whose queue triggered the drop, and a source entering the
-  /// squelched state, attributed to the emitting task.
+  /// Overload event (see dsps/overload.h): a shed tuple, attributed to the
+  /// component whose queue triggered the drop.
   void RecordShed(const std::string& component, int task,
                   TuplePriority priority);
-  void RecordSquelch(const std::string& component, int task);
   /// Elastic-scheduling events, attributed to the migration's source task.
   void RecordMigration(const std::string& component, int task);
   void RecordMigrationFailure(const std::string& component, int task);
@@ -202,7 +197,6 @@ class MetricsRegistry {
     std::atomic<uint64_t> shed_low{0};
     std::atomic<uint64_t> shed_normal{0};
     std::atomic<uint64_t> shed_high{0};
-    std::atomic<uint64_t> squelched{0};
     std::atomic<uint64_t> migrations{0};
     std::atomic<uint64_t> migration_failures{0};
     observability::LatencyHistogram latency_histogram;
@@ -222,18 +216,6 @@ class MetricsRegistry {
                                     std::memory_order_relaxed);
       stats_->latency_histogram.Record(latency_micros);
     }
-    /// Records `count` executions completed by one ExecuteBatch call:
-    /// throughput counts every tuple; the batch's wall time is attributed
-    /// evenly across them so windowed latency averages stay comparable with
-    /// the tuple-at-a-time path.
-    void RecordBatch(uint64_t count, MicrosT total_latency_micros) {
-      if (count == 0) return;
-      stats_->executed.fetch_add(count, std::memory_order_relaxed);
-      stats_->latency_sum.fetch_add(static_cast<uint64_t>(total_latency_micros),
-                                    std::memory_order_relaxed);
-      stats_->latency_histogram.RecordN(
-          total_latency_micros / static_cast<MicrosT>(count), count);
-    }
     void RecordEmit(uint64_t count) {
       stats_->emitted.fetch_add(count, std::memory_order_relaxed);
     }
@@ -250,10 +232,6 @@ class MetricsRegistry {
           stats_->shed_high.fetch_add(1, std::memory_order_relaxed);
           break;
       }
-    }
-    /// This task's collector entered the squelched state.
-    void RecordSquelch() {
-      stats_->squelched.fetch_add(1, std::memory_order_relaxed);
     }
 
    private:
@@ -298,7 +276,6 @@ class MetricsRegistry {
     uint64_t last_deduped = 0;
     uint64_t last_breaker_trips = 0;
     uint64_t last_shed = 0;
-    uint64_t last_squelched = 0;
     uint64_t last_migrations = 0;
     uint64_t last_migration_failures = 0;
     observability::HistogramSnapshot last_histogram;

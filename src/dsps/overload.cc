@@ -15,56 +15,5 @@ const char* TuplePriorityName(TuplePriority priority) {
   return "?";
 }
 
-namespace overload {
-
-namespace {
-size_t RoundUpPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-}  // namespace
-
-SourceSquelch::SourceSquelch(const Options& options, const Clock* clock)
-    : recent_(RoundUpPow2(options.squelch_history < 2 ? 2
-                                                      : options.squelch_history),
-              0),
-      duplicate_rate_(options.squelch_duplicate_rate),
-      min_samples_(options.squelch_min_samples < 1 ? 1
-                                                   : options.squelch_min_samples),
-      duration_micros_(options.squelch_duration_micros),
-      clock_(clock) {
-  mask_ = recent_.size() - 1;
-}
-
-bool SourceSquelch::Observe(uint64_t key_hash) {
-  // 0 is the empty-slot sentinel; fold real zero hashes onto a fixed bucket.
-  if (key_hash == 0) key_hash = 0x9e3779b97f4a7c15ULL;
-  uint64_t& slot = recent_[key_hash & mask_];
-  if (slot == key_hash) {
-    ++window_dups_;
-  } else {
-    slot = key_hash;
-  }
-  if (++window_samples_ >= min_samples_) {
-    // Window boundary: the only place the clock is read. Evaluate the rate,
-    // flip the squelch state, and start a fresh window.
-    MicrosT now = clock_->NowMicros();
-    double rate = static_cast<double>(window_dups_) /
-                  static_cast<double>(window_samples_);
-    if (rate >= duplicate_rate_) {
-      if (!squelched_) ++squelch_events_;
-      squelched_ = true;
-      squelched_until_ = now + duration_micros_;
-    } else if (squelched_ && now >= squelched_until_) {
-      squelched_ = false;
-    }
-    window_samples_ = 0;
-    window_dups_ = 0;
-  }
-  return squelched_;
-}
-
-}  // namespace overload
 }  // namespace dsps
 }  // namespace insight

@@ -4,9 +4,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <vector>
 
-#include "common/clock.h"
 #include "common/static_analysis.h"
 
 namespace insight {
@@ -27,7 +25,7 @@ const char* TuplePriorityName(TuplePriority priority);
 namespace overload {
 
 /// Overload-protection knobs (LocalRuntime::Options::overload). Everything
-/// off by default: with all four features disabled the runtime behaves
+/// off by default: with all three features disabled the runtime behaves
 /// byte-for-byte like the seed (the PR 4 convention), and none of the
 /// per-tuple hooks below are even constructed.
 struct Options {
@@ -56,20 +54,6 @@ struct Options {
   double shed_low_watermark = 0.75;
   double shed_high_watermark = 0.90;
 
-  /// Hot-key squelch (modeled on rippled's overlay/Squelch.h): each emitting
-  /// task tracks the recent key-hash duplicate rate of its fields-grouped
-  /// emissions. A source whose recent tuples are mostly redundant is
-  /// squelched for `squelch_duration_micros`: its emissions are treated as
-  /// kLow for shedding decisions, so redundant hot keys are dropped first
-  /// under pressure while distinct-keyed sources keep their tier.
-  bool enable_squelch = false;
-  /// Recent-hash table size per emitting task (rounded up to a power of 2).
-  size_t squelch_history = 64;
-  /// Duplicate-rate threshold and the sample window it is evaluated over.
-  double squelch_duplicate_rate = 0.75;
-  uint64_t squelch_min_samples = 64;
-  MicrosT squelch_duration_micros = 100'000;
-
   /// Adaptive batch sizing: grow a collector's outbox flush threshold
   /// (x2 per step up to `adaptive_batch_max`) while its targets run hot
   /// (> 1/2 occupancy), shrink it back when they drain (< 1/4), trading
@@ -80,8 +64,7 @@ struct Options {
   size_t adaptive_batch_max = 1024;
 
   bool any_enabled() const {
-    return enable_credit_flow || enable_load_shedding || enable_squelch ||
-           enable_adaptive_batch;
+    return enable_credit_flow || enable_load_shedding || enable_adaptive_batch;
   }
 };
 
@@ -132,40 +115,6 @@ class QueueGate {
  private:
   const int64_t capacity_;
   std::atomic<int64_t> admitted_{0};
-};
-
-/// Per-source (per emitting task) duplicate-rate tracker for keyed edges.
-/// Thread-confined to the emitting executor — no locks, no atomics.
-///
-/// Every fields-grouped emission reports its routing key hash. A
-/// direct-mapped table of the most recent hashes detects repeats in O(1);
-/// every `min_samples` observations the duplicate rate is evaluated (the
-/// clock is read only at these window boundaries) and a source above
-/// `duplicate_rate` is squelched for `duration_micros`: Observe returns
-/// true and the runtime demotes the emission to kLow for shedding.
-class SourceSquelch {
- public:
-  SourceSquelch(const Options& options, const Clock* clock);
-
-  /// Reports one keyed emission; returns true while the source is squelched.
-  bool Observe(uint64_t key_hash) TMS_NO_ALLOC TMS_NON_BLOCKING;
-
-  bool squelched() const { return squelched_; }
-  /// Times this source entered the squelched state.
-  uint64_t squelch_events() const { return squelch_events_; }
-
- private:
-  std::vector<uint64_t> recent_;  // direct-mapped recent-hash table
-  uint64_t mask_ = 0;
-  double duplicate_rate_;
-  uint64_t min_samples_;
-  MicrosT duration_micros_;
-  const Clock* clock_;
-  uint64_t window_samples_ = 0;
-  uint64_t window_dups_ = 0;
-  bool squelched_ = false;
-  MicrosT squelched_until_ = 0;
-  uint64_t squelch_events_ = 0;
 };
 
 /// Per-collector outbox flush threshold controller. Thread-confined to the

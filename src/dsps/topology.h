@@ -104,13 +104,9 @@ class Bolt {
   virtual void Prepare(const TaskContext& /*context*/) {}
   virtual void Execute(const Tuple& input, Collector* collector) = 0;
 
-  /// Batch execution opt-in. When a bolt returns true here, an executor that
-  /// drains several queued tuples in one pass may hand them over in a single
-  /// ExecuteBatch call instead of tuple-at-a-time Execute. The runtime only
-  /// does this when per-tuple bookkeeping (acking, dedup ledger, tracing,
-  /// fault injection) is off for the task, so a batch-capable bolt must
-  /// still implement Execute for those configurations. ExecuteBatch must be
-  /// observably equivalent to calling Execute on each tuple in order.
+  /// The runtime never calls these two: every bolt runs one Execute per
+  /// tuple. They are kept, with these defaults, only because the system
+  /// benchmark (perfbench/) calls them on the bolts it replays.
   virtual bool SupportsExecuteBatch() const { return false; }
   virtual void ExecuteBatch(const Tuple* inputs, size_t count,
                             Collector* collector) {

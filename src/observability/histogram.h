@@ -87,13 +87,6 @@ class LatencyHistogram {
     buckets_[BucketIndex(micros)].fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Records `count` samples of the same value in one bucket update (batch
-  /// execution paths attribute a block's mean per-tuple latency to every
-  /// tuple in it).
-  void RecordN(MicrosT micros, uint64_t count) TMS_NO_ALLOC {
-    buckets_[BucketIndex(micros)].fetch_add(count, std::memory_order_relaxed);
-  }
-
   HistogramSnapshot Snapshot() const {
     HistogramSnapshot snapshot;
     for (size_t i = 0; i < kNumBuckets; ++i) {

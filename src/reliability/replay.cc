@@ -7,8 +7,8 @@ namespace reliability {
 
 namespace {
 
-// splitmix64 finalizer: the jitter hash.
-uint64_t MixJitter(uint64_t z) {
+// splitmix64 finalizer: the message-key hash.
+uint64_t Mix64(uint64_t z) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
@@ -22,7 +22,7 @@ size_t ReplayBuffer::MessageKeyHash::operator()(const MessageKey& key) const {
        << 32) |
       static_cast<uint64_t>(static_cast<uint32_t>(key.spout_task));
   return static_cast<size_t>(
-      MixJitter(key.message_id ^ MixJitter(scope + 0x9e3779b97f4a7c15ULL)));
+      Mix64(key.message_id ^ Mix64(scope + 0x9e3779b97f4a7c15ULL)));
 }
 
 void ReplayBuffer::Store(uint64_t message_id, int spout_component,
@@ -47,18 +47,9 @@ bool ReplayBuffer::Ack(uint64_t message_id, int spout_component,
              MessageKey{message_id, spout_component, spout_task}) > 0;
 }
 
-MicrosT ReplayBuffer::BackoffFor(uint64_t message_id, int attempt) const {
+MicrosT ReplayBuffer::BackoffFor(int attempt) const {
   double backoff = static_cast<double>(policy_.backoff_base_micros);
   for (int i = 1; i < attempt; ++i) backoff *= policy_.backoff_factor;
-  if (policy_.backoff_jitter > 0.0) {
-    // Pure function of (seed, message, attempt): reruns under one seed are
-    // reproducible while distinct messages land on distinct delays.
-    uint64_t h = MixJitter(policy_.jitter_seed ^
-                           MixJitter(message_id + 0x9e3779b97f4a7c15ULL *
-                                                      static_cast<uint64_t>(attempt)));
-    double unit = static_cast<double>(h >> 11) * 0x1.0p-53;  // [0, 1)
-    backoff *= 1.0 + policy_.backoff_jitter * (2.0 * unit - 1.0);
-  }
   return static_cast<MicrosT>(backoff);
 }
 
@@ -73,7 +64,7 @@ bool ReplayBuffer::Fail(uint64_t message_id, int spout_component,
     return false;
   }
   int attempt = ++it->second.attempts;
-  scheduled_.push_back(Scheduled{now + BackoffFor(message_id, attempt),
+  scheduled_.push_back(Scheduled{now + BackoffFor(attempt),
                                  message_id, spout_component, spout_task,
                                  attempt});
   return true;

@@ -23,13 +23,6 @@ struct ReplayPolicy {
   /// `backoff_factor`.
   MicrosT backoff_base_micros = 10'000;
   double backoff_factor = 2.0;
-  /// Jitter fraction in [0, 1): each scheduled delay is multiplied by a
-  /// factor drawn deterministically from [1 - jitter, 1 + jitter) based on
-  /// (jitter_seed, message id, attempt). Trees that expire in the same
-  /// supervisor sweep then spread out instead of replaying in lockstep — the
-  /// replay-storm analogue of thundering-herd jitter. 0 = no jitter.
-  double backoff_jitter = 0.0;
-  uint64_t jitter_seed = 0;
 };
 
 /// Holds the payload of every in-flight root tuple so a timed-out tree can
@@ -80,9 +73,9 @@ class ReplayBuffer {
   /// runtime can fire their Fail callbacks.
   std::vector<uint64_t> DiscardAllFor(int spout_component, int spout_task);
 
-  /// The delay Fail would schedule for this (message, attempt) pair —
-  /// exposed so tests can assert the jitter spread and determinism.
-  MicrosT BackoffFor(uint64_t message_id, int attempt) const;
+  /// The delay Fail schedules for the given replay attempt (1 for the first
+  /// replay); exposed for tests.
+  MicrosT BackoffFor(int attempt) const;
 
   size_t stored() const;
   size_t scheduled_retries() const;

@@ -313,7 +313,6 @@ void EsperBolt::Prepare(const dsps::TaskContext& context) {
     }
   }
   bus_type_ = *engine_->GetEventType("bus");
-  batch_ = std::make_unique<cep::EventBatch>(bus_type_);
 
   if (static_cast<size_t>(task_index_) < config_->rules_per_task.size()) {
     for (const auto& [name, epl] :
@@ -327,7 +326,7 @@ void EsperBolt::Prepare(const dsps::TaskContext& context) {
         named.statement_name = rule_name;
         pending_matches_.push_back(std::move(named));
         // Captured at delivery time, when the engine knows which event
-        // (or batch lane) fired this match.
+        // fired this match.
         pending_trigger_ts_.push_back(engine_->current_trigger_timestamp());
       });
     }
@@ -349,36 +348,6 @@ void EsperBolt::Execute(const Tuple& input, dsps::Collector* collector) {
   engine_->SendEvent(
       pool.Create(bus_type_, std::move(buffer), input.Get(0).AsInt()));
   EmitPending(collector);
-}
-
-void EsperBolt::ExecuteBatch(const Tuple* inputs, size_t count,
-                             dsps::Collector* collector) {
-  if (config_->before_send) {
-    // The hook contract is "called before every individual send"; keep it by
-    // degrading to the row path for the whole block.
-    for (size_t i = 0; i < count; ++i) Execute(inputs[i], collector);
-    return;
-  }
-  batch_->Clear();
-  for (size_t i = 0; i < count; ++i) {
-    const Tuple& input = inputs[i];
-    if (!batch_->AppendRow(input.values(), input.Get(0).AsInt())) {
-      // Tuple does not fit the bus schema. Flush what accumulated so far
-      // (order must match per-tuple delivery), then row-path this one —
-      // SendEvent applies the engine's own handling for odd events.
-      if (!batch_->empty()) {
-        engine_->SendBatch(*batch_);
-        batch_->Clear();
-        EmitPending(collector);
-      }
-      Execute(input, collector);
-    }
-  }
-  if (!batch_->empty()) {
-    engine_->SendBatch(*batch_);
-    batch_->Clear();
-    EmitPending(collector);
-  }
 }
 
 void EsperBolt::EmitPending(dsps::Collector* collector) {

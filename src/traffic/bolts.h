@@ -211,17 +211,6 @@ class EsperBolt : public dsps::Bolt, public dsps::Snapshottable {
   void Prepare(const dsps::TaskContext& context) override;
   void Execute(const dsps::Tuple& input, dsps::Collector* collector) override;
 
-  /// Columnar fast path: the drained tuple block is packed into one
-  /// EventBatch and crosses the engine boundary via SendBatch, so eligible
-  /// rules evaluate compiled column kernels instead of per-event expression
-  /// trees. Falls back to per-tuple Execute when the config installs a
-  /// before_send hook (it observes every individual send) or a tuple does
-  /// not match the bus schema. Detections come out identical to the row
-  /// path — same matches, same order, same timestamps.
-  bool SupportsExecuteBatch() const override { return true; }
-  void ExecuteBatch(const dsps::Tuple* inputs, size_t count,
-                    dsps::Collector* collector) override;
-
   Status SnapshotState(std::string* out) const override;
   Status RestoreState(const std::string& bytes) override;
 
@@ -239,8 +228,6 @@ class EsperBolt : public dsps::Bolt, public dsps::Snapshottable {
   std::shared_ptr<const EsperBoltConfig> config_;
   std::unique_ptr<cep::Engine> engine_;
   cep::EventTypePtr bus_type_;
-  /// Reused lane buffer for ExecuteBatch (allocation-free steady state).
-  std::unique_ptr<cep::EventBatch> batch_;
   int task_index_ = 0;
   std::vector<cep::MatchResult> pending_matches_;
   /// Trigger timestamp per pending match (parallel to pending_matches_):

@@ -234,6 +234,21 @@ TEST_F(EngineTest, TimeWindowExpiresByEventTime) {
   EXPECT_EQ(counts[0], 1);
   EXPECT_EQ(counts[1], 2);
   EXPECT_EQ(counts[2], 2);
+
+  // A longer stream with equal timestamps, sub-second steps and gaps of
+  // exactly the window: an event expires once it is 10 s old or older.
+  std::vector<int64_t> sent = {0, 5'000'000, 11'000'000};
+  const int64_t kSteps[] = {500'000, 0, 10'000'000, 3'000'000, 1, 499'999};
+  int64_t ts = sent.back();
+  for (int i = 0; i < 200; ++i) {
+    ts += kSteps[i % 6];
+    sent.push_back(ts);
+    engine_.SendEvent(Bus(ts, 1, 1, 8, "weekday", 1.0));
+    int64_t live = 0;
+    for (int64_t t : sent) live += t > ts - 10'000'000 ? 1 : 0;
+    ASSERT_EQ(counts.back(), live) << "event at " << ts;
+  }
+  EXPECT_EQ(counts.size(), sent.size());
 }
 
 TEST_F(EngineTest, RemoveStatementStopsDelivery) {

@@ -1,10 +1,21 @@
 // Deeper coverage of the statement executor: joins, ORDER BY, INSERT INTO,
-// multi-statement engines, OR/NOT predicates, arithmetic projections and
-// batch windows inside joins.
+// multi-statement engines, OR/NOT predicates, arithmetic projections, batch
+// windows inside joins, incremental min/max under non-finite values, and
+// snapshot/restore in the middle of a stream.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <deque>
+#include <limits>
+#include <map>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "cep/engine.h"
+#include "common/bytes.h"
 
 namespace insight {
 namespace cep {
@@ -370,6 +381,180 @@ TEST_F(StatementTest, StringComparisonInWhere) {
   engine_.SendEvent(
       engine_.NewEvent("tagged").Set("tag", "urgent").Set("v", 2).Build());
   EXPECT_EQ(fired, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Incremental aggregation under hostile values, and mid-stream snapshots
+// ---------------------------------------------------------------------------
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Mostly ordinary values, with NaN, +/-inf, -0.0, +0.0, negatives and a
+/// value whose arithmetic overflows to inf.
+double HostileValue(std::mt19937* rng) {
+  switch (std::uniform_int_distribution<int>(0, 15)(*rng)) {
+    case 0:
+      return kNaN;
+    case 1:
+      return kInf;
+    case 2:
+      return -kInf;
+    case 3:
+      return -0.0;
+    case 4:
+      return 0.0;
+    case 5:
+      return -std::uniform_real_distribution<double>(0.0, 50.0)(*rng);
+    case 6:
+      return 1e308;
+    default:
+      return std::uniform_real_distribution<double>(0.0, 25.0)(*rng);
+  }
+}
+
+TEST_F(StatementTest, IncrementalMinMaxMatchesWindowRescanOnNonFiniteValues) {
+  // min/max run incrementally and rescan the group only when an extreme is
+  // evicted. Whatever the values, each emission must equal a scan of the
+  // group's window in order with strict comparisons: NaN never becomes an
+  // extreme, and of -0.0 and +0.0 the earlier retained one wins.
+  constexpr size_t kWindow = 5;
+  auto stmt = engine_.AddStatement(
+      "@Trigger(reading) SELECT r.zone AS zone, min(g.value) AS lo, "
+      "max(g.value) AS hi, count(*) AS n "
+      "FROM reading.std:lastevent() as r, "
+      "reading.std:groupwin(zone).win:length(5) as g "
+      "WHERE r.zone = g.zone GROUP BY g.zone",
+      "minmax");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  ASSERT_TRUE((*stmt)->incremental());
+  std::vector<MatchResult> matches;
+  (*stmt)->AddListener([&](const MatchResult& m) { matches.push_back(m); });
+
+  std::map<int64_t, std::deque<double>> windows;
+  for (uint32_t seed = 1; seed <= 3; ++seed) {
+    std::mt19937 rng(seed);
+    for (int i = 0; i < 2000; ++i) {
+      const int64_t zone = std::uniform_int_distribution<int64_t>(0, 3)(rng);
+      const double v = HostileValue(&rng);
+      std::deque<double>& window = windows[zone];
+      window.push_back(v);
+      if (window.size() > kWindow) window.pop_front();
+      double lo = kInf, hi = -kInf;
+      for (double w : window) {
+        if (w < lo) lo = w;
+        if (w > hi) hi = w;
+      }
+
+      matches.clear();
+      SendReading(i, zone, v);
+      ASSERT_EQ(matches.size(), 1u) << "seed " << seed << " event " << i;
+      const MatchResult& m = matches[0];
+      EXPECT_EQ(m.Get("zone")->AsInt(), zone);
+      EXPECT_EQ(m.Get("n")->AsInt(), static_cast<int64_t>(window.size()));
+      // Bit equality: tells -0.0 from +0.0.
+      EXPECT_EQ(std::bit_cast<uint64_t>(m.Get("lo")->AsDouble()),
+                std::bit_cast<uint64_t>(lo))
+          << "seed " << seed << " event " << i << ": " << m.ToString();
+      EXPECT_EQ(std::bit_cast<uint64_t>(m.Get("hi")->AsDouble()),
+                std::bit_cast<uint64_t>(hi))
+          << "seed " << seed << " event " << i << ": " << m.ToString();
+    }
+  }
+}
+
+/// Serializes a match so two delivery logs compare bit for bit: values go
+/// through EncodeValue, so int 5 and double 5.0 never alias.
+std::string EncodeMatch(const MatchResult& m) {
+  std::string out;
+  ByteWriter writer(&out);
+  writer.PutString(m.statement_name);
+  writer.PutU32(static_cast<uint32_t>(m.columns.size()));
+  for (const auto& [name, value] : m.columns) {
+    writer.PutString(name);
+    EncodeValue(value, &writer);
+  }
+  return out;
+}
+
+/// An engine with grouped, ungrouped and time windows over one stream. Its
+/// `exact` field takes quarter values only, so the incremental running sums
+/// are exact and a restored engine (which re-sums the retained events) must
+/// agree with one that never stopped.
+struct MidStreamEngine {
+  Engine engine;
+  std::vector<std::string> log;
+
+  MidStreamEngine() {
+    EXPECT_TRUE(engine
+                    .RegisterEventType("probe", {{"zone", ValueType::kInt},
+                                                 {"hostile", ValueType::kDouble},
+                                                 {"exact", ValueType::kDouble}})
+                    .ok());
+    const char* rules[] = {
+        // Shape-A incremental average with a HAVING gate.
+        "@Trigger(probe) SELECT p.zone AS zone, avg(g.exact) AS a "
+        "FROM probe.std:lastevent() as p, "
+        "probe.std:groupwin(zone).win:length(8) as g "
+        "WHERE p.zone = g.zone GROUP BY g.zone HAVING avg(g.exact) < 15.0",
+        // Incremental min/max/count over non-finite values.
+        "@Trigger(probe) SELECT p.zone AS zone, min(g.hostile) AS lo, "
+        "max(g.hostile) AS hi, count(*) AS n "
+        "FROM probe.std:lastevent() as p, "
+        "probe.std:groupwin(zone).win:length(5) as g "
+        "WHERE p.zone = g.zone GROUP BY g.zone HAVING count(*) > 2",
+        // Ungrouped length window through the non-incremental path.
+        "@Trigger(probe) SELECT avg(w.exact) AS a, stddev(w.exact) AS sd "
+        "FROM probe.win:length(7) as w",
+        // Time window: expiry driven by event timestamps.
+        "@Trigger(probe) SELECT count(*) AS n FROM probe.win:time(10 sec) as t",
+    };
+    for (size_t i = 0; i < std::size(rules); ++i) {
+      auto stmt = engine.AddStatement(rules[i], "r" + std::to_string(i));
+      EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
+      if (!stmt.ok()) continue;
+      (*stmt)->AddListener(
+          [this](const MatchResult& m) { log.push_back(EncodeMatch(m)); });
+    }
+  }
+
+  void Send(std::mt19937* rng, int64_t ts) {
+    engine.SendEvent(
+        engine.NewEvent("probe")
+            .Set("zone", std::uniform_int_distribution<int64_t>(0, 4)(*rng))
+            .Set("hostile", HostileValue(rng))
+            .Set("exact",
+                 std::uniform_int_distribution<int>(0, 100)(*rng) * 0.25)
+            .SetTimestamp(ts)
+            .Build());
+  }
+};
+
+TEST(StatementSnapshotTest, RestoreMidStreamContinuesLikeTheOriginal) {
+  MidStreamEngine original;
+  std::mt19937 rng(4242);
+  int64_t ts = 0;
+  for (int i = 0; i < 300; ++i) original.Send(&rng, ts += 500'000);
+
+  std::string snapshot;
+  ASSERT_TRUE(original.engine.Snapshot(&snapshot).ok());
+  MidStreamEngine restored;
+  ASSERT_TRUE(restored.engine.Restore(snapshot).ok());
+
+  // Both engines take the same continuation of the stream.
+  original.log.clear();
+  std::mt19937 rng_copy = rng;
+  const int64_t resume_ts = ts;
+  for (int i = 0; i < 300; ++i) original.Send(&rng, ts += 500'000);
+  ts = resume_ts;
+  for (int i = 0; i < 300; ++i) restored.Send(&rng_copy, ts += 500'000);
+
+  ASSERT_FALSE(original.log.empty());
+  EXPECT_EQ(original.log, restored.log);
+  std::string original_end, restored_end;
+  ASSERT_TRUE(original.engine.Snapshot(&original_end).ok());
+  ASSERT_TRUE(restored.engine.Snapshot(&restored_end).ok());
+  EXPECT_EQ(original_end, restored_end);
 }
 
 }  // namespace

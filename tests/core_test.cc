@@ -767,7 +767,7 @@ TEST_F(RetrievalTest, EsperBoltConfigHooksBeforeSendOnlyWhenASetupHasOne) {
     auto config = MakeEsperBoltConfig(std::move(setups), {1, 2});
     ASSERT_EQ(config->rules_per_task.size(), 3u);
     EXPECT_EQ(config->rules_per_task[2].size(), 1u);
-    // A null hook leaves EsperBolt::ExecuteBatch on its batch path.
+    // A null hook means EsperBolt::Execute makes no per-tuple hook call.
     EXPECT_EQ(static_cast<bool>(config->before_send),
               strategy == ThresholdRetrieval::kJoinWithDatabase)
         << ThresholdRetrievalToString(strategy);

@@ -592,7 +592,6 @@ TEST(MetricsRegistryTest, PrometheusSnapshotExportsEveryFamily) {
   registry.RecordShed("bolt", 0, TuplePriority::kLow);
   registry.RecordShed("bolt", 0, TuplePriority::kLow);
   registry.RecordShed("bolt", 0, TuplePriority::kNormal);
-  registry.RecordSquelch("spout", 0);
   registry.RecordCreditStall(1500);
 
   std::string text =
@@ -616,7 +615,6 @@ TEST(MetricsRegistryTest, PrometheusSnapshotExportsEveryFamily) {
            "insight_net_reconnects_total",
            "insight_net_requeued_tuples_total",
            "insight_tuples_shed_total",
-           "insight_squelched_sources_total",
            "insight_credits_stalled_ns_total",
        }) {
     EXPECT_NE(text.find(std::string("# TYPE ") + family), std::string::npos)
@@ -641,8 +639,8 @@ TEST(MetricsRegistryTest, PrometheusSnapshotExportsEveryFamily) {
   EXPECT_NE(text.find("insight_net_reconnects_total 1"), std::string::npos);
   EXPECT_NE(text.find("insight_net_requeued_tuples_total 7"),
             std::string::npos);
-  // Overload families: shed carries component + priority labels, squelch the
-  // component, and the credit-stall counter is process-wide.
+  // Overload families: shed carries component + priority labels, and the
+  // credit-stall counter is process-wide.
   EXPECT_NE(text.find("insight_tuples_shed_total{component=\"bolt\","
                       "priority=\"low\"} 2"),
             std::string::npos);
@@ -651,8 +649,6 @@ TEST(MetricsRegistryTest, PrometheusSnapshotExportsEveryFamily) {
             std::string::npos);
   EXPECT_NE(text.find("insight_tuples_shed_total{component=\"bolt\","
                       "priority=\"high\"} 0"),
-            std::string::npos);
-  EXPECT_NE(text.find("insight_squelched_sources_total{component=\"spout\"} 1"),
             std::string::npos);
   EXPECT_NE(text.find("insight_credits_stalled_ns_total 1500"),
             std::string::npos);

@@ -1,20 +1,18 @@
-// Overload-protection tests: QueueGate/SourceSquelch/AdaptiveBatch units,
-// credit-flow liveness and exact occupancy, priority-aware shedding with
-// full accounting (shed + delivered == emitted, shed trees fail fast),
-// hot-key squelch demotion, the bounded-overshoot regression for blocking
-// backpressure, and the disabled-equals-seed identity check.
+// Overload-protection tests: QueueGate/AdaptiveBatch units, credit-flow
+// liveness and exact occupancy, priority-aware shedding with full accounting
+// (shed + delivered == emitted, shed trees fail fast), the bounded-overshoot
+// regression for blocking backpressure, and the disabled-equals-seed
+// identity check.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <map>
 #include <memory>
 #include <set>
 #include <thread>
 #include <vector>
 
-#include "common/clock.h"
 #include "common/mutex.h"
 #include "dsps/local_runtime.h"
 #include "dsps/overload.h"
@@ -49,56 +47,6 @@ TEST(QueueGateTest, ForceAcquireCanOvershootForBlockingMode) {
   EXPECT_FALSE(gate.TryAcquire(1));
   gate.Release(6);
   EXPECT_DOUBLE_EQ(gate.Occupancy(), 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// SourceSquelch
-
-overload::Options SquelchOptions() {
-  overload::Options options;
-  options.enable_squelch = true;
-  options.squelch_history = 16;
-  options.squelch_duplicate_rate = 0.5;
-  options.squelch_min_samples = 8;
-  options.squelch_duration_micros = 1'000;
-  return options;
-}
-
-TEST(SourceSquelchTest, HotKeySquelchesAndExpires) {
-  ManualClock clock;
-  overload::SourceSquelch squelch(SquelchOptions(), &clock);
-  // One hot key: after the first window the duplicate rate is ~100%.
-  for (int i = 0; i < 8; ++i) squelch.Observe(42);
-  EXPECT_TRUE(squelch.squelched());
-  EXPECT_EQ(squelch.squelch_events(), 1u);
-
-  // Still squelched inside the duration, whatever the keys look like now.
-  clock.Advance(500);
-  for (int i = 0; i < 8; ++i) squelch.Observe(1000 + i);
-  EXPECT_TRUE(squelch.squelched());
-  EXPECT_EQ(squelch.squelch_events(), 1u);  // no re-entry while active
-
-  // Past the duration with a distinct-key window: released.
-  clock.Advance(1'000);
-  for (int i = 0; i < 8; ++i) squelch.Observe(2000 + i);
-  EXPECT_FALSE(squelch.squelched());
-}
-
-TEST(SourceSquelchTest, DistinctKeysNeverSquelch) {
-  ManualClock clock;
-  overload::SourceSquelch squelch(SquelchOptions(), &clock);
-  for (uint64_t i = 0; i < 1000; ++i) {
-    EXPECT_FALSE(squelch.Observe(i * 0x9e3779b97f4a7c15ULL));
-  }
-  EXPECT_EQ(squelch.squelch_events(), 0u);
-}
-
-TEST(SourceSquelchTest, ZeroHashDoesNotAliasEmptySlots) {
-  ManualClock clock;
-  overload::SourceSquelch squelch(SquelchOptions(), &clock);
-  // A stream of zero hashes is one hot key, not a stream of "empty" slots.
-  for (int i = 0; i < 8; ++i) squelch.Observe(0);
-  EXPECT_TRUE(squelch.squelched());
 }
 
 // ---------------------------------------------------------------------------
@@ -371,48 +319,6 @@ TEST(OverloadRuntimeTest, SheddingIdleWhenBelowWatermarks) {
 }
 
 // ---------------------------------------------------------------------------
-// Hot-key squelch
-
-TEST(OverloadRuntimeTest, HotKeySourceGetsSquelched) {
-  // A single-key stream into a fields-grouped edge is 100% duplicates: the
-  // emitting task must enter the squelched state at least once.
-  auto sink = std::make_shared<SlowSink::Sink>();
-  struct HotKeySpout : public Spout {
-    int remaining;
-    explicit HotKeySpout(int n) : remaining(n) {}
-    bool NextTuple(Collector* collector) override {
-      if (remaining <= 0) return false;
-      --remaining;
-      collector->Emit({Value(int64_t{7})});
-      return remaining > 0;
-    }
-  };
-  TopologyBuilder builder;
-  builder.SetSpout("s", [] { return std::make_unique<HotKeySpout>(1000); },
-                   Fields({"k"}));
-  builder.SetBolt("sink",
-                  [sink] { return std::make_unique<SlowSink>(sink, 0); },
-                  Fields({}), 2)
-      .FieldsGrouping("s", {"k"});
-  auto topology = builder.Build();
-  ASSERT_TRUE(topology.ok());
-
-  LocalRuntime::Options options;
-  options.overload.enable_squelch = true;
-  options.overload.squelch_history = 16;
-  options.overload.squelch_min_samples = 16;
-  options.overload.squelch_duplicate_rate = 0.5;
-  LocalRuntime runtime(std::move(*topology), options);
-  ASSERT_TRUE(runtime.Start().ok());
-  runtime.AwaitCompletion();
-
-  // Squelch demotes but never drops on its own: everything arrives.
-  EXPECT_EQ(sink->values.size(), 1000u);
-  EXPECT_GE(runtime.metrics()->Totals("s").squelched, 1u);
-  runtime.Stop();
-}
-
-// ---------------------------------------------------------------------------
 // Adaptive batch
 
 TEST(OverloadRuntimeTest, AdaptiveBatchStillDeliversEverything) {
@@ -446,7 +352,7 @@ TEST(OverloadRuntimeTest, AdaptiveBatchStillDeliversEverything) {
 
 TEST(OverloadRuntimeTest, AllDisabledMatchesSeedBehavior) {
   // Default options leave every overload feature off: no gates are built,
-  // no shed/squelch/stall counters may move, and delivery is exact.
+  // no shed/stall counters may move, and delivery is exact.
   auto sink = std::make_shared<SlowSink::Sink>();
   TopologyBuilder builder;
   builder.SetSpout("s", [] { return std::make_unique<CounterSpout>(1000); },
@@ -469,7 +375,6 @@ TEST(OverloadRuntimeTest, AllDisabledMatchesSeedBehavior) {
   EXPECT_EQ(seen.size(), 1000u);
   auto totals = runtime.metrics()->Totals("sink");
   EXPECT_EQ(totals.shed_low + totals.shed_normal + totals.shed_high, 0u);
-  EXPECT_EQ(totals.squelched, 0u);
   EXPECT_EQ(runtime.metrics()->credits_stalled_ns(), 0u);
   runtime.Stop();
 }

@@ -581,83 +581,29 @@ TEST(ReliabilityEndToEndTest, OverlappingSpoutMessageIdsResolveIndependently) {
 }
 
 // ---------------------------------------------------------------------------
-// Replay backoff jitter
+// Replay backoff
 // ---------------------------------------------------------------------------
 
-TEST(ReplayJitterTest, JitterSpreadsDelaysWithinBounds) {
-  ReplayPolicy policy;
-  policy.backoff_base_micros = 10'000;
-  policy.backoff_factor = 2.0;
-  policy.backoff_jitter = 0.5;
-  policy.jitter_seed = 0x5eedULL;
-  ReplayBuffer buffer(policy);
-
-  // Trees expiring in the same sweep must not replay in lockstep: across
-  // message ids the first-attempt delays spread within the jitter band.
-  std::set<MicrosT> distinct;
-  for (uint64_t id = 1; id <= 64; ++id) {
-    MicrosT delay = buffer.BackoffFor(id, 1);
-    EXPECT_GE(delay, static_cast<MicrosT>(10'000 * 0.5));
-    EXPECT_LT(delay, static_cast<MicrosT>(10'000 * 1.5));
-    distinct.insert(delay);
-  }
-  EXPECT_GT(distinct.size(), 32u);
-
-  // The exponential shape survives under jitter: attempt 2's band is the
-  // doubled base's band.
-  for (uint64_t id = 1; id <= 16; ++id) {
-    MicrosT delay = buffer.BackoffFor(id, 2);
-    EXPECT_GE(delay, static_cast<MicrosT>(20'000 * 0.5));
-    EXPECT_LT(delay, static_cast<MicrosT>(20'000 * 1.5));
-  }
-}
-
-TEST(ReplayJitterTest, JitterIsDeterministicUnderFixedSeed) {
-  ReplayPolicy policy;
-  policy.backoff_base_micros = 10'000;
-  policy.backoff_jitter = 0.5;
-  policy.jitter_seed = 0x5eedULL;
-  ReplayBuffer a(policy);
-  ReplayBuffer b(policy);
-  policy.jitter_seed = 0xfeedULL;
-  ReplayBuffer c(policy);
-
-  bool seed_differs = false;
-  for (uint64_t id = 1; id <= 32; ++id) {
-    for (int attempt = 1; attempt <= 3; ++attempt) {
-      // Same seed: bitwise identical schedules (reproducible fault runs).
-      EXPECT_EQ(a.BackoffFor(id, attempt), b.BackoffFor(id, attempt));
-      if (a.BackoffFor(id, attempt) != c.BackoffFor(id, attempt)) {
-        seed_differs = true;
-      }
-    }
-  }
-  EXPECT_TRUE(seed_differs);
-}
-
-TEST(ReplayJitterTest, ZeroJitterKeepsSeedBackoffExactly) {
+TEST(ReplayBackoffTest, BackoffGrowsExponentiallyPerAttempt) {
   ReplayPolicy policy;
   policy.backoff_base_micros = 10'000;
   policy.backoff_factor = 2.0;
   ReplayBuffer buffer(policy);
-  EXPECT_EQ(buffer.BackoffFor(1, 1), 10'000);
-  EXPECT_EQ(buffer.BackoffFor(2, 1), 10'000);
-  EXPECT_EQ(buffer.BackoffFor(1, 2), 20'000);
-  EXPECT_EQ(buffer.BackoffFor(1, 3), 40'000);
+  EXPECT_EQ(buffer.BackoffFor(1), 10'000);
+  EXPECT_EQ(buffer.BackoffFor(2), 20'000);
+  EXPECT_EQ(buffer.BackoffFor(3), 40'000);
 }
 
-TEST(ReplayJitterTest, FailSchedulesTheJitteredDelay) {
+TEST(ReplayBackoffTest, FailSchedulesTheBackoffDelay) {
   ReplayPolicy policy;
   policy.max_replays = 3;
   policy.backoff_base_micros = 10'000;
-  policy.backoff_jitter = 0.5;
-  policy.jitter_seed = 0x5eedULL;
   ReplayBuffer buffer(policy);
   buffer.Store(7, 0, 0, {Value(int64_t{1})});
 
-  const MicrosT expected = buffer.BackoffFor(7, 1);
+  const MicrosT expected = buffer.BackoffFor(1);
   ASSERT_TRUE(buffer.Fail(7, 0, 0, /*now=*/1'000'000));
-  // Not due one tick before the jittered deadline, due exactly at it.
+  // Not due one tick before the deadline, due exactly at it.
   EXPECT_TRUE(buffer.TakeDue(0, 0, 1'000'000 + expected - 1).empty());
   std::vector<ReplayBuffer::Due> due =
       buffer.TakeDue(0, 0, 1'000'000 + expected);

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 
+#include "common/clock.h"
+#include "common/mutex.h"
+#include "dsps/local_runtime.h"
+#include "dsps/topology.h"
 #include "traffic/bolts.h"
 #include "traffic/generator.h"
 #include "traffic/trace.h"
@@ -348,6 +354,130 @@ TEST(RunBoundaryTest, EsperNewStreamDropsBusWindowsAndKeepsThresholds) {
   EXPECT_EQ(out.emitted.size(), 1u);
   send(3, 250.0);  // {10, 250}: 130 > 100, the kept threshold still joins
   EXPECT_EQ(out.emitted.size(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Per-input metadata of detections under the local runtime
+// ---------------------------------------------------------------------------
+
+/// What the runtime attached to one tuple, keyed by the bus timestamp the
+/// tuple carries (unique per input here).
+struct TupleMeta {
+  MicrosT spout_time = 0;
+  dsps::TuplePriority priority = dsps::TuplePriority::kNormal;
+  uint64_t trace_id = 0;
+  bool operator==(const TupleMeta&) const = default;
+};
+
+struct MetaLog {
+  Mutex mutex;
+  std::map<int64_t, TupleMeta> by_timestamp;
+};
+
+/// Emits `count` enriched reports, one per NextTuple, cycling through the
+/// three priorities. Each call returns only once the system clock has moved
+/// past the time the runtime stamped it with, so every input gets its own
+/// spout time.
+class MixedPrioritySpout : public dsps::Spout {
+ public:
+  explicit MixedPrioritySpout(int count) : count_(count) {}
+  bool NextTuple(dsps::Collector* collector) override {
+    if (next_ >= count_) return false;
+    const MicrosT stamped = SystemClock::Get()->NowMicros();
+    static constexpr dsps::TuplePriority kCycle[] = {
+        dsps::TuplePriority::kHigh, dsps::TuplePriority::kLow,
+        dsps::TuplePriority::kNormal};
+    const int i = next_++;
+    collector->EmitPrioritized(
+        kCycle[i % 3], TraceToEnrichedValues(Report(i % 5, 1000 + i, i)));
+    while (SystemClock::Get()->NowMicros() <= stamped) {
+    }
+    return next_ < count_;
+  }
+
+ private:
+  int count_;
+  int next_ = 0;
+};
+
+/// Records each input's metadata under the timestamp in field `ts_field`.
+class MetaRecorder : public dsps::Bolt {
+ public:
+  MetaRecorder(std::shared_ptr<MetaLog> log, int ts_field)
+      : log_(std::move(log)), ts_field_(ts_field) {}
+  void Execute(const dsps::Tuple& input, dsps::Collector*) override {
+    MutexLock lock(log_->mutex);
+    log_->by_timestamp[input.Get(ts_field_).AsInt()] =
+        TupleMeta{input.spout_time(), input.priority(), input.trace_id()};
+  }
+
+ private:
+  std::shared_ptr<MetaLog> log_;
+  int ts_field_;
+};
+
+TEST(EsperBoltRuntimeTest, EachDetectionCarriesTheMetadataOfTheInputThatFiredIt) {
+  // The spout's outbox hands the Esper bolt blocks of up to emit_batch
+  // tuples with mixed priorities and distinct spout times. A detection must
+  // inherit its own input's metadata, not that of its block's first tuple.
+  static constexpr int kInputs = 120;
+  for (double sample_rate : {0.0, 1.0}) {
+    auto config = std::make_shared<EsperBoltConfig>();
+    config->rules_per_task = {{{"every", R"(
+        @Trigger(bus)
+        SELECT bd.area_leaf AS location, bd.delay AS value,
+               bd.timestamp AS timestamp
+        FROM bus.std:lastevent() as bd)"}}};
+    auto inputs = std::make_shared<MetaLog>();
+    auto detections = std::make_shared<MetaLog>();
+    dsps::TopologyBuilder builder;
+    builder.SetSpout("s",
+                     [] { return std::make_unique<MixedPrioritySpout>(kInputs); },
+                     EnrichedFields({}));
+    builder.SetBolt("tap",
+                    [inputs] { return std::make_unique<MetaRecorder>(inputs, 0); },
+                    dsps::Fields({}))
+        .ShuffleGrouping("s");
+    builder.SetBolt("esper",
+                    [config] { return std::make_unique<EsperBolt>(config); },
+                    DetectionFields())
+        .ShuffleGrouping("s");
+    builder.SetBolt("sink",
+                    [detections] {
+                      return std::make_unique<MetaRecorder>(detections, 5);
+                    },
+                    dsps::Fields({}))
+        .ShuffleGrouping("esper");
+    auto topology = builder.Build();
+    ASSERT_TRUE(topology.ok());
+
+    dsps::LocalRuntime::Options options;
+    options.emit_batch = 16;
+    options.enable_tracing = sample_rate > 0.0;
+    options.trace_sample_rate = sample_rate;
+    dsps::LocalRuntime runtime(std::move(*topology), options);
+    ASSERT_TRUE(runtime.Start().ok());
+    runtime.AwaitCompletion();
+    runtime.Stop();
+
+    MutexLock in_lock(inputs->mutex);
+    MutexLock out_lock(detections->mutex);
+    ASSERT_EQ(inputs->by_timestamp.size(), static_cast<size_t>(kInputs));
+    ASSERT_EQ(detections->by_timestamp.size(), static_cast<size_t>(kInputs));
+    std::set<MicrosT> spout_times;
+    for (const auto& [ts, meta] : detections->by_timestamp) {
+      auto it = inputs->by_timestamp.find(ts);
+      ASSERT_NE(it, inputs->by_timestamp.end()) << "timestamp " << ts;
+      EXPECT_EQ(meta.spout_time, it->second.spout_time) << "timestamp " << ts;
+      EXPECT_EQ(meta.priority, it->second.priority) << "timestamp " << ts;
+      EXPECT_EQ(meta.trace_id, it->second.trace_id) << "timestamp " << ts;
+      if (sample_rate > 0.0) {
+        EXPECT_NE(meta.trace_id, 0u) << "timestamp " << ts;
+      }
+      spout_times.insert(meta.spout_time);
+    }
+    EXPECT_EQ(spout_times.size(), static_cast<size_t>(kInputs));
+  }
 }
 
 }  // namespace
