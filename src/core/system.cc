@@ -468,10 +468,8 @@ Status TrafficManagementSystem::BuildLive() {
       .ShuffleGrouping("esper");
 
   INSIGHT_ASSIGN_OR_RETURN(dsps::Topology topology, builder.Build());
-  dsps::LocalRuntime::Options runtime_options = config_.runtime;
-  runtime_options.num_workers = config_.num_workers;
   live->runtime =
-      std::make_unique<dsps::LocalRuntime>(std::move(topology), runtime_options);
+      std::make_unique<dsps::LocalRuntime>(std::move(topology), config_.runtime);
   INSIGHT_RETURN_NOT_OK(live->runtime->StartLongLived());
   live_ = std::move(live);
   return Status::OK();

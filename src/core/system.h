@@ -72,7 +72,6 @@ class TrafficManagementSystem {
     int tracker_executors = 2;
     int splitter_executors = 1;
     int storer_executors = 1;
-    int num_workers = 1;
     dsps::LocalRuntime::Options runtime;
   };
 

@@ -126,7 +126,6 @@ void EncodeWindowReport(const dsps::MetricsRegistry::WindowReport& report,
   writer->PutU64(report.checkpoint_restores);
   writer->PutU64(report.checkpoint_restore_failures);
   writer->PutU64(report.deduped);
-  writer->PutU64(report.breaker_trips);
 }
 
 bool DecodeWindowReport(ByteReader* reader,
@@ -144,8 +143,7 @@ bool DecodeWindowReport(ByteReader* reader,
          reader->GetU64(&out->checkpoints) &&
          reader->GetU64(&out->checkpoint_restores) &&
          reader->GetU64(&out->checkpoint_restore_failures) &&
-         reader->GetU64(&out->deduped) &&
-         reader->GetU64(&out->breaker_trips);
+         reader->GetU64(&out->deduped);
 }
 
 }  // namespace

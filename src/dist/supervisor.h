@@ -22,9 +22,8 @@ namespace dist {
 /// re-executing this binary (`/proc/self/exe`) with `--insight-*` role
 /// flags, serves the control plane (registration, peer-table broadcast,
 /// heartbeats, metrics collection), restarts workers that die or stop
-/// heartbeating (with a restart budget, like the crash-loop breaker), and
-/// initiates the drain once the cluster is quiescent for two consecutive
-/// sweeps.
+/// heartbeating (within a restart budget), and initiates the drain once the
+/// cluster is quiescent for two consecutive sweeps.
 class Supervisor {
  public:
   explicit Supervisor(const DistOptions& options);

@@ -63,6 +63,19 @@ uint64_t RootKey(int spout_component, int spout_task, uint64_t message_id,
 constexpr uint32_t kTaskSnapshotMagic = 0x314b4354;  // "TCK1"
 constexpr uint32_t kTaskSnapshotVersion = 1;
 
+/// Dedup ids a checkpointed task remembers (reliability::DedupLedger).
+constexpr size_t kDedupLedgerCapacity = 4096;
+
+/// A migration that cannot complete within this budget is aborted and rolled
+/// back (routing restored, source stays authoritative).
+constexpr MicrosT kMigrationTimeoutMicros = 10'000'000;
+
+/// The post-flip quiesce step requires the source task's inflow counter to
+/// read zero twice, this far apart, before snapshotting — closing the
+/// sub-microsecond window of an emitter that picked its route from the old
+/// table but had not yet staged the tuple.
+constexpr MicrosT kMigrationSettleMicros = 2'000;
+
 }  // namespace
 
 /// Routes emissions of one task. Bound to the task for its whole lifetime;
@@ -95,62 +108,32 @@ class LocalRuntime::TaskCollector : public Collector {
   }
 
   void Emit(std::vector<Value> values) override {
-    Tuple tuple(runtime_->fields_[static_cast<size_t>(component_index_)],
-                std::move(values), current_spout_time_);
-    tuple.set_priority(current_priority_);
-    uint64_t* batch = nullptr;
-    uint64_t* dedup_seq = nullptr;
-    if (current_root_key_ != 0) {
-      tuple.set_root_key(current_root_key_);
-      batch = &ack_batch_;
-      if (current_dedup_id_ != 0) dedup_seq = &dedup_seq_;
-    }
-    MaybeTraceSpoutEmit(&tuple);
-    runtime_->Route(component_index_, tuple, /*direct_task=*/-1, &emitted_,
-                    batch, current_dedup_id_, dedup_seq, &outbox_);
+    EmitValues(/*direct_task=*/-1, current_priority_, std::move(values));
   }
 
   void EmitDirect(int target_task, std::vector<Value> values) override {
-    Tuple tuple(runtime_->fields_[static_cast<size_t>(component_index_)],
-                std::move(values), current_spout_time_);
-    tuple.set_priority(current_priority_);
-    uint64_t* batch = nullptr;
-    uint64_t* dedup_seq = nullptr;
-    if (current_root_key_ != 0) {
-      tuple.set_root_key(current_root_key_);
-      batch = &ack_batch_;
-      if (current_dedup_id_ != 0) dedup_seq = &dedup_seq_;
-    }
-    MaybeTraceSpoutEmit(&tuple);
-    runtime_->Route(component_index_, tuple, target_task, &emitted_, batch,
-                    current_dedup_id_, dedup_seq, &outbox_);
-  }
-
-  void EmitRooted(uint64_t message_id, std::vector<Value> values) override {
-    if (is_spout_ && runtime_->options_.enable_acking) {
-      runtime_->EmitTracked(component_index_, task_index_, message_id,
-                            /*attempt=*/0, std::move(values),
-                            current_spout_time_, current_priority_, &emitted_,
-                            &outbox_);
-      return;
-    }
-    Emit(std::move(values));
+    EmitValues(target_task, current_priority_, std::move(values));
   }
 
   void EmitPrioritized(TuplePriority priority,
                        std::vector<Value> values) override {
-    TuplePriority saved = current_priority_;
-    current_priority_ = priority;
-    Emit(std::move(values));
-    current_priority_ = saved;
+    EmitValues(/*direct_task=*/-1, priority, std::move(values));
+  }
+
+  void EmitRooted(uint64_t message_id, std::vector<Value> values) override {
+    EmitRootedPrioritized(current_priority_, message_id, std::move(values));
   }
 
   void EmitRootedPrioritized(TuplePriority priority, uint64_t message_id,
                              std::vector<Value> values) override {
-    TuplePriority saved = current_priority_;
-    current_priority_ = priority;
-    EmitRooted(message_id, std::move(values));
-    current_priority_ = saved;
+    if (is_spout_ && runtime_->options_.enable_acking) {
+      runtime_->EmitTracked(component_index_, task_index_, message_id,
+                            /*attempt=*/0, std::move(values),
+                            current_spout_time_, priority, &emitted_,
+                            &outbox_);
+      return;
+    }
+    EmitValues(/*direct_task=*/-1, priority, std::move(values));
   }
 
   Outbox* outbox() { return &outbox_; }
@@ -199,6 +182,30 @@ class LocalRuntime::TaskCollector : public Collector {
     tuple->set_trace_id(current_trace_id_);
   }
 
+  /// The one emit routine behind Emit, EmitDirect and the prioritized
+  /// variants (all but a spout's tracked EmitRooted, which EmitTracked
+  /// roots): a bolt's output joins its input's tree when the input has one.
+  void EmitValues(int direct_task, TuplePriority priority,
+                  std::vector<Value> values) {
+    Tuple tuple(runtime_->fields_[static_cast<size_t>(component_index_)],
+                std::move(values), current_spout_time_);
+    tuple.set_priority(priority);
+    Emission emission;
+    emission.source_component = component_index_;
+    emission.outbox = &outbox_;
+    emission.emitted = &emitted_;
+    if (current_root_key_ != 0) {
+      tuple.set_root_key(current_root_key_);
+      emission.ack_batch = &ack_batch_;
+      if (current_dedup_id_ != 0) {
+        emission.dedup_seq = &dedup_seq_;
+        emission.dedup_base = current_dedup_id_;
+      }
+    }
+    MaybeTraceSpoutEmit(&tuple);
+    runtime_->Route(emission, tuple, direct_task);
+  }
+
   LocalRuntime* runtime_;
   int component_index_;
   int task_index_;
@@ -226,13 +233,11 @@ LocalRuntime::LocalRuntime(Topology topology, Options options)
     reliability::ReplayPolicy policy;
     policy.max_replays = options_.max_replays;
     policy.backoff_base_micros = options_.replay_backoff_micros;
-    policy.backoff_factor = options_.replay_backoff_factor;
     replay_ = std::make_unique<reliability::ReplayBuffer>(policy);
   }
   if (options_.enable_tracing) {
     observability::Tracer::Options topts;
     topts.sample_rate = options_.trace_sample_rate;
-    topts.max_spans = options_.trace_max_spans;
     tracer_ = std::make_unique<observability::Tracer>(topts);
     std::vector<std::string> names;
     for (const ComponentDef& def : topology_.components()) {
@@ -357,8 +362,8 @@ LocalRuntime::LocalRuntime(Topology topology, Options options)
         task.ckpt_slot = coordinator_->RegisterTask(
             components[c].name + "/" + std::to_string(task.task_index));
         if (options_.enable_replay_dedup) {
-          task.ledger = std::make_unique<reliability::DedupLedger>(
-              options_.dedup_ledger_capacity);
+          task.ledger =
+              std::make_unique<reliability::DedupLedger>(kDedupLedgerCapacity);
         }
         any_checkpointed = true;
       }
@@ -937,15 +942,13 @@ void LocalRuntime::StallForCredits(Outbox* outbox) {
   }
 }
 
-void LocalRuntime::Deliver(int source_component, int target_component,
-                           int task_index, const Tuple& tuple,
-                           uint64_t* emitted, uint64_t* ack_batch,
-                           uint64_t dedup_base, uint64_t* dedup_seq,
-                           Outbox* outbox) {
+void LocalRuntime::Deliver(const Emission& emission, int target_component,
+                           int task_index, const Tuple& tuple) {
   reliability::FaultInjector::RouteDecision decision;
   if (options_.fault_injector != nullptr) {
     decision = options_.fault_injector->OnRoute(
-        topology_.components()[static_cast<size_t>(source_component)].name,
+        topology_.components()[static_cast<size_t>(emission.source_component)]
+            .name,
         topology_.components()[static_cast<size_t>(target_component)].name);
   }
   if (decision.delay_micros > 0) {
@@ -960,8 +963,9 @@ void LocalRuntime::Deliver(int source_component, int target_component,
   // decisions come after the draw for the same reason: an attempt that sheds
   // differently must not shift the surviving tuples' chain positions.)
   uint64_t dedup_id = 0;
-  if (dedup_seq != nullptr) {
-    uint64_t d = Splitmix(dedup_base ^ (0x9e3779b97f4a7c15ULL * ++*dedup_seq));
+  if (emission.dedup_seq != nullptr) {
+    uint64_t d = Splitmix(emission.dedup_base ^
+                          (0x9e3779b97f4a7c15ULL * ++*emission.dedup_seq));
     dedup_id = d == 0 ? 1 : d;
   }
   int copies = decision.duplicate ? 2 : 1;
@@ -981,10 +985,10 @@ void LocalRuntime::Deliver(int source_component, int target_component,
       // balances) and per-priority in tuples_shed, attributed to the task
       // whose queue is saturated. kHigh never reaches here.
       for (int i = 0; i < copies; ++i) {
-        ++*emitted;
+        ++*emission.emitted;
         overload_refs_[gid].RecordShed(priority);
       }
-      if (ack_batch != nullptr && tuple.root_key() != 0 &&
+      if (emission.ack_batch != nullptr && tuple.root_key() != 0 &&
           acker_ != nullptr) {
         // Fail fast: shedding any tuple of a tracked tree fails the whole
         // message now — Spout::Fail fires immediately and the replay
@@ -1001,62 +1005,55 @@ void LocalRuntime::Deliver(int source_component, int target_component,
   for (int i = 0; i < copies; ++i) {
     Tuple copy = tuple;  // payload is refcount-shared, not deep-copied
     if (dedup_id != 0) copy.set_dedup_id(dedup_id);
-    if (ack_batch != nullptr) {
+    if (emission.ack_batch != nullptr) {
       // Each delivered instance is one tree edge: a fresh random id, XORed
       // into the emitter's batch at stage time. A dropped tuple's edge is
       // still counted — it will never be acked, so the tree times out and
       // replays, exactly like a network loss under Storm.
       uint64_t edge = NextEdgeId();
       copy.set_edge_id(edge);
-      *ack_batch ^= edge;
+      *emission.ack_batch ^= edge;
     }
-    ++*emitted;
+    ++*emission.emitted;
     if (decision.drop) continue;
-    Stage(target_component, task_index, std::move(copy), outbox);
+    Stage(target_component, task_index, std::move(copy), emission.outbox);
   }
 }
 
-void LocalRuntime::Route(int source_component, const Tuple& tuple,
-                         int direct_task, uint64_t* emitted,
-                         uint64_t* ack_batch, uint64_t dedup_base,
-                         uint64_t* dedup_seq, Outbox* outbox) {
-  for (const RouteTarget& target :
-       routes_[static_cast<size_t>(source_component)]) {
-    int num_tasks = static_cast<int>(
-        tasks_[static_cast<size_t>(target.component_index)].size());
+void LocalRuntime::Route(const Emission& emission, const Tuple& tuple,
+                         int direct_task) {
+  const size_t source = static_cast<size_t>(emission.source_component);
+  for (const RouteTarget& target : routes_[source]) {
+    const int component = target.component_index;
+    const int num_tasks =
+        static_cast<int>(tasks_[static_cast<size_t>(component)].size());
     if (direct_task >= 0) {
       if (target.grouping != Grouping::kDirect) continue;
       INSIGHT_CHECK(direct_task < num_tasks)
           << "EmitDirect task " << direct_task << " out of range";
-      Deliver(source_component, target.component_index, direct_task, tuple,
-              emitted, ack_batch, dedup_base, dedup_seq, outbox);
+      Deliver(emission, component, direct_task, tuple);
       continue;
     }
     switch (target.grouping) {
       case Grouping::kShuffle: {
-        uint64_t n = shuffle_counters_[static_cast<size_t>(source_component)]
-                         .fetch_add(1, std::memory_order_relaxed);
-        Deliver(source_component, target.component_index,
-                static_cast<int>(n % num_tasks), tuple, emitted, ack_batch,
-                dedup_base, dedup_seq, outbox);
+        uint64_t n =
+            shuffle_counters_[source].fetch_add(1, std::memory_order_relaxed);
+        Deliver(emission, component, static_cast<int>(n % num_tasks), tuple);
         break;
       }
       case Grouping::kFields: {
         uint64_t h = HashValues(tuple.values(), target.field_indexes);
-        Deliver(source_component, target.component_index,
-                static_cast<int>(h % static_cast<uint64_t>(num_tasks)), tuple,
-                emitted, ack_batch, dedup_base, dedup_seq, outbox);
+        Deliver(emission, component,
+                static_cast<int>(h % static_cast<uint64_t>(num_tasks)), tuple);
         break;
       }
       case Grouping::kAll:
         for (int t = 0; t < num_tasks; ++t) {
-          Deliver(source_component, target.component_index, t, tuple, emitted,
-                  ack_batch, dedup_base, dedup_seq, outbox);
+          Deliver(emission, component, t, tuple);
         }
         break;
       case Grouping::kGlobal:
-        Deliver(source_component, target.component_index, 0, tuple, emitted,
-                ack_batch, dedup_base, dedup_seq, outbox);
+        Deliver(emission, component, 0, tuple);
         break;
       case Grouping::kDirect:
         // Plain Emit does not feed direct subscriptions.
@@ -1099,22 +1096,24 @@ void LocalRuntime::EmitTracked(int component_index, int task_index,
   tuple.set_trace_id(info.trace_id);
   tuple.set_priority(priority);
   uint64_t batch = 0;
-  // Replay-stable dedup root: derived from the spout task and message id
-  // (not the attempt), so a replayed attempt re-derives the exact same
-  // per-emission dedup ids and checkpointed tasks can recognize
-  // already-applied tuples, while same-numbered messages of different
-  // spouts get disjoint id chains.
-  uint64_t root_dedup = 0;
   uint64_t dedup_seq = 0;
-  uint64_t* seq_ptr = nullptr;
+  Emission emission;
+  emission.source_component = component_index;
+  emission.outbox = outbox;
+  emission.emitted = emitted;
+  emission.ack_batch = &batch;
   if (dedup_enabled_) {
+    // Replay-stable dedup root: derived from the spout task and message id
+    // (not the attempt), so a replayed attempt re-derives the exact same
+    // per-emission dedup ids and checkpointed tasks can recognize
+    // already-applied tuples, while same-numbered messages of different
+    // spouts get disjoint id chains.
     uint64_t d = Splitmix(message_id ^
                           SpoutScope(component_index, task_index));
-    root_dedup = d == 0 ? 1 : d;
-    seq_ptr = &dedup_seq;
+    emission.dedup_base = d == 0 ? 1 : d;
+    emission.dedup_seq = &dedup_seq;
   }
-  Route(component_index, tuple, /*direct_task=*/-1, emitted, &batch,
-        root_dedup, seq_ptr, outbox);
+  Route(emission, tuple, /*direct_task=*/-1);
   if (auto done = acker_->Xor(info.root_key, guard ^ batch)) {
     OnTreeCompleted(*done);
   }
@@ -1567,13 +1566,7 @@ void LocalRuntime::SupervisorLoop() {
     // fresh instances — the relaunched executor restores checkpointed tasks
     // from their latest durable snapshot, everything else starts clean.
     for (auto& slot : executors_) {
-      if (slot->dead.load() || !slot->crashed.load() || stopping_.load()) {
-        continue;
-      }
-      if (options_.enable_crash_loop_breaker &&
-          !ContainCrashLoop(slot.get(), options_.clock->NowMicros())) {
-        continue;  // backing off, or the breaker just tripped
-      }
+      if (!slot->crashed.load() || stopping_.load()) continue;
       if (slot->thread.joinable()) slot->thread.join();
       const ComponentDef& def =
           topology_.components()[static_cast<size_t>(slot->component_index)];
@@ -1592,7 +1585,6 @@ void LocalRuntime::SupervisorLoop() {
       ExecutorSlot* raw = slot.get();
       slot->thread = Thread([this, raw] { ExecutorLoop(raw); });
     }
-    if (options_.enable_crash_loop_breaker) DrainDeadTaskQueues();
 
     // Fail tuple trees that outlived the ack timeout: schedule a replay, or
     // — once the replay budget is spent — permanently fail the message.
@@ -1796,142 +1788,6 @@ void LocalRuntime::FailDiscardedTree(const reliability::TreeInfo& info) {
   NotifyPossiblyDone();
 }
 
-bool LocalRuntime::ContainCrashLoop(ExecutorSlot* slot, MicrosT now) {
-  // next_restart_micros == 0 means this crash has not been recorded yet;
-  // record it, prune the window, and either trip the breaker or start the
-  // backoff clock. All of this state is supervisor-thread-only.
-  if (slot->next_restart_micros == 0) {
-    slot->restart_times.push_back(now);
-    while (!slot->restart_times.empty() &&
-           slot->restart_times.front() <
-               now - options_.breaker_window_micros) {
-      slot->restart_times.pop_front();
-    }
-    int crashes = static_cast<int>(slot->restart_times.size());
-    if (crashes > options_.breaker_max_restarts) {
-      TripBreaker(slot);
-      return false;
-    }
-    double backoff =
-        static_cast<double>(options_.restart_backoff_base_micros);
-    for (int i = 1; i < crashes; ++i) {
-      backoff *= options_.restart_backoff_factor;
-      if (backoff >=
-          static_cast<double>(options_.restart_backoff_max_micros)) {
-        break;
-      }
-    }
-    MicrosT delay = std::min<MicrosT>(static_cast<MicrosT>(backoff),
-                                      options_.restart_backoff_max_micros);
-    slot->next_restart_micros = now + delay;
-  }
-  if (now < slot->next_restart_micros) return false;  // still backing off
-  slot->next_restart_micros = 0;
-  return true;
-}
-
-void LocalRuntime::TripBreaker(ExecutorSlot* slot) {
-  // The executor crashed `breaker_max_restarts + 1` times inside the
-  // window: stop relaunching it. The crashed thread has already returned
-  // (or is returning), so joining here is cheap and makes the slot's tasks
-  // exclusively supervisor-owned from now on.
-  slot->dead.store(true);
-  if (slot->thread.joinable()) slot->thread.join();
-  dead_executors_.fetch_add(1);
-  const ComponentDef& def =
-      topology_.components()[static_cast<size_t>(slot->component_index)];
-  INSIGHT_LOG(Warning) << "circuit breaker tripped: executor "
-                       << slot->executor_index << " of " << def.name
-                       << " permanently failed after "
-                       << slot->restart_times.size()
-                       << " crashes; topology is degraded";
-  for (auto& task : tasks_[static_cast<size_t>(slot->component_index)]) {
-    if (task.task_index % def.num_executors != slot->executor_index) continue;
-    metrics_.RecordBreakerTrip(def.name, task.task_index);
-    if (task.spout == nullptr) continue;
-    // A dead spout task's pending trees can never be re-emitted: fail them
-    // now so the topology can drain. Deviation from Storm's contract: the
-    // spout executor is permanently gone, so Ack/Fail callbacks for this
-    // task are delivered on the supervisor thread from here on.
-    if (!task.spout_done) {
-      task.spout_done = true;
-      live_spout_tasks_.fetch_sub(1);
-    }
-    if (acker_ == nullptr) continue;
-    for (const reliability::TreeInfo& info :
-         acker_->DiscardSpout(slot->component_index, task.task_index)) {
-      replay_->Discard(info.message_id, info.spout_component,
-                       info.spout_task);
-      metrics_.RecordFail(def.name, task.task_index);
-      if (tracer_ != nullptr && info.trace_id != 0) {
-        tracer_->AbandonTrace(info.trace_id);
-      }
-      task.spout->Fail(info.message_id);
-      size_t prev = pending_roots_.fetch_sub(1);
-      TMS_DCHECK_GE(prev, size_t{1})
-          << "pending tree count underflow on spout trip";
-    }
-    for (uint64_t message_id :
-         replay_->DiscardAllFor(slot->component_index, task.task_index)) {
-      metrics_.RecordFail(def.name, task.task_index);
-      task.spout->Fail(message_id);
-      size_t prev = pending_roots_.fetch_sub(1);
-      TMS_DCHECK_GE(prev, size_t{1})
-          << "pending tree count underflow on replay discard";
-    }
-    DrainSpoutEvents(&task);
-  }
-  NotifyPossiblyDone();
-}
-
-void LocalRuntime::DrainDeadTaskQueues() {
-  for (auto& slot : executors_) {
-    if (!slot->dead.load()) continue;
-    const ComponentDef& def =
-        topology_.components()[static_cast<size_t>(slot->component_index)];
-    if (def.is_spout) continue;
-    for (auto& task : tasks_[static_cast<size_t>(slot->component_index)]) {
-      if (task.task_index % def.num_executors != slot->executor_index) {
-        continue;
-      }
-      std::deque<Tuple> drained;
-      {
-        MutexLock lock(task.input->mutex);
-        drained.swap(task.input->queue);
-        if (!drained.empty()) task.input->not_full.NotifyAll();
-      }
-      if (drained.empty()) continue;
-      if (!gates_.empty()) {
-        gates_[static_cast<size_t>(task_base_[static_cast<size_t>(
-                                       slot->component_index)] +
-                                   task.task_index)]
-            ->Release(drained.size());
-      }
-      int64_t prev =
-          in_flight_.fetch_sub(static_cast<int64_t>(drained.size()));
-      TMS_DCHECK_GE(prev, static_cast<int64_t>(drained.size()))
-          << "in-flight count went negative draining a dead task";
-      TrackInbound(
-          static_cast<size_t>(
-              task_base_[static_cast<size_t>(slot->component_index)] +
-              task.task_index),
-          -static_cast<int64_t>(drained.size()));
-      if (acker_ != nullptr) {
-        for (const Tuple& t : drained) {
-          if (t.root_key() == 0) continue;
-          // Discarding the tree (rather than letting it time out) frees the
-          // replay payload immediately; tuples of the same tree still live
-          // elsewhere will ack an unknown key, which the acker ignores.
-          if (auto info = acker_->Discard(t.root_key())) {
-            FailDiscardedTree(*info);
-          }
-        }
-      }
-      NotifyPossiblyDone();
-    }
-  }
-}
-
 Status LocalRuntime::MigrateTask(const MigrationRequest& request) {
   if (!elastic_enabled_) {
     return Status::FailedPrecondition(
@@ -1984,7 +1840,7 @@ Status LocalRuntime::MigrateTask(const MigrationRequest& request) {
     migration_.retire_done = false;
   }
   const MicrosT deadline =
-      options_.clock->NowMicros() + options_.migration_timeout_micros;
+      options_.clock->NowMicros() + kMigrationTimeoutMicros;
 
   // 1. Hold the target: its executor stops draining the queue, so the state
   // restored in step 4 cannot race tuples that arrive right after the flip.
@@ -2019,7 +1875,7 @@ Status LocalRuntime::MigrateTask(const MigrationRequest& request) {
     if (task_inbound_[from_gid].load(std::memory_order_acquire) == 0) {
       if (zero_since == 0) {
         zero_since = now;
-      } else if (now - zero_since >= options_.migration_settle_micros) {
+      } else if (now - zero_since >= kMigrationSettleMicros) {
         break;
       }
     } else {
@@ -2384,21 +2240,6 @@ size_t LocalRuntime::max_queue_occupancy() const {
     }
   }
   return peak;
-}
-
-int LocalRuntime::WorkerOfExecutor(const std::string& component,
-                                   int executor_index) const {
-  // Round-robin assignment of executors to workers, in component declaration
-  // order (Storm's even scheduler).
-  int global_executor = 0;
-  for (const ComponentDef& def : topology_.components()) {
-    if (def.name == component) {
-      global_executor += executor_index;
-      break;
-    }
-    global_executor += def.num_executors;
-  }
-  return global_executor % std::max(1, options_.num_workers);
 }
 
 }  // namespace dsps

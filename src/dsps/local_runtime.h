@@ -28,10 +28,8 @@ namespace insight {
 namespace dsps {
 
 /// Multithreaded in-process execution of a topology, mirroring Storm's local
-/// cluster: every executor is a thread, tasks in excess of their component's
-/// executors share an executor pseudo-parallel (Figure 1), and executors are
-/// assigned round-robin to worker processes (the paper configures one worker
-/// per cluster node, following [35]).
+/// cluster: every executor is a thread, and tasks in excess of their
+/// component's executors share an executor pseudo-parallel (Figure 1).
 ///
 /// Termination: a run completes when every spout task has reported
 /// exhaustion (NextTuple returned false), no tuple remains in flight, and —
@@ -49,14 +47,11 @@ namespace dsps {
 /// (src/reliability). Trees not fully processed within `ack_timeout_micros`
 /// are re-emitted from the runtime's replay buffer with exponential backoff
 /// up to `max_replays` times, then permanently failed (Spout::Fail). A
-/// supervisor thread additionally restarts executor threads killed by the
-/// optional FaultInjector, mirroring Storm's supervisor daemon.
+/// supervisor thread additionally relaunches every executor thread killed by
+/// the optional FaultInjector, mirroring Storm's supervisor daemon.
 class LocalRuntime {
  public:
   struct Options {
-    /// Worker processes to spread executors over (informational grouping
-    /// surfaced via WorkerOfExecutor; all threads share this process).
-    int num_workers = 1;
     /// Per-task input queue capacity; emitters block when full
     /// (backpressure). A producer appends its flushed block whole once the
     /// queue dips below capacity, so occupancy can overshoot capacity by at
@@ -83,10 +78,10 @@ class LocalRuntime {
     bool enable_acking = false;
     /// A tree not fully acked this long after (re-)emission is failed.
     MicrosT ack_timeout_micros = 30'000'000;
-    /// Replay budget and backoff (see reliability::ReplayPolicy).
+    /// Replay budget and backoff base (see reliability::ReplayPolicy; the
+    /// backoff doubles per attempt).
     int max_replays = 3;
     MicrosT replay_backoff_micros = 10'000;
-    double replay_backoff_factor = 2.0;
     /// Supervisor sweep period (tree expiry + crashed-executor restarts).
     MicrosT supervisor_interval_micros = 2'000;
     /// Optional fault injection; not owned, must outlive the runtime. The
@@ -112,18 +107,6 @@ class LocalRuntime {
     /// atomically with the state). Requires acking + checkpointing; yields
     /// effectively-once state for deterministic (non-shuffle) routings.
     bool enable_replay_dedup = false;
-    size_t dedup_ledger_capacity = 4096;
-    /// Crash-loop containment: exponential restart backoff per executor,
-    /// and a circuit breaker that permanently fails an executor restarted
-    /// more than `breaker_max_restarts` times within `breaker_window_micros`
-    /// (pending trees are failed, queued tuples drained, and the topology
-    /// surfaces `degraded()`).
-    bool enable_crash_loop_breaker = false;
-    MicrosT restart_backoff_base_micros = 1'000;
-    double restart_backoff_factor = 2.0;
-    MicrosT restart_backoff_max_micros = 1'000'000;
-    int breaker_max_restarts = 5;
-    MicrosT breaker_window_micros = 10'000'000;
 
     // --- Tuple tracing (see DESIGN.md "Observability") ---
 
@@ -135,8 +118,6 @@ class LocalRuntime {
     bool enable_tracing = false;
     /// Fraction of root emissions sampled, in [0, 1] (deterministic 1-in-N).
     double trace_sample_rate = 0.0;
-    /// Retained span ring capacity (observability::Tracer::Options).
-    size_t trace_max_spans = 65536;
 
     // --- Overload protection (all off by default = seed behaviour; see
     // DESIGN.md "Overload protection") ---
@@ -153,14 +134,6 @@ class LocalRuntime {
     /// inflow counters and migration phase gates on the executor drain path.
     /// Off = none of it is allocated and the drain path tests one bool.
     bool enable_migration = false;
-    /// A migration that cannot complete within this budget is aborted and
-    /// rolled back (routing restored, source stays authoritative).
-    MicrosT migration_timeout_micros = 10'000'000;
-    /// The post-flip quiesce step requires the source task's inflow counter
-    /// to read zero twice, this far apart, before snapshotting — closing the
-    /// sub-microsecond window of an emitter that picked its route from the
-    /// old table but had not yet staged the tuple.
-    MicrosT migration_settle_micros = 2'000;
   };
 
   LocalRuntime(Topology topology, Options options);
@@ -222,19 +195,11 @@ class LocalRuntime {
   int64_t in_flight() const { return in_flight_.load(); }
   /// Executor threads restarted by the supervisor after injected crashes.
   uint64_t executor_restarts() const { return executor_restarts_.load(); }
-
-  /// True once the crash-loop breaker permanently failed at least one
-  /// executor: the topology keeps running but its results are incomplete.
-  bool degraded() const { return dead_executors_.load() > 0; }
-  int dead_executors() const { return dead_executors_.load(); }
   /// The checkpoint coordinator (null unless checkpointing is enabled);
   /// exposed for persist counters in tests and benchmarks.
   const reliability::CheckpointCoordinator* checkpoint_coordinator() const {
     return coordinator_.get();
   }
-
-  /// Worker process index of an executor (component, executor_index).
-  int WorkerOfExecutor(const std::string& component, int executor_index) const;
 
   /// Highest input-queue occupancy any task queue ever reached (tuples).
   /// Regression hook for the backpressure overshoot bound: always <=
@@ -362,12 +327,23 @@ class LocalRuntime {
     int executor_index = 0;
     Thread thread;
     std::atomic<bool> crashed{false};
-    /// Crash-loop containment (supervisor-thread-only once started).
-    std::deque<MicrosT> restart_times;  // within the breaker window
-    MicrosT next_restart_micros = 0;    // exponential backoff gate
-    /// Breaker tripped: permanently failed, never relaunched. Queues of its
-    /// tasks are drained by the supervisor sweep and by Stop().
-    std::atomic<bool> dead{false};
+  };
+
+  /// One emission's routing context: the emitting component, the outbox its
+  /// copies are staged into and the counter each delivered copy bumps. For a
+  /// tuple of a tracked tree `ack_batch` is non-null: each copy gets a fresh
+  /// edge id XORed into it at stage time (per-tuple edge semantics are
+  /// independent of flush timing). When `dedup_seq` is non-null too, each
+  /// copy also gets a dedup id chained from `dedup_base` and the running
+  /// per-execution sequence — replay-stable as long as the emitter and the
+  /// routing are deterministic.
+  struct Emission {
+    int source_component = 0;
+    Outbox* outbox = nullptr;
+    uint64_t* emitted = nullptr;
+    uint64_t* ack_batch = nullptr;
+    uint64_t* dedup_seq = nullptr;
+    uint64_t dedup_base = 0;
   };
 
   class TaskCollector;
@@ -388,16 +364,10 @@ class LocalRuntime {
   /// A tracked tuple tree fully processed: ack bookkeeping + spout
   /// notification.
   void OnTreeCompleted(const reliability::TreeInfo& info);
-  /// Routes a tuple to subscriber tasks, staging each delivered copy into
-  /// `outbox`. When `ack_batch` is non-null the tuple belongs to a tracked
-  /// tree: each copy gets a fresh edge id which is XORed into *ack_batch at
-  /// stage time (per-tuple edge semantics are independent of flush timing).
-  /// When `dedup_seq` is non-null, each copy additionally gets a dedup id
-  /// chained from `dedup_base` and the running per-execution sequence —
-  /// replay-stable as long as the emitter and the routing are deterministic.
-  void Route(int source_component, const Tuple& tuple, int direct_task,
-             uint64_t* emitted, uint64_t* ack_batch, uint64_t dedup_base,
-             uint64_t* dedup_seq, Outbox* outbox);
+  /// Routes a tuple to subscriber tasks (only the kDirect ones, at
+  /// `direct_task`, when that is >= 0), staging each delivered copy into the
+  /// emission's outbox.
+  void Route(const Emission& emission, const Tuple& tuple, int direct_task);
   /// Stages one tuple; counted in `in_flight_` immediately. Auto-flushes the
   /// outbox past Options::emit_batch (or the adaptive threshold).
   void Stage(int target_component, int task_index, Tuple tuple,
@@ -430,9 +400,8 @@ class LocalRuntime {
   /// delivery is shed instead of staged — counted per priority, and
   /// fail-fast for tracked trees (the acker discards the tree and
   /// Spout::Fail fires).
-  void Deliver(int source_component, int target_component, int task_index,
-               const Tuple& tuple, uint64_t* emitted, uint64_t* ack_batch,
-               uint64_t dedup_base, uint64_t* dedup_seq, Outbox* outbox);
+  void Deliver(const Emission& emission, int target_component, int task_index,
+               const Tuple& tuple);
   void NotifyPossiblyDone();
 
   // --- Long-lived helpers ---
@@ -466,16 +435,6 @@ class LocalRuntime {
   /// Permanently fails one discarded tree: drops the replay payload, queues
   /// the spout Fail callback, and releases the pending-root count.
   void FailDiscardedTree(const reliability::TreeInfo& info);
-  /// Supervisor sweep: trip bookkeeping for a crashed executor. Returns
-  /// true when the slot may be relaunched now (backoff elapsed, breaker not
-  /// tripped).
-  bool ContainCrashLoop(ExecutorSlot* slot, MicrosT now);
-  /// Permanently fails one executor slot: joins the thread, marks the
-  /// topology degraded, and fails a dead spout task's pending trees.
-  void TripBreaker(ExecutorSlot* slot);
-  /// Drains the input queues of breaker-tripped bolt tasks, failing tracked
-  /// tuples' trees; keeps emitters from blocking on dead tasks forever.
-  void DrainDeadTaskQueues();
 
   // --- Elastic scheduling helpers (see DESIGN.md "Elastic scheduling") ---
 
@@ -620,7 +579,6 @@ class LocalRuntime {
   std::atomic<int> live_spout_tasks_{0};
   std::atomic<size_t> pending_roots_{0};
   std::atomic<uint64_t> executor_restarts_{0};
-  std::atomic<int> dead_executors_{0};
   std::atomic<uint64_t> edge_seq_{0x243f6a8885a308d3ULL};
   /// Pure wait-signal pair for the completion predicate (which reads only
   /// atomics): the mutex guards no data, it closes the lost-wakeup window

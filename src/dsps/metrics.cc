@@ -69,12 +69,6 @@ void MetricsRegistry::RecordDedup(const std::string& component, int task) {
   StatsFor(component, task).deduped.fetch_add(1, std::memory_order_relaxed);
 }
 
-void MetricsRegistry::RecordBreakerTrip(const std::string& component,
-                                        int task) {
-  StatsFor(component, task)
-      .breaker_trips.fetch_add(1, std::memory_order_relaxed);
-}
-
 void MetricsRegistry::RecordShed(const std::string& component, int task,
                                  TuplePriority priority) {
   TaskStats& stats = StatsFor(component, task);
@@ -118,8 +112,6 @@ MetricsRegistry::ComponentTotals MetricsRegistry::Totals(
     totals.checkpoint_restore_failures +=
         task->restore_failures.load(std::memory_order_relaxed);
     totals.deduped += task->deduped.load(std::memory_order_relaxed);
-    totals.breaker_trips +=
-        task->breaker_trips.load(std::memory_order_relaxed);
     totals.shed_low += task->shed_low.load(std::memory_order_relaxed);
     totals.shed_normal += task->shed_normal.load(std::memory_order_relaxed);
     totals.shed_high += task->shed_high.load(std::memory_order_relaxed);
@@ -144,9 +136,8 @@ MetricsRegistry::ComponentTotals MetricsRegistry::ComponentTotals::Since(
         &ComponentTotals::failed, &ComponentTotals::replayed,
         &ComponentTotals::checkpoints, &ComponentTotals::checkpoint_restores,
         &ComponentTotals::checkpoint_restore_failures, &ComponentTotals::deduped,
-        &ComponentTotals::breaker_trips, &ComponentTotals::shed_low,
-        &ComponentTotals::shed_normal, &ComponentTotals::shed_high,
-        &ComponentTotals::task_migrations,
+        &ComponentTotals::shed_low, &ComponentTotals::shed_normal,
+        &ComponentTotals::shed_high, &ComponentTotals::task_migrations,
         &ComponentTotals::migration_failures}) {
     d.*field -= earlier.*field;
   }
@@ -209,7 +200,7 @@ std::vector<MetricsRegistry::WindowReport> MetricsRegistry::TakeWindowSnapshot(
   for (auto& [name, stats] : components_) {
     uint64_t executed = 0, latency_sum = 0, acked = 0, failed = 0,
              replayed = 0, checkpoints = 0, restores = 0, restore_failures = 0,
-             deduped = 0, breaker_trips = 0, shed = 0,
+             deduped = 0, shed = 0,
              migrations = 0, migration_failures = 0;
     observability::HistogramSnapshot histogram;
     for (const auto& task : stats.tasks) {
@@ -223,7 +214,6 @@ std::vector<MetricsRegistry::WindowReport> MetricsRegistry::TakeWindowSnapshot(
       restore_failures +=
           task->restore_failures.load(std::memory_order_relaxed);
       deduped += task->deduped.load(std::memory_order_relaxed);
-      breaker_trips += task->breaker_trips.load(std::memory_order_relaxed);
       shed += task->shed_low.load(std::memory_order_relaxed) +
               task->shed_normal.load(std::memory_order_relaxed) +
               task->shed_high.load(std::memory_order_relaxed);
@@ -270,7 +260,6 @@ std::vector<MetricsRegistry::WindowReport> MetricsRegistry::TakeWindowSnapshot(
     report.checkpoint_restore_failures =
         restore_failures - stats.last_restore_failures;
     report.deduped = deduped - stats.last_deduped;
-    report.breaker_trips = breaker_trips - stats.last_breaker_trips;
     report.shed = shed - stats.last_shed;
     report.task_migrations = migrations - stats.last_migrations;
     report.migration_failures =
@@ -284,7 +273,6 @@ std::vector<MetricsRegistry::WindowReport> MetricsRegistry::TakeWindowSnapshot(
     stats.last_restores = restores;
     stats.last_restore_failures = restore_failures;
     stats.last_deduped = deduped;
-    stats.last_breaker_trips = breaker_trips;
     stats.last_shed = shed;
     stats.last_migrations = migrations;
     stats.last_migration_failures = migration_failures;
@@ -331,8 +319,6 @@ observability::MetricsSnapshot MetricsRegistry::PrometheusSnapshot() const {
        &ComponentTotals::checkpoint_restore_failures},
       {"insight_tuples_deduped_total", "Replayed duplicates suppressed",
        &ComponentTotals::deduped},
-      {"insight_breaker_trips_total", "Executors permanently failed",
-       &ComponentTotals::breaker_trips},
       {"insight_task_migrations_total", "Live task migrations completed",
        &ComponentTotals::task_migrations},
       {"insight_migration_failures_total",

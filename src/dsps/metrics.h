@@ -39,7 +39,6 @@ class MetricsRegistry {
     uint64_t checkpoint_restores = 0; // restores applied after a relaunch
     uint64_t checkpoint_restore_failures = 0;  // corrupt/unloadable snapshots
     uint64_t deduped = 0;             // replayed duplicates suppressed
-    uint64_t breaker_trips = 0;       // executors permanently failed
     // Overload counters (zero unless overload protection is on). Sheds are
     // attributed to the component whose queue was saturated, per priority.
     uint64_t shed_low = 0;
@@ -85,7 +84,6 @@ class MetricsRegistry {
     uint64_t checkpoint_restores = 0;
     uint64_t checkpoint_restore_failures = 0;
     uint64_t deduped = 0;
-    uint64_t breaker_trips = 0;
     uint64_t shed = 0;       // tuples shed (all priorities)
     uint64_t task_migrations = 0;     // live migrations completed this window
     uint64_t migration_failures = 0;  // migrations aborted this window
@@ -102,12 +100,11 @@ class MetricsRegistry {
   void RecordAck(const std::string& component, int task, uint64_t count = 1);
   void RecordFail(const std::string& component, int task, uint64_t count = 1);
   void RecordReplay(const std::string& component, int task, uint64_t count = 1);
-  /// Recovery events, attributed to the checkpointed (or tripped) task.
+  /// Recovery events, attributed to the checkpointed task.
   void RecordCheckpoint(const std::string& component, int task);
   void RecordRestore(const std::string& component, int task);
   void RecordRestoreFailure(const std::string& component, int task);
   void RecordDedup(const std::string& component, int task);
-  void RecordBreakerTrip(const std::string& component, int task);
   /// Overload event (see dsps/overload.h): a shed tuple, attributed to the
   /// component whose queue triggered the drop.
   void RecordShed(const std::string& component, int task,
@@ -193,7 +190,6 @@ class MetricsRegistry {
     std::atomic<uint64_t> restores{0};
     std::atomic<uint64_t> restore_failures{0};
     std::atomic<uint64_t> deduped{0};
-    std::atomic<uint64_t> breaker_trips{0};
     std::atomic<uint64_t> shed_low{0};
     std::atomic<uint64_t> shed_normal{0};
     std::atomic<uint64_t> shed_high{0};
@@ -274,7 +270,6 @@ class MetricsRegistry {
     uint64_t last_restores = 0;
     uint64_t last_restore_failures = 0;
     uint64_t last_deduped = 0;
-    uint64_t last_breaker_trips = 0;
     uint64_t last_shed = 0;
     uint64_t last_migrations = 0;
     uint64_t last_migration_failures = 0;

@@ -92,24 +92,5 @@ std::optional<TreeInfo> Acker::Discard(uint64_t root_key) {
   return info;
 }
 
-std::vector<TreeInfo> Acker::DiscardSpout(int spout_component, int spout_task) {
-  std::vector<TreeInfo> discarded;
-  for (Shard& shard : shards_) {
-    MutexLock lock(shard.mutex);
-    for (auto it = shard.trees.begin(); it != shard.trees.end();) {
-      if (it->second.info.spout_component == spout_component &&
-          it->second.info.spout_task == spout_task) {
-        discarded.push_back(it->second.info);
-        it = shard.trees.erase(it);
-        size_t prev = pending_.fetch_sub(1, std::memory_order_relaxed);
-        TMS_DCHECK_GE(prev, size_t{1}) << "acker pending count underflow";
-      } else {
-        ++it;
-      }
-    }
-  }
-  return discarded;
-}
-
 }  // namespace reliability
 }  // namespace insight

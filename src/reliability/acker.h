@@ -72,14 +72,9 @@ class Acker {
   /// (the timeout sweep).
   std::vector<TreeInfo> ExpireOlderThan(MicrosT cutoff);
 
-  /// Stops tracking one tree without completing it (crash-loop containment
-  /// failing a tuple found in a dead task's queue). nullopt if unknown.
+  /// Stops tracking one tree without completing it (load shedding failing
+  /// a tree fast). nullopt if unknown.
   std::optional<TreeInfo> Discard(uint64_t root_key);
-
-  /// Removes every tree rooted at (spout_component, spout_task) — used when
-  /// the circuit breaker permanently fails a spout executor and its pending
-  /// trees can never complete.
-  std::vector<TreeInfo> DiscardSpout(int spout_component, int spout_task);
 
   /// Trees currently tracked.
   size_t pending() const { return pending_.load(std::memory_order_relaxed); }

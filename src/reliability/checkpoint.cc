@@ -163,11 +163,7 @@ void CheckpointCoordinator::PersisterLoop() {
       s.pending_done = nullptr;
     }
     Status status = options_.store->Put(key, epoch, bytes);
-    if (status.ok()) {
-      persisted_.fetch_add(1, std::memory_order_relaxed);
-      bytes_persisted_.fetch_add(bytes.size(), std::memory_order_relaxed);
-    } else {
-      persist_failures_.fetch_add(1, std::memory_order_relaxed);
+    if (!status.ok()) {
       INSIGHT_LOG(Warning) << "checkpoint persist failed for " << key
                            << " epoch " << epoch << ": " << status.ToString();
     }
@@ -176,6 +172,14 @@ void CheckpointCoordinator::PersisterLoop() {
     Slot& s = *slots_[static_cast<size_t>(slot)];
     s.in_flight = false;
     s.next_due = options_.clock->NowMicros() + options_.interval_micros;
+    // Counted only once the slot is released, under the same lock: whoever
+    // sees a counter move finds `done` run and the slot free to submit again.
+    if (status.ok()) {
+      persisted_.fetch_add(1, std::memory_order_relaxed);
+      bytes_persisted_.fetch_add(bytes.size(), std::memory_order_relaxed);
+    } else {
+      persist_failures_.fetch_add(1, std::memory_order_relaxed);
+    }
     idle_cv_.NotifyAll();
   }
 }

@@ -85,23 +85,6 @@ bool ReplayBuffer::Discard(uint64_t message_id, int spout_component,
              MessageKey{message_id, spout_component, spout_task}) > 0;
 }
 
-std::vector<uint64_t> ReplayBuffer::DiscardAllFor(int spout_component,
-                                                  int spout_task) {
-  MutexLock lock(mutex_);
-  std::vector<uint64_t> discarded;
-  for (auto it = scheduled_.begin(); it != scheduled_.end();) {
-    if (it->spout_component == spout_component && it->spout_task == spout_task) {
-      discarded.push_back(it->message_id);
-      payloads_.erase(
-          MessageKey{it->message_id, spout_component, spout_task});
-      it = scheduled_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  return discarded;
-}
-
 std::vector<ReplayBuffer::Due> ReplayBuffer::TakeDue(int spout_component,
                                                      int spout_task,
                                                      MicrosT now) {

@@ -64,14 +64,8 @@ class ReplayBuffer {
 
   /// Permanently abandons one message: drops the payload and any scheduled
   /// retry regardless of remaining replay budget. Returns true if the id was
-  /// known. Crash-loop containment uses this when a tree's spout task is
-  /// permanently failed.
+  /// known. Load shedding uses this when it fails a tree fast.
   bool Discard(uint64_t message_id, int spout_component, int spout_task);
-
-  /// Abandons every scheduled retry owned by (spout_component, spout_task),
-  /// dropping the payloads too. Returns the abandoned message ids so the
-  /// runtime can fire their Fail callbacks.
-  std::vector<uint64_t> DiscardAllFor(int spout_component, int spout_task);
 
   /// The delay Fail schedules for the given replay attempt (1 for the first
   /// replay); exposed for tests.

@@ -508,7 +508,6 @@ std::map<std::pair<int64_t, int64_t>, int> RunLocalReference(
   EXPECT_TRUE(runtime.Start().ok());
   runtime.AwaitCompletion();
   EXPECT_EQ(runtime.pending_trees(), 0u);
-  EXPECT_FALSE(runtime.degraded());
   return ReadDetections(out_dir + "/detections.txt");
 }
 

@@ -531,9 +531,9 @@ TEST(MetricsRegistryTest, WindowPercentilesComeFromWindowDeltas) {
 }
 
 TEST(MetricsRegistryTest, WindowReportCarriesRecoveryCounters) {
-  // Recovery activity (checkpoints, dedup suppressions, restores, breaker
-  // trips) must surface in the same per-window reports as throughput, and
-  // reset with each window like every other delta.
+  // Recovery activity (checkpoints, dedup suppressions, restores) must
+  // surface in the same per-window reports as throughput, and reset with
+  // each window like every other delta.
   MetricsRegistry registry;
   registry.DeclareComponent("stateful", 2);
   registry.MarkWindowStart(0);
@@ -544,14 +544,12 @@ TEST(MetricsRegistryTest, WindowReportCarriesRecoveryCounters) {
   registry.RecordDedup("stateful", 0);
   registry.RecordDedup("stateful", 0);
   registry.RecordDedup("stateful", 1);
-  registry.RecordBreakerTrip("stateful", 1);
   auto window = registry.TakeWindowSnapshot(1'000'000);
   ASSERT_EQ(window.size(), 1u);
   EXPECT_EQ(window[0].checkpoints, 2u);
   EXPECT_EQ(window[0].checkpoint_restores, 1u);
   EXPECT_EQ(window[0].checkpoint_restore_failures, 1u);
   EXPECT_EQ(window[0].deduped, 3u);
-  EXPECT_EQ(window[0].breaker_trips, 1u);
 
   // Next window: all recovery deltas are back to zero.
   auto next = registry.TakeWindowSnapshot(2'000'000);
@@ -560,12 +558,10 @@ TEST(MetricsRegistryTest, WindowReportCarriesRecoveryCounters) {
   EXPECT_EQ(next[0].checkpoint_restores, 0u);
   EXPECT_EQ(next[0].checkpoint_restore_failures, 0u);
   EXPECT_EQ(next[0].deduped, 0u);
-  EXPECT_EQ(next[0].breaker_trips, 0u);
   // Lifetime totals keep accumulating.
   auto totals = registry.Totals("stateful");
   EXPECT_EQ(totals.checkpoints, 2u);
   EXPECT_EQ(totals.deduped, 3u);
-  EXPECT_EQ(totals.breaker_trips, 1u);
 }
 
 TEST(MetricsRegistryTest, PrometheusSnapshotExportsEveryFamily) {
@@ -584,7 +580,6 @@ TEST(MetricsRegistryTest, PrometheusSnapshotExportsEveryFamily) {
   registry.RecordRestore("bolt", 0);
   registry.RecordRestoreFailure("bolt", 0);
   registry.RecordDedup("bolt", 0);
-  registry.RecordBreakerTrip("bolt", 0);
   registry.RecordFramesSent(3, 1200);
   registry.RecordFramesReceived(2, 800);
   registry.RecordReconnect();
@@ -606,7 +601,6 @@ TEST(MetricsRegistryTest, PrometheusSnapshotExportsEveryFamily) {
            "insight_checkpoint_restores_total",
            "insight_checkpoint_restore_failures_total",
            "insight_tuples_deduped_total",
-           "insight_breaker_trips_total",
            "insight_execute_latency_micros",
            "insight_net_frames_sent_total",
            "insight_net_bytes_sent_total",

@@ -261,11 +261,15 @@ class RootedSpout : public Spout {
     next_ += stride_;
     return next_ < n_;
   }
-  void Ack(uint64_t id) override { acked_ids.insert(id); }
+  void Ack(uint64_t id) override {
+    acked_ids.insert(id);
+    ++ack_calls;
+  }
   void Fail(uint64_t id) override { failed_ids.insert(id); }
 
   std::set<uint64_t> acked_ids;
   std::set<uint64_t> failed_ids;
+  int ack_calls = 0;
 
  private:
   int n_;
@@ -419,6 +423,130 @@ TEST(ReliabilityEndToEndTest, CleanRunAcksEveryMessageNoReplays) {
   ASSERT_NE(instance, nullptr);
   EXPECT_EQ(instance->acked_ids.size(), static_cast<size_t>(kTuples));
   EXPECT_TRUE(instance->failed_ids.empty());
+}
+
+/// Emits three tuples (v, 0..2) per input plus one EmitDirect to task
+/// v % num_tasks of the kDirect subscriber.
+class FanOutBolt : public Bolt {
+ public:
+  explicit FanOutBolt(int direct_tasks) : direct_tasks_(direct_tasks) {}
+  void Execute(const Tuple& input, Collector* collector) override {
+    const int64_t v = input.Get(0).AsInt();
+    for (int64_t k = 0; k < 3; ++k) collector->Emit({Value(v), Value(k)});
+    collector->EmitDirect(static_cast<int>(v % direct_tasks_),
+                          {Value(v), Value(int64_t{-1})});
+  }
+
+ private:
+  int direct_tasks_;
+};
+
+/// Records every (v, k) it executes, per (component, task).
+class EdgeSink : public Bolt {
+ public:
+  struct Log {
+    Mutex mutex;
+    std::map<std::pair<std::string, int>,
+             std::map<std::pair<int64_t, int64_t>, int>>
+        seen GUARDED_BY(mutex);
+  };
+  explicit EdgeSink(std::shared_ptr<Log> log) : log_(std::move(log)) {}
+  void Prepare(const TaskContext& context) override {
+    key_ = {context.component, context.task_index};
+  }
+  void Execute(const Tuple& input, Collector*) override {
+    MutexLock lock(log_->mutex);
+    log_->seen[key_][{input.Get(0).AsInt(), input.Get(1).AsInt()}]++;
+  }
+
+ private:
+  std::shared_ptr<Log> log_;
+  std::pair<std::string, int> key_;
+};
+
+TEST(ReliabilityEndToEndTest, EveryGroupingAcksEachTreeExactlyOnce) {
+  // One acked tree spans every grouping the router knows: shuffle into the
+  // fan-out bolt, which emits several tuples per input over fields, all and
+  // global edges plus one EmitDirect. Every tree must complete exactly once
+  // with no replay, and every edge must execute exactly what it was sent.
+  static constexpr int kTuples = 300;
+  static constexpr int kDirectTasks = 3;
+  auto log = std::make_shared<EdgeSink::Log>();
+  auto spout = std::make_shared<std::atomic<RootedSpout*>>(nullptr);
+  auto sink = [log] { return std::make_unique<EdgeSink>(log); };
+  TopologyBuilder builder;
+  builder.SetSpout("source",
+                   [spout] {
+                     auto s = std::make_unique<RootedSpout>(kTuples);
+                     spout->store(s.get());
+                     return s;
+                   },
+                   Fields({"v"}));
+  builder
+      .SetBolt("fan", [] { return std::make_unique<FanOutBolt>(kDirectTasks); },
+               Fields({"v", "k"}), 2, 3)
+      .ShuffleGrouping("source");
+  builder.SetBolt("byfields", sink, Fields({}), 2, 2)
+      .FieldsGrouping("fan", {"v"});
+  builder.SetBolt("everyone", sink, Fields({}), 2, 2).AllGrouping("fan");
+  builder.SetBolt("single", sink, Fields({}), 1, 2).GlobalGrouping("fan");
+  builder.SetBolt("direct", sink, Fields({}), 2, kDirectTasks)
+      .DirectGrouping("fan");
+  auto topology = builder.Build();
+  ASSERT_TRUE(topology.ok()) << topology.status().ToString();
+  LocalRuntime::Options options;
+  options.enable_acking = true;
+  LocalRuntime runtime(std::move(*topology), options);
+  ASSERT_TRUE(runtime.Start().ok());
+  runtime.AwaitCompletion();
+
+  EXPECT_EQ(runtime.pending_trees(), 0u);
+  auto* metrics = runtime.metrics();
+  auto source = metrics->Totals("source");
+  EXPECT_EQ(source.acked, static_cast<uint64_t>(kTuples));
+  EXPECT_EQ(source.failed, 0u);
+  EXPECT_EQ(source.replayed, 0u);
+  RootedSpout* instance = spout->load();
+  ASSERT_NE(instance, nullptr);
+  EXPECT_EQ(instance->ack_calls, kTuples);
+  EXPECT_EQ(instance->acked_ids.size(), static_cast<size_t>(kTuples));
+  EXPECT_TRUE(instance->failed_ids.empty());
+
+  // Per edge, emitted == executed: source -> fan carries one copy per tree;
+  // fan's 3 Emits reach byfields once, everyone twice (2 tasks) and single
+  // once each, and its EmitDirect reaches one direct task.
+  const uint64_t n = kTuples;
+  EXPECT_EQ(source.emitted, n);
+  EXPECT_EQ(metrics->Totals("fan").executed, n);
+  EXPECT_EQ(metrics->Totals("byfields").executed, 3 * n);
+  EXPECT_EQ(metrics->Totals("everyone").executed, 2 * 3 * n);
+  EXPECT_EQ(metrics->Totals("single").executed, 3 * n);
+  EXPECT_EQ(metrics->Totals("direct").executed, n);
+  EXPECT_EQ(metrics->Totals("fan").emitted, (3 + 6 + 3 + 1) * n);
+
+  MutexLock lock(log->mutex);
+  std::map<int64_t, int> fields_task_of;
+  for (const auto& [key, seen] : log->seen) {
+    const auto& [component, task] = key;
+    for (const auto& [vk, count] : seen) {
+      EXPECT_EQ(count, 1) << component << "/" << task << " ran (" << vk.first
+                          << ", " << vk.second << ") " << count << " times";
+      if (component == "byfields") {
+        // Fields grouping: one task owns every tuple of a given v.
+        auto it = fields_task_of.emplace(vk.first, task).first;
+        EXPECT_EQ(it->second, task) << "v=" << vk.first << " split";
+      } else if (component == "single") {
+        EXPECT_EQ(task, 0);
+      } else if (component == "direct") {
+        EXPECT_EQ(task, vk.first % kDirectTasks);
+        EXPECT_EQ(vk.second, -1);
+      }
+    }
+  }
+  for (int task = 0; task < 2; ++task) {
+    EXPECT_EQ(log->seen[std::make_pair(std::string("everyone"), task)].size(),
+              3u * kTuples);
+  }
 }
 
 TEST(ReliabilityEndToEndTest, UnackedTopologySurvivesCrashViaSupervisor) {
