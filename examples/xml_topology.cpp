@@ -26,7 +26,9 @@ constexpr char kSubmission[] = R"(
 <topology name="traffic-monitoring">
   <!-- Figure 8, trimmed: reader -> preprocess -> area tracker -> splitter
        -> esper -> storer is wired below; this file declares the components
-       and the rules. -->
+       and the rules. preProcess, areaTracker and busStops have the same
+       executor count and are linked by shuffles, so the runtime chains the
+       last two into preProcess's executors: 2 threads, not 5. -->
   <spout name="busReader" type="BusReaderSpout" executors="1"
          fields="timestamp,line,direction,lon,lat,delay,congestion,reported_stop,vehicle"/>
   <bolt name="preProcess" type="PreProcessBolt" executors="2"
@@ -38,7 +40,7 @@ constexpr char kSubmission[] = R"(
         fields="timestamp,line,direction,lon,lat,delay,congestion,reported_stop,vehicle,speed,actual_delay,hour,date_type,area_leaf">
     <subscribe source="preProcess" grouping="shuffle"/>
   </bolt>
-  <bolt name="busStops" type="BusStopsTrackerBolt" executors="1"
+  <bolt name="busStops" type="BusStopsTrackerBolt" executors="2"
         fields="timestamp,line,direction,lon,lat,delay,congestion,reported_stop,vehicle,speed,actual_delay,hour,date_type,area_leaf,bus_stop">
     <subscribe source="areaTracker" grouping="shuffle"/>
   </bolt>

@@ -403,7 +403,7 @@ Status TrafficManagementSystem::BuildLive() {
           [weekend = config_.generator.weekend] {
             return std::make_unique<traffic::PreProcessBolt>(weekend);
           },
-          traffic::PreProcessedFields(), config_.preprocess_executors)
+          traffic::PreProcessedFields(), config_.enrich_executors)
       .FieldsGrouping("busReader", {"vehicle"});
   builder
       .SetBolt(
@@ -412,7 +412,7 @@ Status TrafficManagementSystem::BuildLive() {
             return std::make_unique<traffic::AreaTrackerBolt>(
                 quadtree, std::vector<int>{});
           },
-          traffic::AreaFields({}), config_.tracker_executors)
+          traffic::AreaFields({}), config_.enrich_executors)
       .ShuffleGrouping("preProcess");
   builder
       .SetBolt(
@@ -420,7 +420,7 @@ Status TrafficManagementSystem::BuildLive() {
           [stops = bus_stops_] {
             return std::make_unique<traffic::BusStopsTrackerBolt>(stops);
           },
-          traffic::EnrichedFields({}), config_.tracker_executors)
+          traffic::EnrichedFields({}), config_.enrich_executors)
       .ShuffleGrouping("areaTracker");
   // Each splitter task also counts its tuples per region; Run() merges the
   // counts into the rate trackers at its barrier, so the next Run()
@@ -449,7 +449,7 @@ Status TrafficManagementSystem::BuildLive() {
                   }
                 });
           },
-          traffic::EnrichedFields({}), config_.splitter_executors)
+          traffic::EnrichedFields({}), config_.enrich_executors)
       .ShuffleGrouping("busStopsTracker");
   builder
       .SetBolt(

@@ -68,9 +68,11 @@ class TrafficManagementSystem {
 
     /// Topology parallelism (the Esper bolt gets num_esper_engines tasks).
     int reader_executors = 1;
-    int preprocess_executors = 2;
-    int tracker_executors = 2;
-    int splitter_executors = 1;
+    /// Executors (and tasks) of each enrichment bolt: preProcess,
+    /// areaTracker, busStopsTracker and splitter. One value, so the runtime
+    /// chains the last three into preProcess's executors (DESIGN.md
+    /// "Operator chaining").
+    int enrich_executors = 3;
     int storer_executors = 1;
     dsps::LocalRuntime::Options runtime;
   };

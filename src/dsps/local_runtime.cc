@@ -151,7 +151,18 @@ class LocalRuntime::TaskCollector : public Collector {
     // Per-execution emission sequence: replayed executions reproduce the
     // same dedup-id chain because the sequence restarts at every input.
     dedup_seq_ = 0;
+    outbox_.blocked_micros = 0;
+    if (chained_ != nullptr) chained_->elapsed_micros = 0;
   }
+
+  /// Chains this (upstream) task's one subscriber task behind it.
+  void set_chained(ChainedTask* next) { chained_ = next; }
+  /// Time the current execution spent in chained callees / blocked on full
+  /// downstream queues.
+  MicrosT callee_micros() const {
+    return chained_ != nullptr ? chained_->elapsed_micros : 0;
+  }
+  MicrosT blocked_micros() const { return outbox_.blocked_micros; }
 
   void set_current_spout_time(MicrosT t) { current_spout_time_ = t; }
   uint64_t TakeAckBatch() {
@@ -192,6 +203,7 @@ class LocalRuntime::TaskCollector : public Collector {
     tuple.set_priority(priority);
     Emission emission;
     emission.source_component = component_index_;
+    emission.chained = chained_;
     emission.outbox = &outbox_;
     emission.emitted = &emitted_;
     if (current_root_key_ != 0) {
@@ -223,6 +235,7 @@ class LocalRuntime::TaskCollector : public Collector {
   uint64_t dedup_seq_ = 0;
   uint64_t ack_batch_ = 0;
   uint64_t emitted_ = 0;
+  ChainedTask* chained_ = nullptr;
   Outbox outbox_;
 };
 
@@ -271,6 +284,53 @@ LocalRuntime::LocalRuntime(Topology topology, Options options)
       }
       tasks_[c].push_back(std::move(task));
     }
+  }
+
+  // Routing table: for each source component, its subscriber edges.
+  for (size_t c = 0; c < components.size(); ++c) {
+    for (const Subscription& sub : components[c].subscriptions) {
+      const ComponentDef* source = topology_.Find(sub.source);
+      INSIGHT_CHECK(source != nullptr);
+      size_t source_index = 0;
+      for (size_t s = 0; s < components.size(); ++s) {
+        if (components[s].name == sub.source) source_index = s;
+      }
+      RouteTarget target;
+      target.component_index = static_cast<int>(c);
+      target.grouping = sub.grouping;
+      for (const std::string& f : sub.fields) {
+        target.field_indexes.push_back(source->output_fields.IndexOf(f));
+      }
+      routes_[source_index].push_back(std::move(target));
+    }
+  }
+
+  // Operator chaining: bolt B runs inside its upstream bolt A's executor
+  // when B's only subscription is a shuffle from A, A has no other
+  // subscriber, both have equal task and executor counts, and B is not
+  // Snapshottable (a chained task is never checkpointed on its own). The
+  // chained tasks get no input queue; Start() gives them no executor.
+  chain_next_.assign(components.size(), -1);
+  chain_prev_.assign(components.size(), -1);
+  for (size_t b = 0; b < components.size(); ++b) {
+    const ComponentDef& def = components[b];
+    if (def.is_spout || def.subscriptions.size() != 1 ||
+        def.subscriptions[0].grouping != Grouping::kShuffle) {
+      continue;
+    }
+    size_t a = 0;
+    while (components[a].name != def.subscriptions[0].source) ++a;
+    const ComponentDef& head = components[a];
+    if (head.is_spout || routes_[a].size() != 1 ||
+        head.num_tasks != def.num_tasks ||
+        head.num_executors != def.num_executors ||
+        dynamic_cast<Snapshottable*>(tasks_[b][0].bolt.get()) != nullptr) {
+      continue;
+    }
+    routes_[a][0].chained = true;
+    chain_next_[a] = static_cast<int>(b);
+    chain_prev_[b] = static_cast<int>(a);
+    for (TaskRuntime& task : tasks_[b]) task.input.reset();
   }
 
   // Flat global task ids for the outbox staging buffers.
@@ -322,25 +382,6 @@ LocalRuntime::LocalRuntime(Topology topology, Options options)
     }
   }
 
-  // Routing table: for each source component, its subscriber edges.
-  for (size_t c = 0; c < components.size(); ++c) {
-    for (const Subscription& sub : components[c].subscriptions) {
-      const ComponentDef* source = topology_.Find(sub.source);
-      INSIGHT_CHECK(source != nullptr);
-      size_t source_index = 0;
-      for (size_t s = 0; s < components.size(); ++s) {
-        if (components[s].name == sub.source) source_index = s;
-      }
-      RouteTarget target;
-      target.component_index = static_cast<int>(c);
-      target.grouping = sub.grouping;
-      for (const std::string& f : sub.fields) {
-        target.field_indexes.push_back(source->output_fields.IndexOf(f));
-      }
-      routes_[source_index].push_back(std::move(target));
-    }
-  }
-
   // Checkpointing: every task whose bolt implements Snapshottable gets a
   // coordinator slot (and, under dedup, a ledger). Decided from the initial
   // bolt instance; factories return the same concrete type on relaunch.
@@ -389,6 +430,7 @@ Status LocalRuntime::Start() {
 
   const auto& components = topology_.components();
   for (size_t c = 0; c < components.size(); ++c) {
+    if (chain_prev_[c] >= 0) continue;  // runs on its chain head's executors
     for (int e = 0; e < components[c].num_executors; ++e) {
       auto slot = std::make_unique<ExecutorSlot>();
       slot->component_index = static_cast<int>(c);
@@ -474,12 +516,17 @@ Status LocalRuntime::PostTaskAction(const std::string& component,
   }
   action_epoch_.store(epoch, std::memory_order_release);
   // Wake the component's executors wherever they park: idle between
-  // batches, or on their first task's queue.
+  // batches, or on their first task's queue (a chained component's
+  // executors are its chain head's).
   {
     MutexLock lock(done_mutex_);
     idle_cv_.NotifyAll();
   }
-  for (auto& task : tasks_[static_cast<size_t>(component_index)]) {
+  int owner = component_index;
+  while (chain_prev_[static_cast<size_t>(owner)] >= 0) {
+    owner = chain_prev_[static_cast<size_t>(owner)];
+  }
+  for (auto& task : tasks_[static_cast<size_t>(owner)]) {
     if (task.input == nullptr) continue;
     MutexLock lock(task.input->mutex);
     task.input->not_empty.NotifyAll();
@@ -800,9 +847,14 @@ void LocalRuntime::FlushOutbox(Outbox* outbox) {
     }
     handed_off += n;
     MutexLock lock(queue->mutex);
-    while (!stopping_.load() &&
-           queue->queue.size() >= options_.queue_capacity) {
-      queue->not_full.Wait(queue->mutex);
+    if (!stopping_.load() && queue->queue.size() >= options_.queue_capacity) {
+      // Backpressure: the clock is read only when the emitter must wait.
+      const MicrosT blocked_since = options_.clock->NowMicros();
+      while (!stopping_.load() &&
+             queue->queue.size() >= options_.queue_capacity) {
+        queue->not_full.Wait(queue->mutex);
+      }
+      outbox->blocked_micros += options_.clock->NowMicros() - blocked_since;
     }
     if (stopping_.load()) {  // drop on shutdown
       int64_t prev = in_flight_.fetch_sub(static_cast<int64_t>(n));
@@ -939,6 +991,7 @@ void LocalRuntime::StallForCredits(Outbox* outbox) {
   MicrosT end = options_.clock->NowMicros();
   if (end > start) {
     metrics_.RecordCreditStall(static_cast<uint64_t>(end - start) * 1000);
+    outbox->blocked_micros += end - start;
   }
 }
 
@@ -969,7 +1022,7 @@ void LocalRuntime::Deliver(const Emission& emission, int target_component,
     dedup_id = d == 0 ? 1 : d;
   }
   int copies = decision.duplicate ? 2 : 1;
-  if (shedding_) {
+  if (shedding_ && emission.chained == nullptr) {
     size_t gid = static_cast<size_t>(
         task_base_[static_cast<size_t>(target_component)] + task_index);
     double occupancy = gates_[gid]->Occupancy();
@@ -1016,7 +1069,67 @@ void LocalRuntime::Deliver(const Emission& emission, int target_component,
     }
     ++*emission.emitted;
     if (decision.drop) continue;
-    Stage(target_component, task_index, std::move(copy), emission.outbox);
+    if (emission.chained != nullptr) {
+      ExecuteChained(emission.chained, copy, emission.ack_batch);
+    } else {
+      Stage(target_component, task_index, std::move(copy), emission.outbox);
+    }
+  }
+}
+
+void LocalRuntime::ExecuteChained(ChainedTask* link, const Tuple& tuple,
+                                  uint64_t* ack_batch) {
+  if (*link->crashed) return;  // the executor died earlier in this call
+  TaskRuntime* task = link->task;
+  if (options_.fault_injector != nullptr &&
+      options_.fault_injector->ShouldCrash(
+          topology_.components()[static_cast<size_t>(task->component_index)]
+              .name,
+          task->task_index)) {
+    // Killing a chained member kills its whole executor: the head's
+    // executor loop exits once the head's Execute returns.
+    *link->crashed = true;
+    return;
+  }
+  TaskCollector* collector = link->collector;
+  collector->BeginExecute(tuple);
+  const MicrosT start = options_.clock->NowMicros();
+  task->bolt->Execute(tuple, collector);
+  const MicrosT end = options_.clock->NowMicros();
+  if (*link->crashed) return;
+  link->elapsed_micros += end - start;
+  RecordExecution(tuple, *task, collector, &link->ref, start, end,
+                  /*queued=*/false);
+  // The consumed edge cancels the one Deliver XORed in, so the caller's
+  // batch ends up holding exactly the edges the chained task emitted.
+  if (ack_batch != nullptr) {
+    *ack_batch ^= tuple.edge_id() ^ collector->TakeAckBatch();
+  }
+}
+
+void LocalRuntime::RecordExecution(const Tuple& tuple, const TaskRuntime& task,
+                                   TaskCollector* collector,
+                                   MetricsRegistry::TaskRef* ref,
+                                   MicrosT start, MicrosT end, bool queued) {
+  const MicrosT blocked = collector->blocked_micros();
+  const MicrosT self =
+      std::max<MicrosT>(0, end - start - collector->callee_micros() - blocked);
+  ref->Record(self);
+  uint64_t emitted = collector->TakeEmitted();
+  if (emitted > 0) ref->RecordEmit(emitted);
+  if (tracer_ == nullptr || tuple.trace_id() == 0) return;
+  if (queued) {
+    tracer_->RecordSpan(tuple.trace_id(), observability::SpanKind::kQueueWait,
+                        task.component_index, task.task_index,
+                        tuple.trace_enqueue_micros(), start);
+  }
+  tracer_->RecordSpan(tuple.trace_id(), observability::SpanKind::kExecute,
+                      task.component_index, task.task_index, start,
+                      start + self);
+  if (blocked > 0) {
+    tracer_->RecordSpan(tuple.trace_id(), observability::SpanKind::kEmitBlocked,
+                        task.component_index, task.task_index, end - blocked,
+                        end);
   }
 }
 
@@ -1275,25 +1388,43 @@ void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
     }
   }
 
-  TaskContext context;
-  context.component = def.name;
-  context.num_tasks = def.num_tasks;
-  for (TaskRuntime* task : my_tasks) {
-    if (!task->needs_init) continue;
-    context.task_index = task->task_index;
-    if (task->spout != nullptr) {
-      // Spouts are never re-Opened after a crash: the supervisor keeps the
-      // original instance (its emission cursor is the "committed offset"),
-      // so Open must run exactly once.
-      task->spout->Open(context);
-    } else {
-      task->bolt->Prepare(context);
-      task->snapshottable = dynamic_cast<Snapshottable*>(task->bolt.get());
-      if (coordinator_ != nullptr && task->ckpt_slot >= 0) {
-        RestoreTask(task, def);
-      }
+  // The chain this executor runs, head first: each chained component's
+  // task i belongs to the executor of the head's task i.
+  std::vector<int> members{component_index};
+  std::vector<std::vector<TaskRuntime*>> member_tasks{my_tasks};
+  for (int c = chain_next_[static_cast<size_t>(component_index)]; c >= 0;
+       c = chain_next_[static_cast<size_t>(c)]) {
+    members.push_back(c);
+    member_tasks.emplace_back();
+    for (TaskRuntime* task : my_tasks) {
+      member_tasks.back().push_back(&tasks_[static_cast<size_t>(c)][
+          static_cast<size_t>(task->task_index)]);
     }
-    task->needs_init = false;
+  }
+
+  for (size_t m = 0; m < members.size(); ++m) {
+    const ComponentDef& member =
+        topology_.components()[static_cast<size_t>(members[m])];
+    TaskContext context;
+    context.component = member.name;
+    context.num_tasks = member.num_tasks;
+    for (TaskRuntime* task : member_tasks[m]) {
+      if (!task->needs_init) continue;
+      context.task_index = task->task_index;
+      if (task->spout != nullptr) {
+        // Spouts are never re-Opened after a crash: the supervisor keeps the
+        // original instance (its emission cursor is the "committed offset"),
+        // so Open must run exactly once.
+        task->spout->Open(context);
+      } else {
+        task->bolt->Prepare(context);
+        task->snapshottable = dynamic_cast<Snapshottable*>(task->bolt.get());
+        if (coordinator_ != nullptr && task->ckpt_slot >= 0) {
+          RestoreTask(task, member);
+        }
+      }
+      task->needs_init = false;
+    }
   }
 
   if (def.is_spout) {
@@ -1325,16 +1456,77 @@ void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
         static_cast<size_t>(task_base_[static_cast<size_t>(component_index)] +
                             my_tasks[i]->task_index);
   }
+  // Chain links, `chain_length` per owned task: link k of task i runs
+  // member k + 1's task i and is fed by the collector before it. The links'
+  // collectors follow the owned tasks' in `collectors`, at
+  // collectors[n + i * chain_length + k].
+  const size_t n = my_tasks.size();
+  const size_t chain_length = members.size() - 1;
+  bool chain_crashed = false;
+  std::vector<ChainedTask> links(n * chain_length);
+  for (size_t i = 0; i < n; ++i) {
+    TaskCollector* upstream = collectors[i].get();
+    for (size_t k = 0; k < chain_length; ++k) {
+      TaskRuntime* task = member_tasks[k + 1][i];
+      collectors.push_back(std::make_unique<TaskCollector>(
+          this, members[k + 1], task->task_index, /*is_spout=*/false));
+      ChainedTask& link = links[i * chain_length + k];
+      link.task = task;
+      link.collector = collectors.back().get();
+      link.ref = metrics_.RefFor(
+          topology_.components()[static_cast<size_t>(members[k + 1])].name,
+          task->task_index);
+      link.crashed = &chain_crashed;
+      upstream->set_chained(&link);
+      upstream = link.collector;
+    }
+  }
+  // The executor dies with `batch[j]` of owned task `i` in hand: exactly
+  // that tuple is lost (its tree will time out and replay under acking) and
+  // the thread exits without Cleanup, like a killed Storm worker. The
+  // supervisor will restart this executor with fresh bolt instances.
+  // Emissions of the executions that completed before the crash are
+  // delivered, and the un-executed remainder of the drained batch goes back
+  // to the front of the queue — batching must not widen the failure beyond
+  // what per-tuple hand-off lost. Drain, not flush: the relaunched executor
+  // builds fresh outboxes, so any credit-deferred tuples must be handed off
+  // before these go out of scope.
+  std::vector<Tuple> batch;
+  auto die = [&](size_t i, size_t j) {
+    TaskRuntime* task = my_tasks[i];
+    for (auto& collector : collectors) DrainOutbox(collector->outbox());
+    if (j + 1 < batch.size()) {
+      {
+        MutexLock requeue(task->input->mutex);
+        for (size_t k = batch.size(); k-- > j + 1;) {
+          task->input->queue.push_front(std::move(batch[k]));
+        }
+        task->input->not_empty.NotifyOne();
+      }
+      // The drain already released credits for the whole batch; the
+      // requeued remainder re-occupies the queue, so re-charge the gate or
+      // producers would over-admit by the requeued count.
+      if (task_gates[i] != nullptr) {
+        task_gates[i]->ForceAcquire(batch.size() - j - 1);
+      }
+    }
+    int64_t prev = in_flight_.fetch_sub(1);
+    TMS_DCHECK_GE(prev, int64_t{1}) << "in-flight count went negative on crash";
+    TrackInbound(task_gids[i], -1);
+    NotifyPossiblyDone();
+    slot->crashed.store(true);
+  };
   // Bolt executor: drain the owned tasks' queues round-robin, moving up to
   // max_batch tuples out of a queue per lock acquisition (pseudo-parallel
   // execution of co-scheduled tasks, one not_full wake per drained block).
-  std::vector<Tuple> batch;
   batch.reserve(options_.max_batch);
   uint64_t seen_epoch = 0;
   while (true) {
     const uint64_t epoch = action_epoch_.load(std::memory_order_acquire);
     if (epoch != seen_epoch) {
-      RunTaskAction(epoch, component_index, my_tasks);
+      for (size_t m = 0; m < members.size(); ++m) {
+        RunTaskAction(epoch, members[m], member_tasks[m]);
+      }
       seen_epoch = epoch;
     }
     bool any = false;
@@ -1410,39 +1602,7 @@ void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
         Tuple& tuple = batch[j];
         if (injector != nullptr &&
             injector->ShouldCrash(def.name, task->task_index)) {
-          // The executor dies mid-execute: exactly the in-hand tuple is
-          // lost (its tree will time out and replay under acking) and the
-          // thread exits without Cleanup, like a killed Storm worker. The
-          // supervisor will restart this executor with fresh bolt
-          // instances. Emissions of the executions that completed before
-          // the crash are delivered, and the un-executed remainder of the
-          // drained batch goes back to the front of the queue — batching
-          // must not widen the failure beyond what per-tuple hand-off lost.
-          // Drain, not flush: the relaunched executor builds fresh outboxes,
-          // so any credit-deferred tuples must be handed off before this
-          // one goes out of scope.
-          DrainOutbox(collectors[i]->outbox());
-          if (j + 1 < batch.size()) {
-            {
-              MutexLock requeue(task->input->mutex);
-              for (size_t k = batch.size(); k-- > j + 1;) {
-                task->input->queue.push_front(std::move(batch[k]));
-              }
-              task->input->not_empty.NotifyOne();
-            }
-            // The drain above already released credits for the whole batch;
-            // the requeued remainder re-occupies the queue, so re-charge the
-            // gate or producers would over-admit by the requeued count.
-            if (task_gates[i] != nullptr) {
-              task_gates[i]->ForceAcquire(batch.size() - j - 1);
-            }
-          }
-          int64_t prev = in_flight_.fetch_sub(1);
-          TMS_DCHECK_GE(prev, int64_t{1})
-              << "in-flight count went negative on crash";
-          TrackInbound(task_gids[i], -1);
-          NotifyPossiblyDone();
-          slot->crashed.store(true);
+          die(i, j);
           return;
         }
         if (task->ledger != nullptr && tuple.dedup_id() != 0 &&
@@ -1468,18 +1628,12 @@ void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
         MicrosT start = options_.clock->NowMicros();
         task->bolt->Execute(tuple, collectors[i].get());
         MicrosT end = options_.clock->NowMicros();
-        refs[i].Record(end - start);
-        if (tracer_ != nullptr && tuple.trace_id() != 0) {
-          tracer_->RecordSpan(tuple.trace_id(),
-                              observability::SpanKind::kQueueWait,
-                              component_index, task->task_index,
-                              tuple.trace_enqueue_micros(), start);
-          tracer_->RecordSpan(tuple.trace_id(),
-                              observability::SpanKind::kExecute,
-                              component_index, task->task_index, start, end);
+        if (chain_crashed) {
+          die(i, j);  // a fault killed a chained member mid-execute
+          return;
         }
-        uint64_t emitted = collectors[i]->TakeEmitted();
-        if (emitted > 0) refs[i].RecordEmit(emitted);
+        RecordExecution(tuple, *task, collectors[i].get(), &refs[i], start,
+                        end, /*queued=*/true);
         if (acker_ != nullptr && tuple.root_key() != 0) {
           // One batched acker update per execution: the consumed input edge
           // plus every edge emitted while executing it.
@@ -1505,6 +1659,9 @@ void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
         NotifyPossiblyDone();
       }
       FlushOutbox(collectors[i]->outbox());
+      for (size_t k = 0; k < chain_length; ++k) {
+        FlushOutbox(collectors[n + i * chain_length + k]->outbox());
+      }
       if (coordinator_ != nullptr && task->ckpt_slot >= 0) {
         MaybeCheckpoint(task, def, /*force=*/false);
       }
@@ -1552,7 +1709,9 @@ void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
   // credit-deferred remainder and the in-flight count balances before Stop's
   // final accounting check.
   for (auto& collector : collectors) DrainOutbox(collector->outbox());
-  for (TaskRuntime* task : my_tasks) task->bolt->Cleanup();
+  for (const auto& tasks : member_tasks) {
+    for (TaskRuntime* task : tasks) task->bolt->Cleanup();
+  }
 }
 
 void LocalRuntime::SupervisorLoop() {
@@ -1568,17 +1727,20 @@ void LocalRuntime::SupervisorLoop() {
     for (auto& slot : executors_) {
       if (!slot->crashed.load() || stopping_.load()) continue;
       if (slot->thread.joinable()) slot->thread.join();
-      const ComponentDef& def =
-          topology_.components()[static_cast<size_t>(slot->component_index)];
-      for (auto& task : tasks_[static_cast<size_t>(slot->component_index)]) {
-        if (task.bolt != nullptr &&
-            task.task_index % def.num_executors == slot->executor_index) {
-          task.bolt = def.bolt_factory();
-          task.snapshottable = nullptr;
-          task.needs_init = true;  // Prepare + restore on relaunch
+      // The executor's chained tasks die with it.
+      for (int c = slot->component_index; c >= 0;
+           c = chain_next_[static_cast<size_t>(c)]) {
+        const ComponentDef& def = topology_.components()[static_cast<size_t>(c)];
+        for (auto& task : tasks_[static_cast<size_t>(c)]) {
+          if (task.bolt != nullptr &&
+              task.task_index % def.num_executors == slot->executor_index) {
+            task.bolt = def.bolt_factory();
+            task.snapshottable = nullptr;
+            task.needs_init = true;  // Prepare + restore on relaunch
+          }
+          // Spout tasks keep their instances and are not re-initialized;
+          // see the crash point in SpoutLoop.
         }
-        // Spout tasks keep their instances and are not re-initialized; see
-        // the crash point in SpoutLoop.
       }
       slot->crashed.store(false);
       executor_restarts_.fetch_add(1);
@@ -1810,6 +1972,13 @@ Status LocalRuntime::MigrateTask(const MigrationRequest& request) {
       topology_.components()[static_cast<size_t>(component_index)];
   if (def.is_spout) {
     return Status::InvalidArgument("cannot migrate a spout task");
+  }
+  if (chain_next_[static_cast<size_t>(component_index)] >= 0 ||
+      chain_prev_[static_cast<size_t>(component_index)] >= 0) {
+    // A chain member's tasks share executors (and, for a tail, have no
+    // queue to freeze), so a task cannot move on its own.
+    return Status::FailedPrecondition("cannot migrate a task of chained " +
+                                      request.component);
   }
   if (request.from_task == request.to_task) {
     return Status::InvalidArgument("from_task and to_task are the same");

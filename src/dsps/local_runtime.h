@@ -42,6 +42,13 @@ namespace dsps {
 /// batch. RunOnTasks() runs an action on each task of a bolt on the task's
 /// own executor thread, e.g. to reset per-batch state between batches.
 ///
+/// Operator chaining (always on, see DESIGN.md "Operator chaining"): a bolt
+/// B runs inside the executor of its upstream bolt A, called directly, when
+/// B's only subscription is a shuffle from A, A has no other subscriber, both
+/// have the same task and executor counts, and B's bolt is not Snapshottable.
+/// Task i of B then belongs to the executor of A's task i, and has no input
+/// queue and no thread of its own.
+///
 /// Reliability (opt-in, `Options::enable_acking`): spout emissions via
 /// Collector::EmitRooted are tracked by a Storm-style XOR acker
 /// (src/reliability). Trees not fully processed within `ack_timeout_micros`
@@ -241,7 +248,8 @@ class LocalRuntime {
   Status MigrateTask(const MigrationRequest& request);
 
   /// Current occupancy of a bolt task's input queue in [0, 1] (fraction of
-  /// queue_capacity; briefly takes the queue mutex). 0 for spouts/unknown.
+  /// queue_capacity; briefly takes the queue mutex). 0 for spouts, chained
+  /// tasks (they have no queue) and unknown tasks.
   /// The elastic controller reads this as its queue-watermark signal.
   double QueueOccupancy(const std::string& component, int task);
 
@@ -270,6 +278,9 @@ class LocalRuntime {
     std::vector<std::vector<Tuple>> per_task;  // indexed by global task id
     std::vector<uint32_t> dirty;               // global task ids with tuples
     size_t staged = 0;
+    /// Time flushes spent blocked on full downstream queues (or parked for
+    /// credits) since the owning collector's current execution began.
+    MicrosT blocked_micros = 0;
     /// Outbox flush threshold controller; null unless adaptive batch sizing
     /// is on (owned by the TaskCollector). Stage consults its threshold
     /// instead of Options::emit_batch, FlushOutbox feeds it back the worst
@@ -290,7 +301,7 @@ class LocalRuntime {
     int task_index = 0;  // within component
     std::unique_ptr<Spout> spout;
     std::unique_ptr<Bolt> bolt;
-    std::unique_ptr<TaskQueue> input;        // bolts only
+    std::unique_ptr<TaskQueue> input;        // bolts only, none if chained
     std::unique_ptr<SpoutEventQueue> events; // spouts only, acking only
     bool spout_done = false;
 
@@ -318,6 +329,25 @@ class LocalRuntime {
     int component_index = 0;
     Grouping grouping = Grouping::kShuffle;
     std::vector<int> field_indexes;  // source-field indexes for kFields
+    /// A chained shuffle edge: the emitter's executor runs the target task
+    /// inline instead of staging the tuple.
+    bool chained = false;
+  };
+
+  class TaskCollector;
+
+  /// One task of a chained component, owned by the executor of its chain
+  /// head and run inline whenever its upstream task emits.
+  struct ChainedTask {
+    TaskRuntime* task = nullptr;
+    TaskCollector* collector = nullptr;
+    MetricsRegistry::TaskRef ref;
+    /// Wall time of this task's executions since the caller's current
+    /// execution began; the caller's self time excludes it.
+    MicrosT elapsed_micros = 0;
+    /// The owning executor's crash flag, shared by the whole chain: a fault
+    /// injected into any member kills the executor.
+    bool* crashed = nullptr;
   };
 
   /// One executor thread plus its liveness state, so the supervisor can
@@ -336,17 +366,17 @@ class LocalRuntime {
   /// independent of flush timing). When `dedup_seq` is non-null too, each
   /// copy also gets a dedup id chained from `dedup_base` and the running
   /// per-execution sequence — replay-stable as long as the emitter and the
-  /// routing are deterministic.
+  /// routing are deterministic. `chained` is the emitter's chained task,
+  /// when its one subscription is a chained edge.
   struct Emission {
     int source_component = 0;
+    ChainedTask* chained = nullptr;
     Outbox* outbox = nullptr;
     uint64_t* emitted = nullptr;
     uint64_t* ack_batch = nullptr;
     uint64_t* dedup_seq = nullptr;
     uint64_t dedup_base = 0;
   };
-
-  class TaskCollector;
 
   void ExecutorLoop(ExecutorSlot* slot);
   void SpoutLoop(ExecutorSlot* slot, const ComponentDef& def,
@@ -402,6 +432,17 @@ class LocalRuntime {
   /// Spout::Fail fires).
   void Deliver(const Emission& emission, int target_component, int task_index,
                const Tuple& tuple);
+  /// Runs one delivered tuple through a chained task, on the caller's
+  /// thread. Under acking, folds the consumed edge and the task's emitted
+  /// edges into the caller's `ack_batch`, so the chain acks as one bolt.
+  void ExecuteChained(ChainedTask* link, const Tuple& tuple,
+                      uint64_t* ack_batch);
+  /// Records one finished Execute of a task: its self time (the call minus
+  /// chained callees and emit-blocked time) and emission count, and for a
+  /// sampled tuple its spans (queue wait only for a `queued` tuple).
+  void RecordExecution(const Tuple& tuple, const TaskRuntime& task,
+                       TaskCollector* collector, MetricsRegistry::TaskRef* ref,
+                       MicrosT start, MicrosT end, bool queued);
   void NotifyPossiblyDone();
 
   // --- Long-lived helpers ---
@@ -532,9 +573,13 @@ class LocalRuntime {
   std::vector<std::vector<TaskRuntime>> tasks_;
   std::vector<std::vector<RouteTarget>> routes_;
   std::vector<std::atomic<uint64_t>> shuffle_counters_;
+  /// Operator chaining: the component chained behind each component, and
+  /// the component each chained one runs behind (-1 = none).
+  std::vector<int> chain_next_;
+  std::vector<int> chain_prev_;
   /// Global task id = task_base_[component] + task_index.
   std::vector<int> task_base_;
-  /// Global task id -> input queue (nullptr for spout tasks).
+  /// Global task id -> input queue (nullptr for spout and chained tasks).
   std::vector<TaskQueue*> queue_of_;
   int total_tasks_ = 0;
 

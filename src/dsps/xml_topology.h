@@ -66,6 +66,11 @@ struct XmlTopology {
 ///       <rule name="r1"><![CDATA[SELECT * FROM bus ...]]></rule>
 ///     </rules>
 ///   </topology>
+///
+/// The document declares the logical graph only; LocalRuntime chains its
+/// shuffle links between bolts of equal parallelism (DESIGN.md "Operator
+/// chaining"). The Figure-8 submission in examples/xml_topology.cpp chains
+/// preProcess -> areaTracker -> busStops onto preProcess's executors.
 Result<XmlTopology> LoadTopologyFromXml(const std::string& xml,
                                         const ComponentRegistry& registry);
 

@@ -16,15 +16,20 @@ namespace insight {
 namespace observability {
 
 /// What one span measures. A sampled tuple tree produces one kRoot span
-/// (spout emission to final ack) plus, per bolt hop, one kQueueWait span
-/// (staged into the outbox to dequeued for execution — transport + queueing)
-/// and one kExecute span (the bolt's Execute call). Dapper-style: spans of
-/// one tree share a trace id; there is no parent pointer because the
-/// topology's dataflow graph already orders the hops.
+/// (spout emission to final ack) plus, per bolt execution, one kExecute span
+/// (the bolt's self time: it starts at the Execute call and excludes chained
+/// callees and blocked emits), one kQueueWait span (staged into the outbox to
+/// dequeued for execution — transport + queueing; none for a chained task,
+/// which is called directly) and, when an emit blocked on a full downstream
+/// queue, one kEmitBlocked span (the blocked time, ending with the Execute
+/// call). Dapper-style: spans of one tree share a trace id; there is no
+/// parent pointer because the topology's dataflow graph already orders the
+/// hops.
 enum class SpanKind : uint8_t {
   kRoot = 0,
   kQueueWait = 1,
   kExecute = 2,
+  kEmitBlocked = 3,
 };
 
 struct TraceSpan {

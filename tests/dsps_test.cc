@@ -1003,6 +1003,398 @@ TEST(LongLivedRuntimeTest, TaskActionsCheckTheirTarget) {
   runtime.AwaitCompletion();
 }
 
+// ---------------------------------------------------------------------------
+// Operator chaining
+// ---------------------------------------------------------------------------
+
+int64_t ThreadTag() {
+  return static_cast<int64_t>(std::hash<std::thread::id>{}(std::this_thread::get_id()));
+}
+
+/// Forwards its input's value with the tag of the thread it executed on.
+class ThreadTagBolt : public Bolt {
+ public:
+  void Execute(const Tuple& input, Collector* collector) override {
+    collector->Emit({input.Get(0), Value(ThreadTag())});
+  }
+};
+
+/// Counts the tuples it executed on the thread that emitted them: the mark of
+/// a chained edge.
+class ThreadCheckBolt : public Bolt {
+ public:
+  struct Log {
+    std::atomic<int> same{0};
+    std::atomic<int> other{0};
+  };
+  explicit ThreadCheckBolt(std::shared_ptr<Log> log) : log_(std::move(log)) {}
+  void Execute(const Tuple& input, Collector*) override {
+    ++(input.Get(1).AsInt() == ThreadTag() ? log_->same : log_->other);
+  }
+
+ private:
+  std::shared_ptr<Log> log_;
+};
+
+class SnapshottableCheckBolt : public ThreadCheckBolt, public Snapshottable {
+ public:
+  using ThreadCheckBolt::ThreadCheckBolt;
+  Status SnapshotState(std::string* out) const override {
+    out->clear();
+    return Status::OK();
+  }
+  Status RestoreState(const std::string&) override { return Status::OK(); }
+};
+
+struct ChainShape {
+  int head_executors = 1;
+  int head_tasks = 1;
+  int tail_executors = 1;
+  int tail_tasks = 1;
+  bool fields_grouping = false;
+  bool second_subscriber = false;
+  bool snapshottable_tail = false;
+};
+
+/// Streams 200 tuples through spout -> "a" (ThreadTagBolt) -> "b"
+/// (ThreadCheckBolt) wired as `shape` says; returns b's log.
+std::shared_ptr<ThreadCheckBolt::Log> RunChainProbe(const ChainShape& shape) {
+  auto log = std::make_shared<ThreadCheckBolt::Log>();
+  TopologyBuilder builder;
+  builder.SetSpout("s", [] { return std::make_unique<CounterSpout>(200); },
+                   Fields({"v"}));
+  builder
+      .SetBolt("a", [] { return std::make_unique<ThreadTagBolt>(); },
+               Fields({"v", "thread"}), shape.head_executors, shape.head_tasks)
+      .ShuffleGrouping("s");
+  auto declarer = builder.SetBolt(
+      "b",
+      [log, snapshottable = shape.snapshottable_tail]() -> std::unique_ptr<Bolt> {
+        if (snapshottable) return std::make_unique<SnapshottableCheckBolt>(log);
+        return std::make_unique<ThreadCheckBolt>(log);
+      },
+      Fields({}), shape.tail_executors, shape.tail_tasks);
+  if (shape.fields_grouping) {
+    declarer.FieldsGrouping("a", {"v"});
+  } else {
+    declarer.ShuffleGrouping("a");
+  }
+  if (shape.second_subscriber) {
+    builder.SetBolt("c", [] { return std::make_unique<DoubleBolt>(); }, Fields({}))
+        .ShuffleGrouping("a");
+  }
+  auto topology = builder.Build();
+  EXPECT_TRUE(topology.ok());
+  LocalRuntime runtime(std::move(*topology), {});
+  EXPECT_TRUE(runtime.Start().ok());
+  runtime.AwaitCompletion();
+  EXPECT_EQ(runtime.metrics()->Totals("a").executed, 200u);
+  EXPECT_EQ(runtime.metrics()->Totals("a").emitted,
+            shape.second_subscriber ? 400u : 200u);
+  EXPECT_EQ(runtime.metrics()->Totals("b").executed, 200u);
+  return log;
+}
+
+/// Blocks in Execute until released.
+class GateBolt : public Bolt {
+ public:
+  struct Gate {
+    std::atomic<bool> open{false};
+    std::atomic<int> entered{0};
+  };
+  explicit GateBolt(std::shared_ptr<Gate> gate) : gate_(std::move(gate)) {}
+  void Execute(const Tuple&, Collector*) override {
+    ++gate_->entered;
+    while (!gate_->open.load()) std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+
+ private:
+  std::shared_ptr<Gate> gate_;
+};
+
+TEST(OperatorChainTest, ShuffleToStatelessTailRunsInTheHeadsExecutor) {
+  // Every tuple of b runs on the thread of the a task that emitted it.
+  auto log = RunChainProbe({.head_executors = 2, .head_tasks = 4,
+                            .tail_executors = 2, .tail_tasks = 4});
+  EXPECT_EQ(log->same.load(), 200);
+  EXPECT_EQ(log->other.load(), 0);
+
+  // And b owns no queue: with b stuck in its first Execute, everything
+  // behind it waits in a's queue, none in b's.
+  auto gate = std::make_shared<GateBolt::Gate>();
+  TopologyBuilder builder;
+  builder.SetSpout("s", [] { return std::make_unique<CounterSpout>(100); },
+                   Fields({"v"}));
+  builder.SetBolt("a", [] { return std::make_unique<DoubleBolt>(); }, Fields({"v"}))
+      .ShuffleGrouping("s");
+  builder.SetBolt("b", [gate] { return std::make_unique<GateBolt>(gate); }, Fields({}))
+      .ShuffleGrouping("a");
+  auto topology = builder.Build();
+  ASSERT_TRUE(topology.ok());
+  LocalRuntime::Options options;
+  options.queue_capacity = 1000;
+  options.max_batch = 1;  // an executor holds one tuple out of its queue
+  LocalRuntime runtime(std::move(*topology), options);
+  ASSERT_TRUE(runtime.Start().ok());
+  auto queued = [&] {
+    return std::lround((runtime.QueueOccupancy("a", 0) + runtime.QueueOccupancy("b", 0)) *
+                       1000.0);
+  };
+  for (int i = 0; i < 5000 && !(gate->entered.load() == 1 && queued() == 99); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(gate->entered.load(), 1);
+  EXPECT_EQ(queued(), 99);  // the 100th is in b's hand
+  EXPECT_EQ(runtime.QueueOccupancy("b", 0), 0.0);
+  gate->open.store(true);
+  runtime.AwaitCompletion();
+  EXPECT_EQ(runtime.metrics()->Totals("b").executed, 100u);
+}
+
+TEST(OperatorChainTest, FieldsGroupingIsNotChained) {
+  EXPECT_EQ(RunChainProbe({.fields_grouping = true})->same.load(), 0);
+}
+
+TEST(OperatorChainTest, HeadWithSecondSubscriberIsNotChained) {
+  EXPECT_EQ(RunChainProbe({.second_subscriber = true})->same.load(), 0);
+}
+
+TEST(OperatorChainTest, UnequalExecutorsAreNotChained) {
+  EXPECT_EQ(RunChainProbe({.head_executors = 1, .head_tasks = 2,
+                           .tail_executors = 2, .tail_tasks = 2})
+                ->same.load(),
+            0);
+}
+
+TEST(OperatorChainTest, UnequalTasksAreNotChained) {
+  EXPECT_EQ(RunChainProbe({.head_executors = 1, .head_tasks = 2,
+                           .tail_executors = 1, .tail_tasks = 1})
+                ->same.load(),
+            0);
+}
+
+TEST(OperatorChainTest, SnapshottableTailIsNotChained) {
+  EXPECT_EQ(RunChainProbe({.snapshottable_tail = true})->same.load(), 0);
+}
+
+/// Acked source of [0, n): counts the callbacks in shared state.
+class AckedCounterSpout : public Spout {
+ public:
+  struct Acks {
+    std::atomic<int> acked{0};
+    std::atomic<int> failed{0};
+  };
+  AckedCounterSpout(int n, std::shared_ptr<Acks> acks) : n_(n), acks_(std::move(acks)) {}
+  bool NextTuple(Collector* collector) override {
+    if (next_ >= n_) return false;
+    collector->EmitRooted(static_cast<uint64_t>(next_), {Value(int64_t{next_})});
+    ++next_;
+    return next_ < n_;
+  }
+  void Ack(uint64_t) override { ++acks_->acked; }
+  void Fail(uint64_t) override { ++acks_->failed; }
+
+ private:
+  int n_;
+  int next_ = 0;
+  std::shared_ptr<Acks> acks_;
+};
+
+/// Emits its input twice (value and value + 1).
+class FanOutBolt : public Bolt {
+ public:
+  void Execute(const Tuple& input, Collector* collector) override {
+    collector->Emit({input.Get(0)});
+    collector->Emit({Value(input.Get(0).AsInt() + 1)});
+  }
+};
+
+struct AckedChainRun {
+  int acked = 0;
+  int failed = 0;
+  std::map<std::string, std::pair<uint64_t, uint64_t>> counts;  // executed, emitted
+  std::multiset<int64_t> values;
+  uint64_t restarts = 0;
+};
+
+/// Acked spout -> "fan" (FanOutBolt) -> "double" (DoubleBolt) -> "sink".
+/// `chained` wires double behind fan by shuffle (a chain); otherwise by
+/// fields grouping. The sink subscribes by fields grouping either way.
+AckedChainRun RunAckedChain(bool chained, int tuples,
+                            reliability::FaultInjector* injector = nullptr) {
+  auto acks = std::make_shared<AckedCounterSpout::Acks>();
+  auto sink = std::make_shared<SinkBolt::Sink>();
+  TopologyBuilder builder;
+  builder.SetSpout("s", [=] { return std::make_unique<AckedCounterSpout>(tuples, acks); },
+                   Fields({"v"}));
+  builder.SetBolt("fan", [] { return std::make_unique<FanOutBolt>(); }, Fields({"v"}), 2, 2)
+      .ShuffleGrouping("s");
+  auto declarer = builder.SetBolt(
+      "double", [] { return std::make_unique<DoubleBolt>(); }, Fields({"v"}), 2, 2);
+  if (chained) {
+    declarer.ShuffleGrouping("fan");
+  } else {
+    declarer.FieldsGrouping("fan", {"v"});
+  }
+  builder.SetBolt("sink", [sink] { return std::make_unique<SinkBolt>(sink); }, Fields({}))
+      .FieldsGrouping("double", {"v"});
+  auto topology = builder.Build();
+  EXPECT_TRUE(topology.ok());
+  LocalRuntime::Options options;
+  options.enable_acking = true;
+  options.ack_timeout_micros = 200'000;
+  options.replay_backoff_micros = 1'000;
+  options.supervisor_interval_micros = 1'000;
+  options.fault_injector = injector;
+  LocalRuntime runtime(std::move(*topology), options);
+  EXPECT_TRUE(runtime.Start().ok());
+  runtime.AwaitCompletion();
+  AckedChainRun run;
+  run.acked = acks->acked.load();
+  run.failed = acks->failed.load();
+  for (const char* name : {"s", "fan", "double", "sink"}) {
+    auto totals = runtime.metrics()->Totals(name);
+    run.counts[name] = {totals.executed, totals.emitted};
+  }
+  EXPECT_EQ(runtime.pending_trees(), 0u);
+  MutexLock lock(sink->mutex);
+  run.values.insert(sink->values.begin(), sink->values.end());
+  run.restarts = runtime.executor_restarts();
+  return run;
+}
+
+TEST(OperatorChainTest, AckedChainCompletesEveryTreeWithUnchainedCounts) {
+  constexpr int kTuples = 500;
+  AckedChainRun chained = RunAckedChain(/*chained=*/true, kTuples);
+  AckedChainRun plain = RunAckedChain(/*chained=*/false, kTuples);
+  EXPECT_EQ(chained.acked, kTuples);
+  EXPECT_EQ(chained.failed, 0);
+  EXPECT_EQ(plain.acked, kTuples);
+  EXPECT_EQ(chained.counts, plain.counts);
+  EXPECT_EQ(chained.counts["double"],
+            std::make_pair(uint64_t{2 * kTuples}, uint64_t{2 * kTuples}));
+  EXPECT_EQ(chained.values, plain.values);
+}
+
+TEST(OperatorChainTest, CrashInChainedTailRelaunchesTheExecutorAndReplays) {
+  constexpr int kTuples = 300;
+  reliability::FaultPlan plan;
+  plan.crashes.push_back({.component = "double", .task = 0,
+                          .after_executions = 40, .repeat = false});
+  reliability::FaultInjector injector(plan);
+  AckedChainRun run = RunAckedChain(/*chained=*/true, kTuples, &injector);
+  EXPECT_EQ(injector.crashes_injected(), 1u);
+  EXPECT_EQ(run.restarts, 1u);
+  EXPECT_EQ(run.acked, kTuples);
+  EXPECT_EQ(run.failed, 0);
+  // At least once: every value reached the sink (replays may repeat some).
+  for (int64_t v = 0; v < kTuples; ++v) {
+    EXPECT_GE(run.values.count(2 * v), 1u) << v;
+    EXPECT_GE(run.values.count(2 * v + 2), 1u) << v;
+  }
+}
+
+TEST(OperatorChainTest, ChainedMembersCannotMigrate) {
+  TopologyBuilder builder;
+  builder.SetSpout("s", [] { return std::make_unique<CounterSpout>(10); }, Fields({"v"}));
+  builder.SetBolt("a", [] { return std::make_unique<DoubleBolt>(); }, Fields({"v"}), 1, 2)
+      .ShuffleGrouping("s");
+  builder.SetBolt("b", [] { return std::make_unique<DoubleBolt>(); }, Fields({"v"}), 1, 2)
+      .ShuffleGrouping("a");
+  auto topology = builder.Build();
+  ASSERT_TRUE(topology.ok());
+  LocalRuntime::Options options;
+  options.enable_migration = true;
+  LocalRuntime runtime(std::move(*topology), options);
+  ASSERT_TRUE(runtime.Start().ok());
+  for (const char* name : {"a", "b"}) {
+    LocalRuntime::MigrationRequest request;
+    request.component = name;
+    request.from_task = 0;
+    request.to_task = 1;
+    EXPECT_EQ(runtime.MigrateTask(request).code(), StatusCode::kFailedPrecondition)
+        << name;
+  }
+  runtime.AwaitCompletion();
+}
+
+/// Sleeps `micros` per tuple, then forwards its input.
+class SleepBolt : public Bolt {
+ public:
+  explicit SleepBolt(int micros) : micros_(micros) {}
+  void Execute(const Tuple& input, Collector* collector) override {
+    std::this_thread::sleep_for(std::chrono::microseconds(micros_));
+    collector->Emit(input.values());
+  }
+
+ private:
+  int micros_;
+};
+
+TEST(OperatorChainTest, ChainHeadRecordsSelfTime) {
+  // a does no work; its chained tail b sleeps. a's execute time is its own.
+  TopologyBuilder builder;
+  builder.SetSpout("s", [] { return std::make_unique<CounterSpout>(50); }, Fields({"v"}));
+  builder.SetBolt("a", [] { return std::make_unique<DoubleBolt>(); }, Fields({"v"}))
+      .ShuffleGrouping("s");
+  builder.SetBolt("b", [] { return std::make_unique<SleepBolt>(2000); }, Fields({"v"}))
+      .ShuffleGrouping("a");
+  auto topology = builder.Build();
+  ASSERT_TRUE(topology.ok());
+  LocalRuntime::Options options;
+  options.enable_tracing = true;
+  options.trace_sample_rate = 1.0;
+  LocalRuntime runtime(std::move(*topology), options);
+  ASSERT_TRUE(runtime.Start().ok());
+  runtime.AwaitCompletion();
+  auto a = runtime.metrics()->Totals("a");
+  auto b = runtime.metrics()->Totals("b");
+  EXPECT_EQ(a.executed, 50u);
+  EXPECT_EQ(b.executed, 50u);
+  EXPECT_GE(b.avg_latency_micros, 2000.0);
+  EXPECT_LT(a.avg_latency_micros, 500.0);
+  // Per member: one execute span per tuple, a queue-wait span only for the
+  // head, which is the only one with a queue.
+  std::map<std::string, std::map<observability::SpanKind, int>> spans;
+  for (const auto& span : runtime.tracer()->Spans()) {
+    spans[runtime.tracer()->ComponentName(span.component)][span.kind]++;
+  }
+  EXPECT_EQ(spans["a"][observability::SpanKind::kExecute], 50);
+  EXPECT_EQ(spans["a"][observability::SpanKind::kQueueWait], 50);
+  EXPECT_EQ(spans["b"][observability::SpanKind::kExecute], 50);
+  EXPECT_EQ(spans["b"][observability::SpanKind::kQueueWait], 0);
+}
+
+TEST(SelfTimeTest, ExecuteTimeExcludesBlockedEmits) {
+  // a emits into a one-tuple queue in front of a slow sink, so nearly all
+  // of a's Execute call is spent blocked; its recorded time is not.
+  TopologyBuilder builder;
+  builder.SetSpout("s", [] { return std::make_unique<CounterSpout>(40); }, Fields({"v"}));
+  builder.SetBolt("a", [] { return std::make_unique<DoubleBolt>(); }, Fields({"v"}))
+      .ShuffleGrouping("s");
+  builder.SetBolt("sink", [] { return std::make_unique<SleepBolt>(2000); }, Fields({"v"}))
+      .FieldsGrouping("a", {"v"});
+  auto topology = builder.Build();
+  ASSERT_TRUE(topology.ok());
+  LocalRuntime::Options options;
+  options.queue_capacity = 1;
+  options.emit_batch = 1;
+  options.enable_tracing = true;
+  options.trace_sample_rate = 1.0;
+  LocalRuntime runtime(std::move(*topology), options);
+  ASSERT_TRUE(runtime.Start().ok());
+  runtime.AwaitCompletion();
+  EXPECT_LT(runtime.metrics()->Totals("a").avg_latency_micros, 500.0);
+  MicrosT blocked = 0;
+  for (const auto& span : runtime.tracer()->Spans()) {
+    if (span.kind != observability::SpanKind::kEmitBlocked) continue;
+    EXPECT_EQ(runtime.tracer()->ComponentName(span.component), "a");
+    blocked += span.duration_micros();
+  }
+  // a waited for most of the sink's 40 sleeps.
+  EXPECT_GE(blocked, 30 * 2000);
+}
+
 }  // namespace
 }  // namespace dsps
 }  // namespace insight

@@ -440,6 +440,7 @@ TEST(TracingEndToEndTest, SpansSumToMeasuredEndToEndLatency) {
                       tracer->ComponentName(span.component) == "detect");
           break;
         case SpanKind::kQueueWait:
+        case SpanKind::kEmitBlocked:
           queue_sum += span.duration_micros();
           break;
       }
