@@ -45,8 +45,10 @@ class Engine {
   Status RemoveStatement(const std::string& name);
   Result<Statement*> GetStatement(const std::string& name) const;
 
-  /// Processes one event through every statement that consumes its type.
-  /// Returns the number of matches fired across statements.
+  /// Processes one event in two phases: it enters every source of its type
+  /// once (window, indexes, accumulators), then each statement consuming
+  /// the type evaluates in name order and runs its listeners. Returns the
+  /// number of matches fired across statements.
   size_t SendEvent(const EventPtr& event);
 
   /// Builder bound to a registered type; CHECK-fails on unknown type (use
@@ -62,32 +64,36 @@ class Engine {
     size_t matches_fired = 0;
     /// Wall time spent inside SendEvent.
     RunningStats latency_micros;
-    /// Sum of events retained across all statement windows right now.
+    /// Events retained right now, each shared source counted once.
     size_t retained_events = 0;
+    /// Distinct shared sources (DESIGN.md "Shared sources").
+    size_t sources = 0;
   };
   EngineStats GetStats() const;
   void ResetStats();
 
-  /// Starts `type_name` afresh: every statement drops what its sources of
-  /// that type retain (Statement::ResetSource), while windows over other
-  /// types and the compiled statements stay. A long-lived topology calls
-  /// this at each run boundary for the bus stream, keeping the threshold
-  /// windows.
+  /// Starts `type_name` afresh: every source of that type drops its window
+  /// contents, index entries and accumulators, while sources of other types
+  /// and the compiled statements stay. A long-lived topology calls this at
+  /// each run boundary for the bus stream, keeping the threshold windows.
   void ResetStream(const std::string& type_name);
 
   // --- Stateful recovery (DESIGN.md "State & recovery") ---
 
-  /// Serializes every statement's operator state (view buffers, incremental
-  /// accumulator inputs, last-event/unique state, counters) plus the engine
-  /// totals into a versioned byte format. The rule set and type registry are
-  /// NOT serialized: Restore targets an engine prepared with the same
+  /// Serializes the operator state into a versioned byte format: each
+  /// shared source's retained events once, with the (statement, FROM
+  /// position) pairs that hold it, then every statement's counters and the
+  /// engine totals. Indexes and accumulators are derived: Restore rebuilds
+  /// them by replaying the events. The rule set and type registry are NOT
+  /// serialized: Restore targets an engine prepared with the same
   /// statements, which is what the DSPS layer guarantees by reinstalling a
   /// task's rules before restoring its checkpoint.
   Status Snapshot(std::string* out) const;
 
   /// Restores a snapshot taken by Snapshot() on an engine with the same
-  /// statements installed. On failure (truncated or corrupt bytes, version
-  /// or rule-set mismatch) every statement is reset to clean state and an
+  /// statements installed and sharing its sources alike. On failure
+  /// (truncated or corrupt bytes, an older version, a rule-set or sharing
+  /// mismatch) every source and statement is reset to clean state and an
   /// error is returned — a bad snapshot degrades to a clean restart, it
   /// never crashes and never leaves partial state.
   Status Restore(const std::string& bytes);
@@ -107,6 +113,13 @@ class Engine {
  private:
   static constexpr int kMaxInsertDepth = 16;
 
+  /// What one event type reaches: its sources, then the statements that
+  /// consume it, each with whether the type triggers its evaluation.
+  struct Route {
+    std::vector<Source*> sources;
+    std::vector<std::pair<Statement*, bool>> statements;
+  };
+
   const Clock* clock_;
   /// Engines are single-threaded by design (see class comment); debug
   /// builds pin the engine to the first thread that sends an event and
@@ -114,12 +127,15 @@ class Engine {
   std::thread::id owner_thread_;
   int send_depth_ = 0;
   std::map<std::string, EventTypePtr> types_;
+  /// Declared before statements_: statements release their sources when
+  /// destroyed, so the set must outlive them.
+  SourceSet sources_;
   std::map<std::string, std::unique_ptr<Statement>> statements_;
-  /// type name -> statements consuming it (rebuilt on add/remove).
-  std::map<std::string, std::vector<Statement*>> routing_;
-  /// Registered-type instance -> statements; the hot lookup. Events carrying
-  /// a foreign EventType instance fall back to the name map.
-  std::unordered_map<const EventType*, std::vector<Statement*>> routing_by_ptr_;
+  /// type name -> route (rebuilt on add/remove).
+  std::map<std::string, Route> routing_;
+  /// Registered-type instance -> route; the hot lookup. Events carrying a
+  /// foreign EventType instance fall back to the name map.
+  std::unordered_map<const EventType*, Route> routing_by_ptr_;
   EventPool event_pool_;
   size_t next_statement_id_ = 0;
   size_t events_processed_ = 0;
@@ -130,6 +146,8 @@ class Engine {
   MicrosT current_trigger_ts_ = 0;
 
   void RebuildRouting();
+  /// Clears every source and each statement's scratch and counters.
+  void ResetState();
 };
 
 }  // namespace cep

@@ -150,6 +150,18 @@ std::string UnaryExpr::ToString() const {
          operand_->ToString() + ")";
 }
 
+std::string LiteralExpr::CanonicalString() const {
+  if (value_.type() != ValueType::kString) return value_.ToString();
+  std::string out = "'";
+  out += value_.ToString();
+  return out + "'";
+}
+
+std::string UnaryExpr::CanonicalString() const {
+  return std::string(op_ == UnaryOp::kNot ? "not " : "-") + "(" +
+         operand_->CanonicalString() + ")";
+}
+
 Value BinaryExpr::Eval(const EvalContext& ctx) const {
   // Short-circuit logic ops.
   if (op_ == BinaryOp::kAnd) {
@@ -236,6 +248,16 @@ Result<ValueType> BinaryExpr::DeduceType() const {
 std::string BinaryExpr::ToString() const {
   return "(" + left_->ToString() + " " + BinaryOpToString(op_) + " " +
          right_->ToString() + ")";
+}
+
+std::string BinaryExpr::CanonicalString() const {
+  std::string out = "(";
+  out += left_->CanonicalString();
+  out += " ";
+  out += BinaryOpToString(op_);
+  out += " ";
+  out += right_->CanonicalString();
+  return out + ")";
 }
 
 Value AggregateExpr::Eval(const EvalContext& ctx) const {

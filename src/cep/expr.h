@@ -100,6 +100,12 @@ class Expr {
   virtual Result<ValueType> DeduceType() const = 0;
 
   virtual std::string ToString() const = 0;
+
+  /// ToString with each field reference rendered as `$field` (no alias) and
+  /// string literals quoted. Arguments that read one source and render the
+  /// same here compute the same value, whatever alias each statement gave
+  /// that source: the key under which an engine shares accumulators.
+  virtual std::string CanonicalString() const { return ToString(); }
 };
 
 using ExprPtr = std::unique_ptr<Expr>;
@@ -111,6 +117,7 @@ class LiteralExpr : public Expr {
   Value Eval(const EvalContext&) const override { return value_; }
   Result<ValueType> DeduceType() const override { return value_.type(); }
   std::string ToString() const override { return value_.ToString(); }
+  std::string CanonicalString() const override;
   const Value& value() const { return value_; }
 
  private:
@@ -132,6 +139,7 @@ class FieldRefExpr : public Expr {
   std::string ToString() const override {
     return alias_.empty() ? field_ : alias_ + "." + field_;
   }
+  std::string CanonicalString() const override { return "$" + field_; }
 
   const std::string& alias() const { return alias_; }
   const std::string& field() const { return field_; }
@@ -162,6 +170,7 @@ class UnaryExpr : public Expr {
   }
   Result<ValueType> DeduceType() const override;
   std::string ToString() const override;
+  std::string CanonicalString() const override;
 
  private:
   UnaryOp op_;
@@ -188,6 +197,7 @@ class BinaryExpr : public Expr {
   }
   Result<ValueType> DeduceType() const override;
   std::string ToString() const override;
+  std::string CanonicalString() const override;
 
   BinaryOp op() const { return op_; }
   const Expr* left() const { return left_.get(); }

@@ -24,33 +24,6 @@ std::string MatchResult::ToString() const {
   return out;
 }
 
-void Statement::HashIndex::Insert(const Event* e) {
-  key_scratch.clear();
-  for (int idx : field_indexes) key_scratch.push_back(e->Get(idx));
-  auto it = map.find(key_scratch);
-  if (it == map.end()) {
-    map.emplace(key_scratch, std::vector<const Event*>{e});
-  } else {
-    it->second.push_back(e);
-  }
-}
-
-void Statement::HashIndex::Remove(const Event* e) {
-  key_scratch.clear();
-  for (int idx : field_indexes) key_scratch.push_back(e->Get(idx));
-  auto it = map.find(key_scratch);
-  if (it == map.end()) return;
-  auto& vec = it->second;
-  for (size_t i = 0; i < vec.size(); ++i) {
-    if (vec[i] == e) {
-      vec.erase(vec.begin() + static_cast<long>(i));
-      break;
-    }
-  }
-  // The (possibly now empty) entry stays: the steady-state refresh cycle
-  // (remove + insert of the same key) reuses the node instead of churning it.
-}
-
 namespace {
 
 /// Flattens an AND tree into conjuncts.
@@ -83,20 +56,23 @@ int HighestSource(uint32_t mask) {
 }  // namespace
 
 Result<std::unique_ptr<Statement>> Statement::Compile(
-    StatementDef def, const std::map<std::string, EventTypePtr>& types) {
+    StatementDef def, const std::map<std::string, EventTypePtr>& types,
+    SourceSet* sources) {
   if (def.from.empty()) {
     return Status::InvalidArgument("statement requires at least one stream");
   }
-  if (def.from.size() > 16) {
-    return Status::InvalidArgument("at most 16 streams per statement");
+  if (def.from.size() > kMaxStreamsPerStatement) {
+    return Status::InvalidArgument("at most " +
+                                   std::to_string(kMaxStreamsPerStatement) +
+                                   " streams per statement");
   }
   if (!def.select_all && def.select.empty()) {
     return Status::InvalidArgument("statement requires a SELECT clause");
   }
 
-  auto stmt = std::unique_ptr<Statement>(new Statement());
+  auto stmt = std::unique_ptr<Statement>(new Statement(sources));
 
-  // Resolve sources: schemas + windows.
+  // Resolve sources: schemas + the engine's shared sources.
   for (StreamSource& src : def.from) {
     auto type_it = types.find(src.event_type);
     if (type_it == types.end()) {
@@ -108,9 +84,10 @@ Result<std::unique_ptr<Statement>> Statement::Compile(
     }
     stmt->schemas_.aliases.push_back(src.alias);
     stmt->schemas_.types.push_back(type_it->second);
-    INSIGHT_ASSIGN_OR_RETURN(auto window,
-                             Window::Create(src.views, type_it->second));
-    stmt->windows_.push_back(std::move(window));
+    INSIGHT_ASSIGN_OR_RETURN(Source * source,
+                             sources->Acquire(type_it->second, src.views));
+    source->AddUser(stmt.get(), stmt->sources_.size());
+    stmt->sources_.push_back(source);
   }
   for (const std::string& trigger : def.trigger_types) {
     if (types.find(trigger) == types.end()) {
@@ -205,7 +182,6 @@ Result<std::unique_ptr<Statement>> Statement::Compile(
   // Join planning: for each source after the first, gather equi-join
   // conjuncts `this.field = <expr over earlier sources>`.
   stmt->plans_.resize(def.from.size());
-  stmt->source_indexes_.resize(def.from.size());
   for (size_t i = 1; i < def.from.size(); ++i) {
     SourcePlan& plan = stmt->plans_[i];
     uint32_t earlier_mask = (1u << i) - 1;
@@ -232,10 +208,10 @@ Result<std::unique_ptr<Statement>> Statement::Compile(
       plan.conjunct_ids.push_back(static_cast<int>(cid));
     }
     if (plan.my_fields.empty()) continue;
-    Window* window = stmt->windows_[i].get();
-    if (window->grouped()) {
+    const Window& window = stmt->sources_[i]->window();
+    if (window.grouped()) {
       for (size_t k = 0; k < plan.my_fields.size(); ++k) {
-        if (plan.my_fields[k] == window->group_field_index()) {
+        if (plan.my_fields[k] == window.group_field_index()) {
           plan.use_group_lookup = true;
           plan.group_expr_pos = static_cast<int>(k);
           break;
@@ -249,15 +225,12 @@ Result<std::unique_ptr<Statement>> Statement::Compile(
                            plan.conjunct_ids[plan.group_expr_pos])]
           .is_equi_used = true;
     } else {
-      // Build a hash index over this source keyed on the equi fields. The
-      // probe enforces all of the plan's conjuncts (Equals semantics match
-      // the kEq operator), so they are skipped in ConjunctsPass.
-      HashIndex index;
-      index.field_indexes = plan.my_fields;
-      stmt->indexes_.push_back(std::move(index));
+      // Probe a hash index over this source keyed on the equi fields (shared
+      // with every statement keying it alike). The probe enforces all of the
+      // plan's conjuncts (Equals semantics match the kEq operator), so they
+      // are skipped in ConjunctsPass.
       plan.use_hash_index = true;
-      plan.hash_index_id = static_cast<int>(stmt->indexes_.size() - 1);
-      stmt->source_indexes_[i].push_back(plan.hash_index_id);
+      plan.hash_index_id = stmt->sources_[i]->AddIndex(plan.my_fields);
       for (int cid : plan.conjunct_ids) {
         stmt->conjuncts_[static_cast<size_t>(cid)].is_equi_used = true;
       }
@@ -266,20 +239,17 @@ Result<std::unique_ptr<Statement>> Statement::Compile(
 
   stmt->def_ = std::move(def);
 
-  const size_t n = stmt->windows_.size();
-  stmt->row_scratch_.assign(n, nullptr);
-  stmt->accum_row_scratch_.assign(n, nullptr);
-  stmt->source_is_trigger_.assign(n, 1);
-  if (!stmt->def_.trigger_types.empty()) {
-    for (size_t i = 0; i < n; ++i) {
-      stmt->source_is_trigger_[i] =
-          stmt->def_.trigger_types.count(stmt->def_.from[i].event_type) > 0
-              ? 1
-              : 0;
-    }
-  }
+  stmt->row_scratch_.assign(stmt->sources_.size(), nullptr);
   stmt->incremental_ = stmt->PlanIncremental();
   return stmt;
+}
+
+Statement::~Statement() {
+  for (const auto& [arg, column] : inc_accum_args_) {
+    sources_[static_cast<size_t>(inc_group_source_)]->ReleaseAccumColumn(column,
+                                                                         arg);
+  }
+  source_set_->Release(this);
 }
 
 bool Statement::PlanIncremental() {
@@ -287,9 +257,9 @@ bool Statement::PlanIncremental() {
   const auto* gref = dynamic_cast<const FieldRefExpr*>(def_.group_by[0].get());
   if (gref == nullptr) return false;
   const int g = gref->source_index();
-  Window* group_window = windows_[static_cast<size_t>(g)].get();
-  if (!group_window->grouped() ||
-      gref->field_index() != group_window->group_field_index()) {
+  const Window& group_window = sources_[static_cast<size_t>(g)]->window();
+  if (!group_window.grouped() ||
+      gref->field_index() != group_window.group_field_index()) {
     return false;
   }
   const uint32_t g_bit = 1u << g;
@@ -297,7 +267,7 @@ bool Statement::PlanIncremental() {
   // Classify aggregates. stddev stays on the fallback path so its Welford
   // numerics are bit-identical with the full recompute.
   inc_aggs_.clear();
-  inc_accum_args_.clear();
+  std::vector<const Expr*> accum_args;  // distinct per ToString
   for (AggregateExpr* agg : aggregates_) {
     if (agg->func() == AggFunc::kStddev) return false;
     IncAgg ia;
@@ -310,17 +280,17 @@ bool Statement::PlanIncremental() {
         ia.src = IncAggSrc::kAccum;
         std::string key = agg->argument()->ToString();
         int pos = -1;
-        for (size_t k = 0; k < inc_accum_args_.size(); ++k) {
-          if (inc_accum_args_[k]->ToString() == key) {
+        for (size_t k = 0; k < accum_args.size(); ++k) {
+          if (accum_args[k]->ToString() == key) {
             pos = static_cast<int>(k);
             break;
           }
         }
         if (pos < 0) {
-          pos = static_cast<int>(inc_accum_args_.size());
-          inc_accum_args_.push_back(agg->argument());
+          pos = static_cast<int>(accum_args.size());
+          accum_args.push_back(agg->argument());
         }
-        ia.accum_pos = pos;
+        ia.accum_pos = pos;  // mapped to the source's column below
       } else if ((mask & g_bit) == 0) {
         // Constant across a group's rows: the other sources each bind one
         // event per evaluation (checked below).
@@ -352,13 +322,13 @@ bool Statement::PlanIncremental() {
   // Every other source must bind at most one event, without touching g:
   // an ungrouped std:lastevent (bind its single event) or a std:unique
   // window probed through a hash index covering the unique key.
-  for (size_t t = 0; t < windows_.size(); ++t) {
+  for (size_t t = 0; t < sources_.size(); ++t) {
     if (static_cast<int>(t) == g) continue;
-    Window* w = windows_[t].get();
-    if (w->grouped()) return false;
-    if (w->data_kind() == ViewKind::kLastEvent) continue;
-    if (w->data_kind() == ViewKind::kUnique && plans_[t].use_hash_index) {
-      for (int uf : w->unique_field_indexes()) {
+    const Window& w = sources_[t]->window();
+    if (w.grouped()) return false;
+    if (w.data_kind() == ViewKind::kLastEvent) continue;
+    if (w.data_kind() == ViewKind::kUnique && plans_[t].use_hash_index) {
+      for (int uf : w.unique_field_indexes()) {
         bool covered = false;
         for (int mf : plans_[t].my_fields) {
           if (mf == uf) {
@@ -379,6 +349,17 @@ bool Statement::PlanIncremental() {
 
   inc_group_source_ = g;
   inc_shape_a_ = gplan.use_group_lookup;
+  Source* group_source = sources_[static_cast<size_t>(g)];
+  std::vector<int> columns;
+  for (const Expr* arg : accum_args) {
+    columns.push_back(group_source->AddAccumColumn(arg));
+    inc_accum_args_.emplace_back(arg, columns.back());
+  }
+  for (IncAgg& ia : inc_aggs_) {
+    if (ia.src == IncAggSrc::kAccum) {
+      ia.accum_pos = columns[static_cast<size_t>(ia.accum_pos)];
+    }
+  }
   return true;
 }
 
@@ -389,151 +370,43 @@ bool Statement::ConsumesType(const std::string& type_name) const {
   return false;
 }
 
+bool Statement::TriggeredBy(const std::string& type_name) const {
+  return def_.trigger_types.empty() || def_.trigger_types.count(type_name) > 0;
+}
+
 size_t Statement::RetainedEvents() const {
   size_t total = 0;
-  for (const auto& w : windows_) total += w->TotalSize();
+  for (const Source* source : sources_) total += source->window().TotalSize();
   return total;
 }
 
-size_t Statement::OnEvent(const EventPtr& event) {
-  const EventType* event_type = &event->type();
-  bool consumed = false;
-  bool triggered = false;
-  for (size_t i = 0; i < schemas_.types.size(); ++i) {
-    // Pointer compare first: events built from the engine's registry share
-    // the schema instance, so the name compare is only a fallback for
-    // foreign EventType copies.
-    const EventType* source_type = schemas_.types[i].get();
-    if (source_type != event_type && source_type->name() != event_type->name()) {
-      continue;
-    }
-    consumed = true;
-    if (source_is_trigger_[i] != 0) triggered = true;
-    expired_scratch_.clear();
-    windows_[i]->Insert(event, &expired_scratch_);
-    for (int index_id : source_indexes_[i]) {
-      HashIndex& index = indexes_[static_cast<size_t>(index_id)];
-      index.Insert(event.get());
-      for (const EventPtr& e : expired_scratch_) index.Remove(e.get());
-    }
-    if (incremental_ && static_cast<int>(i) == inc_group_source_) {
-      AccumInsert(*event);
-      for (const EventPtr& e : expired_scratch_) AccumRemove(*e);
-    }
-  }
-  if (!consumed) return 0;
+size_t Statement::OnEvent(bool trigger) {
   ++total_events_;
-  if (!triggered) return 0;
+  if (!trigger) return 0;
 
   // Matches are collected before any listener runs: an INSERT INTO listener
   // may re-enter this statement through the engine.
   std::vector<MatchResult> matches;
   EvaluateJoin(&matches);
   total_matches_ += matches.size();
-  for (const MatchResult& m : matches) {
-    for (const Listener& l : listeners_) l(m);
+  if (!listeners_.empty()) {
+    for (MatchResult& m : matches) {
+      for (size_t i = 0; i + 1 < listeners_.size(); ++i) {
+        listeners_[i](MatchResult(m));
+      }
+      listeners_.back()(std::move(m));
+    }
   }
   return matches.size();
-}
-
-void Statement::SnapshotState(ByteWriter* writer) const {
-  writer->PutU32(static_cast<uint32_t>(windows_.size()));
-  for (size_t i = 0; i < windows_.size(); ++i) {
-    const Window& window = *windows_[i];
-    writer->PutU64(window.TotalSize());
-    // Iteration order is deterministic (map key order for groups/unique,
-    // ring order within a bucket), and replaying events in this order
-    // through Insert reproduces the identical window contents: every
-    // retained event already satisfied the window's eviction predicate
-    // relative to its retained neighbours when it was first inserted.
-    window.ForEachEvent([&](const EventPtr& e) {
-      writer->PutI64(e->timestamp());
-      writer->PutU32(static_cast<uint32_t>(e->values().size()));
-      for (const Value& v : e->values()) EncodeValue(v, writer);
-    });
-  }
-  writer->PutU64(total_events_);
-  writer->PutU64(total_matches_);
-}
-
-Status Statement::RestoreState(ByteReader* reader) {
-  ResetState();
-  auto fail = [this](const std::string& msg) {
-    ResetState();
-    return Status::ParseError("statement '" + def_.name + "': " + msg);
-  };
-  uint32_t sources;
-  if (!reader->GetU32(&sources)) return fail("truncated source count");
-  if (sources != windows_.size()) return fail("source count mismatch");
-  for (size_t i = 0; i < windows_.size(); ++i) {
-    const EventTypePtr& type = schemas_.types[i];
-    uint64_t count;
-    if (!reader->GetU64(&count)) return fail("truncated event count");
-    for (uint64_t k = 0; k < count; ++k) {
-      int64_t timestamp;
-      uint32_t nfields;
-      if (!reader->GetI64(&timestamp) || !reader->GetU32(&nfields)) {
-        return fail("truncated event");
-      }
-      if (nfields != type->num_fields()) return fail("field count mismatch");
-      std::vector<Value> values(nfields);
-      for (uint32_t f = 0; f < nfields; ++f) {
-        if (!DecodeValue(reader, &values[f])) return fail("bad field value");
-      }
-      InsertRestored(i, std::make_shared<Event>(type, std::move(values),
-                                                timestamp));
-    }
-  }
-  uint64_t events, matches;
-  if (!reader->GetU64(&events) || !reader->GetU64(&matches)) {
-    return fail("truncated counters");
-  }
-  total_events_ = events;
-  total_matches_ = matches;
-  return Status::OK();
-}
-
-void Statement::ResetState() {
-  for (const auto& w : windows_) w->Clear();
-  for (HashIndex& index : indexes_) index.map.clear();
-  accums_.clear();
-  group_table_.clear();
-  total_events_ = 0;
-  total_matches_ = 0;
-}
-
-void Statement::ResetSource(const std::string& event_type) {
-  for (size_t i = 0; i < def_.from.size(); ++i) {
-    if (def_.from[i].event_type != event_type) continue;
-    windows_[i]->Clear();
-    for (int index_id : source_indexes_[i]) {
-      indexes_[static_cast<size_t>(index_id)].map.clear();
-    }
-    if (incremental_ && static_cast<int>(i) == inc_group_source_) accums_.clear();
-  }
-  // Evaluation scratch may point into the cleared windows.
-  group_table_.clear();
 }
 
 void Statement::ForEachRetained(
     const std::string& event_type,
     const std::function<void(const EventPtr&)>& fn) const {
   for (size_t i = 0; i < def_.from.size(); ++i) {
-    if (def_.from[i].event_type == event_type) windows_[i]->ForEachEvent(fn);
-  }
-}
-
-void Statement::InsertRestored(size_t source, const EventPtr& event) {
-  expired_scratch_.clear();
-  windows_[source]->Insert(event, &expired_scratch_);
-  for (int index_id : source_indexes_[source]) {
-    HashIndex& index = indexes_[static_cast<size_t>(index_id)];
-    index.Insert(event.get());
-    for (const EventPtr& e : expired_scratch_) index.Remove(e.get());
-  }
-  if (incremental_ && static_cast<int>(source) == inc_group_source_) {
-    AccumInsert(*event);
-    for (const EventPtr& e : expired_scratch_) AccumRemove(*e);
+    if (def_.from[i].event_type == event_type) {
+      sources_[i]->window().ForEachEvent(fn);
+    }
   }
 }
 
@@ -555,7 +428,7 @@ bool Statement::ConjunctsPass(uint32_t bound_mask, uint32_t newly_bound,
 }
 
 void Statement::JoinRecurse(size_t depth, uint32_t bound_mask) {
-  const size_t n = windows_.size();
+  const size_t n = sources_.size();
   if (depth == n) {
     row_arena_.insert(row_arena_.end(), row_scratch_.begin(),
                       row_scratch_.end());
@@ -575,17 +448,17 @@ void Statement::JoinRecurse(size_t depth, uint32_t bound_mask) {
     row_scratch_[depth] = nullptr;
   };
 
-  Window* window = windows_[depth].get();
+  const Source& source = *sources_[depth];
   if (plan.use_group_lookup) {
     Value key =
         plan.bound_exprs[static_cast<size_t>(plan.group_expr_pos)]->Eval(ctx);
-    const EventRing* group = window->GroupContents(key);
+    const EventRing* group = source.window().GroupContents(key);
     if (group == nullptr) return;
     for (const EventPtr& e : *group) try_candidate(e.get());
     return;
   }
   if (plan.use_hash_index) {
-    HashIndex& index = indexes_[static_cast<size_t>(plan.hash_index_id)];
+    const HashIndex& index = source.index(plan.hash_index_id);
     probe_key_.clear();
     for (const Expr* e : plan.bound_exprs) probe_key_.push_back(e->Eval(ctx));
     auto it = index.map.find(probe_key_);
@@ -595,7 +468,8 @@ void Statement::JoinRecurse(size_t depth, uint32_t bound_mask) {
     for (const Event* e : it->second) try_candidate(e);
     return;
   }
-  window->ForEachEvent([&](const EventPtr& e) { try_candidate(e.get()); });
+  source.window().ForEachEvent(
+      [&](const EventPtr& e) { try_candidate(e.get()); });
 }
 
 void Statement::EvaluateJoin(std::vector<MatchResult>* out) {
@@ -659,7 +533,7 @@ void Statement::ComputeFallbackAggs(const std::vector<uint32_t>* row_ids,
 }
 
 void Statement::EmitGroupsFallback() {
-  const size_t n = windows_.size();
+  const size_t n = sources_.size();
   const size_t nrows = row_arena_.size() / n;
   const bool has_groups = !def_.group_by.empty();
   const bool has_aggs = !aggregates_.empty();
@@ -710,7 +584,7 @@ void Statement::EmitGroupsFallback() {
 }
 
 void Statement::EvaluateIncremental() {
-  const size_t n = windows_.size();
+  const size_t n = sources_.size();
   std::fill(row_scratch_.begin(), row_scratch_.end(), nullptr);
   JoinRow row(row_scratch_.data(), n);
   EvalContext ctx;
@@ -720,15 +594,15 @@ void Statement::EvaluateIncremental() {
   // probe keys only read already-bound slots.
   for (size_t i = 0; i < n; ++i) {
     if (static_cast<int>(i) == inc_group_source_) continue;
-    Window* w = windows_[i].get();
-    if (w->data_kind() == ViewKind::kLastEvent) {
-      const EventRing& contents = w->Contents();
+    const Source& source = *sources_[i];
+    if (source.window().data_kind() == ViewKind::kLastEvent) {
+      const EventRing& contents = source.window().Contents();
       if (contents.empty()) return;
       row_scratch_[i] = contents.back().get();
       continue;
     }
     const SourcePlan& plan = plans_[i];
-    HashIndex& index = indexes_[static_cast<size_t>(plan.hash_index_id)];
+    const HashIndex& index = source.index(plan.hash_index_id);
     probe_key_.clear();
     for (const Expr* e : plan.bound_exprs) probe_key_.push_back(e->Eval(ctx));
     auto it = index.map.find(probe_key_);
@@ -740,15 +614,16 @@ void Statement::EvaluateIncremental() {
     if (!conjuncts_[static_cast<size_t>(cid)].expr->Eval(ctx).AsBool()) return;
   }
 
-  Window* group_window = windows_[static_cast<size_t>(inc_group_source_)].get();
+  const Window& group_window =
+      sources_[static_cast<size_t>(inc_group_source_)]->window();
   if (inc_shape_a_) {
     const SourcePlan& plan = plans_[static_cast<size_t>(inc_group_source_)];
     Value key =
         plan.bound_exprs[static_cast<size_t>(plan.group_expr_pos)]->Eval(ctx);
-    const EventRing* bucket = group_window->GroupContents(key);
+    const EventRing* bucket = group_window.GroupContents(key);
     if (bucket != nullptr) EmitIncrementalGroup(key, *bucket, &ctx);
   } else {
-    group_window->ForEachGroupT([&](const Value& key, const EventRing& bucket) {
+    group_window.ForEachGroupT([&](const Value& key, const EventRing& bucket) {
       EmitIncrementalGroup(key, bucket, &ctx);
     });
   }
@@ -758,17 +633,9 @@ void Statement::EmitIncrementalGroup(const Value& key, const EventRing& bucket,
                                      EvalContext* ctx) {
   if (bucket.empty()) return;
   const size_t count = bucket.size();
+  Source* group_source = sources_[static_cast<size_t>(inc_group_source_)];
   GroupAccum* acc = nullptr;
-  if (!inc_accum_args_.empty()) {
-    GroupAccum& slot = accums_[key];
-    if (slot.args.size() != inc_accum_args_.size() || slot.count != count) {
-      // Defensive resync; steady state keeps count in lockstep with the
-      // window, so this only fires on first touch.
-      slot.args.resize(inc_accum_args_.size());
-      RescanAccum(&slot, bucket);
-    }
-    acc = &slot;
-  }
+  if (!inc_accum_args_.empty()) acc = group_source->Accum(key, bucket);
 
   agg_scratch_.resize(aggregates_.size());
   for (size_t k = 0; k < inc_aggs_.size(); ++k) {
@@ -781,7 +648,8 @@ void Statement::EmitIncrementalGroup(const Value& key, const EventRing& bucket,
         ArgAccum* a = &acc->args[static_cast<size_t>(ia.accum_pos)];
         if ((ia.func == AggFunc::kMin || ia.func == AggFunc::kMax) &&
             !a->minmax_valid) {
-          RescanAccum(acc, bucket);  // also refreshes sums (kills drift)
+          // Also refreshes the sums, for every statement on this source.
+          group_source->RescanAccum(acc, bucket);
           a = &acc->args[static_cast<size_t>(ia.accum_pos)];
         }
         switch (ia.func) {
@@ -830,79 +698,6 @@ void Statement::EmitIncrementalGroup(const Value& key, const EventRing& bucket,
   row_scratch_[static_cast<size_t>(inc_group_source_)] = bucket.back().get();
   EmitMatch(JoinRow(row_scratch_.data(), row_scratch_.size()));
   row_scratch_[static_cast<size_t>(inc_group_source_)] = nullptr;
-}
-
-void Statement::RescanAccum(GroupAccum* acc, const EventRing& bucket) {
-  for (ArgAccum& a : acc->args) a = ArgAccum{};
-  acc->count = bucket.size();
-  JoinRow row(accum_row_scratch_.data(), accum_row_scratch_.size());
-  EvalContext ctx;
-  ctx.row = &row;
-  for (const EventPtr& e : bucket) {
-    accum_row_scratch_[static_cast<size_t>(inc_group_source_)] = e.get();
-    for (size_t k = 0; k < inc_accum_args_.size(); ++k) {
-      double v = inc_accum_args_[k]->Eval(ctx).AsDouble();
-      ArgAccum& a = acc->args[k];
-      a.sum += v;
-      if (v < a.min_v) a.min_v = v;
-      if (v > a.max_v) a.max_v = v;
-    }
-  }
-  accum_row_scratch_[static_cast<size_t>(inc_group_source_)] = nullptr;
-  for (ArgAccum& a : acc->args) a.minmax_valid = true;
-}
-
-void Statement::AccumInsert(const Event& e) {
-  if (inc_accum_args_.empty()) return;
-  Window* group_window = windows_[static_cast<size_t>(inc_group_source_)].get();
-  const Value& key = e.Get(group_window->group_field_index());
-  GroupAccum& acc = accums_[key];
-  if (acc.args.size() != inc_accum_args_.size()) {
-    acc.args.resize(inc_accum_args_.size());
-  }
-  ++acc.count;
-  JoinRow row(accum_row_scratch_.data(), accum_row_scratch_.size());
-  EvalContext ctx;
-  ctx.row = &row;
-  accum_row_scratch_[static_cast<size_t>(inc_group_source_)] = &e;
-  for (size_t k = 0; k < inc_accum_args_.size(); ++k) {
-    double v = inc_accum_args_[k]->Eval(ctx).AsDouble();
-    ArgAccum& a = acc.args[k];
-    a.sum += v;
-    if (a.minmax_valid) {
-      if (v < a.min_v) a.min_v = v;
-      if (v > a.max_v) a.max_v = v;
-    }
-  }
-  accum_row_scratch_[static_cast<size_t>(inc_group_source_)] = nullptr;
-}
-
-void Statement::AccumRemove(const Event& e) {
-  if (inc_accum_args_.empty()) return;
-  Window* group_window = windows_[static_cast<size_t>(inc_group_source_)].get();
-  const Value& key = e.Get(group_window->group_field_index());
-  auto it = accums_.find(key);
-  if (it == accums_.end()) return;
-  GroupAccum& acc = it->second;
-  JoinRow row(accum_row_scratch_.data(), accum_row_scratch_.size());
-  EvalContext ctx;
-  ctx.row = &row;
-  accum_row_scratch_[static_cast<size_t>(inc_group_source_)] = &e;
-  for (size_t k = 0; k < inc_accum_args_.size(); ++k) {
-    double v = inc_accum_args_[k]->Eval(ctx).AsDouble();
-    ArgAccum& a = acc.args[k];
-    a.sum -= v;
-    // An evicted extremum invalidates min/max until the next lazy rescan.
-    if (a.minmax_valid && (v <= a.min_v || v >= a.max_v)) {
-      a.minmax_valid = false;
-    }
-  }
-  accum_row_scratch_[static_cast<size_t>(inc_group_source_)] = nullptr;
-  if (acc.count > 0 && --acc.count == 0) {
-    // Empty group: reset to pristine so float residue cannot leak into the
-    // group's next life.
-    for (ArgAccum& a : acc.args) a = ArgAccum{};
-  }
 }
 
 void Statement::EmitMatch(const JoinRow& representative) {

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -13,6 +12,7 @@
 #include <vector>
 
 #include "cep/expr.h"
+#include "cep/source.h"
 #include "cep/view.h"
 #include "common/stats.h"
 #include "common/status.h"
@@ -77,24 +77,37 @@ struct MatchResult {
 
 /// Listener invoked for every group that passes HAVING on an evaluation
 /// (Esper's UpdateListener). Keep these fast: they run on the engine path.
-using Listener = std::function<void(const MatchResult&)>;
+/// The statement's last listener receives the match itself and may move
+/// from it; earlier listeners receive copies.
+using Listener = std::function<void(MatchResult&&)>;
 
-/// A compiled, stateful statement. Created via Statement::Compile; owned by
-/// the Engine. Not thread-safe on its own (the Engine serializes access, as
-/// Esper does per-engine).
+/// A compiled statement: an evaluation plan over sources the engine shares
+/// between its statements (DESIGN.md "Shared sources"). Created via
+/// Statement::Compile; owned by the Engine. Not thread-safe on its own (the
+/// Engine serializes access, as Esper does per-engine).
 class Statement {
  public:
-  /// Compiles the definition: resolves expressions, builds windows, plans the
-  /// join (group-window lookups and hash indexes for equi-join conjuncts),
-  /// and — when the statement fits the incremental shape — an
-  /// accumulator-based aggregation plan that avoids rescanning windows.
+  /// Compiles the definition: resolves expressions, takes one source per
+  /// FROM item from `sources`, plans the join (group-window lookups and hash
+  /// indexes for equi-join conjuncts) and — when the statement fits the
+  /// incremental shape — an accumulator-based aggregation plan that avoids
+  /// rescanning windows. The statement releases its sources when destroyed,
+  /// so `sources` must outlive it.
   static Result<std::unique_ptr<Statement>> Compile(
-      StatementDef def, const std::map<std::string, EventTypePtr>& types);
+      StatementDef def, const std::map<std::string, EventTypePtr>& types,
+      SourceSet* sources);
 
-  /// Processes one event: inserts it into every matching source window and,
-  /// if the type triggers this statement, evaluates the join. Matches go to
-  /// the registered listeners. Returns the number of matches emitted.
-  size_t OnEvent(const EventPtr& event);
+  ~Statement();
+  Statement(const Statement&) = delete;
+  Statement& operator=(const Statement&) = delete;
+
+  /// Processes one event of a consumed type, after the engine inserted it
+  /// into every source of that type: counts it and, when `trigger` (the
+  /// type triggers this statement), evaluates the join. Matches go to the
+  /// registered listeners. Returns the number of matches emitted.
+  size_t OnEvent(bool trigger);
+  /// Whether events of `type_name` trigger evaluation.
+  bool TriggeredBy(const std::string& type_name) const;
 
   void AddListener(Listener listener) { listeners_.push_back(std::move(listener)); }
 
@@ -112,36 +125,24 @@ class Statement {
   /// system benchmark (perfbench/) reads it for `cep.fast_path_share`; the
   /// runtime never calls it.
   bool UsingBatchFastPath() const { return false; }
-  /// Sum of retained window sizes; memory-pressure proxy.
+  /// Sum of retained window sizes over this statement's sources (a source
+  /// shared with other statements counts here too); memory-pressure proxy.
   size_t RetainedEvents() const;
+  /// The source behind each FROM item, in FROM order.
+  const std::vector<Source*>& sources() const { return sources_; }
 
   /// Whether the incremental aggregation plan is active (introspection for
   /// tests and benchmarks).
   bool incremental() const { return incremental_; }
 
-  // --- Stateful recovery (DESIGN.md "State & recovery") ---
-
-  /// Serializes this statement's operator state — every source window's
-  /// retained events plus the event/match counters — into `writer`. Hash
-  /// indexes, incremental accumulators, and group tables are derived state
-  /// and are NOT serialized: RestoreState rebuilds them by replaying the
-  /// retained events through the insertion path.
-  void SnapshotState(ByteWriter* writer) const;
-
-  /// Restores state written by SnapshotState against a statement compiled
-  /// from the same definition. On any decode or schema mismatch the
-  /// statement is reset to clean state and an error is returned — a corrupt
-  /// snapshot can never leave partial state behind.
-  Status RestoreState(ByteReader* reader);
-
-  /// Drops all retained state (windows, indexes, accumulators, counters).
-  void ResetState();
-
-  /// Drops the retained state of every source of `event_type` only: its
-  /// window, the hash indexes over it and, when it is the incrementally
-  /// aggregated source, the group accumulators. Windows of other sources
-  /// (e.g. a std:unique threshold window) and the counters are kept.
-  void ResetSource(const std::string& event_type);
+  /// Drops the evaluation scratch that may point into source windows; the
+  /// engine calls it whenever it clears a source.
+  void ResetScratch() { group_table_.clear(); }
+  /// Overwrites the counters (engine Restore; zero for a clean state).
+  void SetCounters(size_t events, size_t matches) {
+    total_events_ = events;
+    total_matches_ = matches;
+  }
 
   /// Invokes fn(event) over every event retained by sources of
   /// `event_type`, source by source in FROM order.
@@ -149,21 +150,7 @@ class Statement {
                        const std::function<void(const EventPtr&)>& fn) const;
 
  private:
-  Statement() = default;
-
-  struct HashIndex {
-    std::vector<int> field_indexes;  // fields of this source forming the key
-    // Raw Event pointers: the source window retains the owning EventPtr for
-    // as long as an event is indexed (Remove runs on window expiry, while
-    // the expired EventPtr is still live).
-    std::unordered_map<std::vector<Value>, std::vector<const Event*>,
-                       ValueVectorHash, ValueVectorEq>
-        map;
-    std::vector<Value> key_scratch;
-
-    void Insert(const Event* e);
-    void Remove(const Event* e);
-  };
+  explicit Statement(SourceSet* source_set) : source_set_(source_set) {}
 
   /// Per-source lookup plan for the join cascade.
   struct SourcePlan {
@@ -177,7 +164,7 @@ class Statement {
     bool use_group_lookup = false;  // grouped window, group field in my_fields
     int group_expr_pos = -1;        // position in my_fields of the group field
     bool use_hash_index = false;
-    int hash_index_id = -1;
+    int hash_index_id = -1;  // Source::index id on this FROM item's source
   };
 
   struct Conjunct {
@@ -195,21 +182,8 @@ class Statement {
   struct IncAgg {
     AggFunc func = AggFunc::kCount;
     IncAggSrc src = IncAggSrc::kGroupCount;
-    int accum_pos = -1;              // kAccum: index into inc_accum_args_
+    int accum_pos = -1;              // kAccum: the grouped source's column
     const Expr* row_expr = nullptr;  // kRowConst: the argument
-  };
-  /// Running accumulator for one aggregated argument of one group. min/max
-  /// go stale when a min/max-holding event is evicted; the next read rescans
-  /// the bucket (which also refreshes sum, killing float drift).
-  struct ArgAccum {
-    double sum = 0.0;
-    double min_v = std::numeric_limits<double>::infinity();
-    double max_v = -std::numeric_limits<double>::infinity();
-    bool minmax_valid = true;
-  };
-  struct GroupAccum {
-    size_t count = 0;
-    std::vector<ArgAccum> args;
   };
 
   /// Fallback GROUP BY state, persistent across evaluations so the table's
@@ -226,7 +200,7 @@ class Statement {
   };
 
   JoinRow RowAt(size_t r) const {
-    const size_t n = windows_.size();
+    const size_t n = sources_.size();
     return JoinRow(row_arena_.data() + r * n, n);
   }
 
@@ -243,29 +217,21 @@ class Statement {
   void EmitMatch(const JoinRow& representative);
   void FlushPending(std::vector<MatchResult>* out);
 
-  /// Restore path of RestoreState: runs one event through the same
-  /// window/index/accumulator insertion OnEvent uses, without triggering
-  /// join evaluation or listeners.
-  void InsertRestored(size_t source, const EventPtr& event);
-
+  /// Plans the incremental shape; on success registers the accumulated
+  /// arguments as columns of the grouped source.
   bool PlanIncremental();
   void EvaluateIncremental();
   void EmitIncrementalGroup(const Value& key, const EventRing& bucket,
                             EvalContext* ctx);
-  void RescanAccum(GroupAccum* acc, const EventRing& bucket);
-  void AccumInsert(const Event& e);
-  void AccumRemove(const Event& e);
 
+  SourceSet* source_set_;
   StatementDef def_;
   SourceSchemas schemas_;
-  std::vector<std::unique_ptr<Window>> windows_;
+  std::vector<Source*> sources_;
   std::vector<SourcePlan> plans_;
   std::vector<Conjunct> conjuncts_;
-  std::vector<HashIndex> indexes_;                // global registry
-  std::vector<std::vector<int>> source_indexes_;  // per-source index ids
   /// Unique aggregate nodes (per ToString); duplicated nodes share agg_id.
   std::vector<AggregateExpr*> aggregates_;
-  std::vector<char> source_is_trigger_;
   std::vector<Listener> listeners_;
   size_t total_matches_ = 0;
   size_t total_events_ = 0;
@@ -274,8 +240,6 @@ class Statement {
   // not allocate on the no-match path) ---
   std::vector<const Event*> row_scratch_;        // current partial row
   std::vector<const Event*> row_arena_;          // completed rows, stride n
-  std::vector<const Event*> accum_row_scratch_;  // only the grouped slot bound
-  std::vector<EventPtr> expired_scratch_;
   std::vector<Value> probe_key_;
   std::vector<Value> group_key_scratch_;
   std::vector<Value> agg_scratch_;
@@ -291,10 +255,11 @@ class Statement {
   bool incremental_ = false;
   bool inc_shape_a_ = false;  // single group via g's group lookup; else scan
   int inc_group_source_ = -1;
-  std::vector<const Expr*> inc_accum_args_;  // distinct accumulated arguments
-  std::vector<IncAgg> inc_aggs_;             // parallel to aggregates_
-  std::vector<int> inc_gate_conjuncts_;      // conjuncts not touching g
-  std::unordered_map<Value, GroupAccum, ValueHash, ValueEq> accums_;
+  /// Arguments registered as columns of the grouped source, with their
+  /// column; released when the statement goes.
+  std::vector<std::pair<const Expr*, int>> inc_accum_args_;
+  std::vector<IncAgg> inc_aggs_;         // parallel to aggregates_
+  std::vector<int> inc_gate_conjuncts_;  // conjuncts not touching g
 };
 
 }  // namespace cep

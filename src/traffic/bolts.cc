@@ -294,6 +294,30 @@ void SplitterBolt::Execute(const Tuple& input, dsps::Collector* collector) {
 // EsperBolt
 // ---------------------------------------------------------------------------
 
+EsperBolt::DetectionColumns EsperBolt::ResolveDetectionColumns(
+    const cep::Statement& stmt) {
+  const cep::StatementDef& def = stmt.def();
+  int offset = 0;
+  if (def.select_all) {
+    for (const cep::Source* source : stmt.sources()) {
+      offset += static_cast<int>(source->type()->num_fields());
+    }
+  }
+  auto position = [&](const char* name) {
+    for (size_t i = 0; i < def.select.size(); ++i) {
+      if (def.select[i].name == name) return offset + static_cast<int>(i);
+    }
+    return -1;
+  };
+  EsperBolt::DetectionColumns columns;
+  columns.attribute = position("attribute");
+  columns.location = position("location");
+  columns.value = position("value");
+  columns.threshold = position("threshold");
+  columns.timestamp = position("timestamp");
+  return columns;
+}
+
 void EsperBolt::Prepare(const dsps::TaskContext& context) {
   task_index_ = context.task_index;
   engine_ = std::make_unique<cep::Engine>();
@@ -321,13 +345,13 @@ void EsperBolt::Prepare(const dsps::TaskContext& context) {
       INSIGHT_CHECK(stmt.ok()) << "rule '" << name
                                << "' failed to compile: " << stmt.status().ToString()
                                << "\nEPL: " << epl;
-      (*stmt)->AddListener([this, rule_name = name](const cep::MatchResult& m) {
-        cep::MatchResult named = m;
-        named.statement_name = rule_name;
-        pending_matches_.push_back(std::move(named));
-        // Captured at delivery time, when the engine knows which event
-        // fired this match.
-        pending_trigger_ts_.push_back(engine_->current_trigger_timestamp());
+      columns_.push_back(ResolveDetectionColumns(**stmt));
+      // The match already carries `name`, which overrode any EPL name.
+      (*stmt)->AddListener([this, rule = columns_.size() - 1](cep::MatchResult&& m) {
+        // The trigger timestamp is captured at delivery time, when the
+        // engine knows which event fired this match.
+        pending_.push_back(
+            {std::move(m), rule, engine_->current_trigger_timestamp()});
       });
     }
   }
@@ -351,22 +375,23 @@ void EsperBolt::Execute(const Tuple& input, dsps::Collector* collector) {
 }
 
 void EsperBolt::EmitPending(dsps::Collector* collector) {
-  for (size_t k = 0; k < pending_matches_.size(); ++k) {
-    cep::MatchResult& match = pending_matches_[k];
-    // Detection tuple: rule, attribute, location, value, threshold, timestamp.
-    auto get_or = [&](const std::string& column, Value fallback) {
-      auto v = match.Get(column);
-      return v.ok() ? *v : fallback;
+  for (PendingMatch& pending : pending_) {
+    const DetectionColumns& columns = columns_[pending.rule];
+    auto take_or = [&pending](int position, Value fallback) {
+      return position >= 0
+                 ? std::move(
+                       pending.match.columns[static_cast<size_t>(position)].second)
+                 : fallback;
     };
-    collector->Emit({Value(match.statement_name),
-                     get_or("attribute", Value(std::string())),
-                     get_or("location", Value(int64_t{-1})),
-                     get_or("value", Value(0.0)),
-                     get_or("threshold", Value(0.0)),
-                     get_or("timestamp", Value(pending_trigger_ts_[k]))});
+    // Detection tuple: rule, attribute, location, value, threshold, timestamp.
+    collector->Emit({Value(std::move(pending.match.statement_name)),
+                     take_or(columns.attribute, Value(std::string())),
+                     take_or(columns.location, Value(int64_t{-1})),
+                     take_or(columns.value, Value(0.0)),
+                     take_or(columns.threshold, Value(0.0)),
+                     take_or(columns.timestamp, Value(pending.trigger_ts))});
   }
-  pending_matches_.clear();
-  pending_trigger_ts_.clear();
+  pending_.clear();
 }
 
 Status EsperBolt::SnapshotState(std::string* out) const {
@@ -377,9 +402,9 @@ Status EsperBolt::SnapshotState(std::string* out) const {
 
 Status EsperBolt::RestoreState(const std::string& bytes) {
   // Prepare already installed this task's rules and preloaded the threshold
-  // stream; Restore refills the statement windows on top. On error the
-  // engine resets every statement to clean state, which matches the
-  // Snapshottable contract.
+  // stream; Restore refills the engine's shared sources on top. On error
+  // the engine resets every source and statement to clean state, which
+  // matches the Snapshottable contract.
   return engine_->Restore(bytes);
 }
 

@@ -222,18 +222,35 @@ class EsperBolt : public dsps::Bolt, public dsps::Snapshottable {
   cep::Engine* engine() { return engine_.get(); }
 
  private:
-  /// Emits a detection tuple per pending match and clears the buffers.
+  /// Position of each detection column in a rule's matches, resolved once
+  /// from its SELECT list; -1 when the rule does not select it (the
+  /// detection then carries a default).
+  struct DetectionColumns {
+    int attribute = -1;
+    int location = -1;
+    int value = -1;
+    int threshold = -1;
+    int timestamp = -1;
+  };
+  struct PendingMatch {
+    cep::MatchResult match;
+    size_t rule;  // index into columns_
+    /// The detection's timestamp when the rule does not SELECT one.
+    MicrosT trigger_ts;
+  };
+
+  /// The first match column carrying each detection field, as
+  /// MatchResult::Get would find it (SELECT * columns come first).
+  static DetectionColumns ResolveDetectionColumns(const cep::Statement& stmt);
+  /// Emits a detection tuple per pending match and clears the buffer.
   void EmitPending(dsps::Collector* collector);
 
   std::shared_ptr<const EsperBoltConfig> config_;
   std::unique_ptr<cep::Engine> engine_;
   cep::EventTypePtr bus_type_;
   int task_index_ = 0;
-  std::vector<cep::MatchResult> pending_matches_;
-  /// Trigger timestamp per pending match (parallel to pending_matches_):
-  /// the detection tuple's timestamp fallback when the rule does not SELECT
-  /// a timestamp column.
-  std::vector<MicrosT> pending_trigger_ts_;
+  std::vector<DetectionColumns> columns_;  // one per installed rule
+  std::vector<PendingMatch> pending_;
 };
 
 /// Persists detections to the storage medium (the paper's MySQL server).
