@@ -216,81 +216,5 @@ SpatialRouter::AsFunction() const {
   };
 }
 
-LiveRouter::LiveRouter(SpatialRouter initial)
-    : router_(std::make_shared<const SpatialRouter>(std::move(initial))) {}
-
-std::shared_ptr<const SpatialRouter> LiveRouter::Snapshot() const {
-  MutexLock lock(mutex_);
-  return router_;
-}
-
-void LiveRouter::Swap(SpatialRouter next) {
-  auto table = std::make_shared<const SpatialRouter>(std::move(next));
-  MutexLock lock(mutex_);
-  router_ = std::move(table);
-  ++version_;
-}
-
-void LiveRouter::Restore(std::shared_ptr<const SpatialRouter> snapshot) {
-  MutexLock lock(mutex_);
-  router_ = std::move(snapshot);
-  ++version_;
-}
-
-size_t LiveRouter::MoveEngine(int from, int to) {
-  std::vector<SpatialRouter::GroupingRoute> routes = Snapshot()->routes();
-  size_t moved = 0;
-  for (SpatialRouter::GroupingRoute& route : routes) {
-    for (auto& [region, engine] : route.region_to_engine) {
-      if (engine == from) {
-        engine = to;
-        ++moved;
-      }
-    }
-    for (int& engine : route.fallback_engines) {
-      if (engine == from) {
-        engine = to;
-        ++moved;
-      }
-    }
-  }
-  Swap(SpatialRouter(std::move(routes)));
-  return moved;
-}
-
-size_t LiveRouter::ApplyMoves(size_t grouping_index,
-                              const std::vector<RegionMove>& moves) {
-  std::vector<SpatialRouter::GroupingRoute> routes = Snapshot()->routes();
-  if (grouping_index >= routes.size()) return 0;
-  size_t applied = 0;
-  std::map<int64_t, int>& table = routes[grouping_index].region_to_engine;
-  for (const RegionMove& move : moves) {
-    auto it = table.find(move.region);
-    if (it == table.end()) continue;
-    it->second = move.to_engine;
-    ++applied;
-  }
-  Swap(SpatialRouter(std::move(routes)));
-  return applied;
-}
-
-void LiveRouter::Route(const dsps::Tuple& tuple,
-                       std::vector<int>* tasks) const {
-  std::shared_ptr<const SpatialRouter> table = Snapshot();
-  table->Route(tuple, tasks);
-}
-
-std::function<void(const dsps::Tuple&, std::vector<int>*)>
-LiveRouter::AsFunction() const {
-  return [this](const dsps::Tuple& tuple, std::vector<int>* tasks) {
-    Route(tuple, tasks);
-  };
-}
-
-uint64_t LiveRouter::version() const {
-  MutexLock lock(mutex_);
-  return version_;
-}
-
 }  // namespace core
 }  // namespace insight

@@ -119,53 +119,6 @@ class SpatialRouter {
   dsps::FieldSlots location_slots_;
 };
 
-/// Swappable routing table for elastic scheduling: wraps an immutable
-/// SpatialRouter behind a shared_ptr so splitter tasks read one coherent
-/// table per tuple while the elastic controller atomically publishes
-/// rebalanced tables. Readers pay one short rank-73 lock per tuple; the
-/// static (non-elastic) path keeps using SpatialRouter directly and is
-/// untouched. The router must outlive any runtime wired to AsFunction().
-class LiveRouter {
- public:
-  explicit LiveRouter(SpatialRouter initial);
-
-  /// The current immutable table (safe to route from without the lock).
-  std::shared_ptr<const SpatialRouter> Snapshot() const;
-
-  /// Publishes a new table.
-  void Swap(SpatialRouter next);
-
-  /// Re-installs a table previously captured with Snapshot() — the rollback
-  /// path when a migration aborts after its routing flip.
-  void Restore(std::shared_ptr<const SpatialRouter> snapshot);
-
-  /// Rewrites every region (and fallback slot) owned by engine task `from`
-  /// to `to` across all groupings and publishes the result. Returns the
-  /// number of entries rewritten. This is the routing flip of a whole-task
-  /// migration.
-  size_t MoveEngine(int from, int to);
-
-  /// Applies an incremental plan from PlanRebalance() to grouping
-  /// `grouping_index` and publishes the result. Returns the number of
-  /// regions rewritten.
-  size_t ApplyMoves(size_t grouping_index, const std::vector<RegionMove>& moves);
-
-  /// Routes against the current table.
-  void Route(const dsps::Tuple& tuple, std::vector<int>* tasks) const;
-
-  /// Adapter for traffic::SplitterBolt; captures `this`.
-  std::function<void(const dsps::Tuple&, std::vector<int>*)> AsFunction() const;
-
-  /// Incremented on every publish; lets tests and the controller detect that
-  /// a flip or rollback actually took effect.
-  uint64_t version() const;
-
- private:
-  mutable Mutex mutex_{TMS_LOCK_RANK(73)};
-  std::shared_ptr<const SpatialRouter> router_ GUARDED_BY(mutex_);
-  uint64_t version_ GUARDED_BY(mutex_) = 0;
-};
-
 }  // namespace core
 }  // namespace insight
 

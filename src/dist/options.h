@@ -2,7 +2,6 @@
 #define INSIGHT_DIST_OPTIONS_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -59,18 +58,6 @@ struct DistOptions {
   /// Extra argv passed through to spawned worker processes (after the
   /// --insight-* flags). Lets test binaries re-select the app under test.
   std::vector<std::string> worker_args;
-
-  /// Worker-side hook invoked once the worker's LocalRuntime has started
-  /// (symmetric-binary model: the same closure runs in every worker
-  /// process, receiving that worker's id and runtime). Returns an optional
-  /// cleanup closure, invoked after the runtime completes and before the
-  /// final reports. Intra-worker elastic scheduling plugs in here: each
-  /// worker builds its own LiveRouter + ElasticController against its local
-  /// runtime slice. Cross-worker migration stays out of scope (see
-  /// ROADMAP.md).
-  std::function<std::function<void()>(uint32_t worker_id,
-                                      dsps::LocalRuntime* runtime)>
-      on_worker_start;
 };
 
 }  // namespace dist

@@ -64,10 +64,6 @@ class Worker {
                    status.ToString().c_str());
       return 2;
     }
-    std::function<void()> on_stop;
-    if (options_.on_worker_start) {
-      on_stop = options_.on_worker_start(spec_.worker_id, runtime_.get());
-    }
     bool abort = false;
     {
       MutexLock lock(mutex_);
@@ -80,7 +76,6 @@ class Worker {
       for (auto& [name, queue] : ingress_queues_) queue->MarkDone();
       runtime_->AwaitCompletion();
     }
-    if (on_stop) on_stop();
     for (auto& [name, group] : egress_groups_) {
       for (auto& buffer : group->buffers) buffer->Shutdown();
     }

@@ -66,16 +66,6 @@ constexpr uint32_t kTaskSnapshotVersion = 1;
 /// Dedup ids a checkpointed task remembers (reliability::DedupLedger).
 constexpr size_t kDedupLedgerCapacity = 4096;
 
-/// A migration that cannot complete within this budget is aborted and rolled
-/// back (routing restored, source stays authoritative).
-constexpr MicrosT kMigrationTimeoutMicros = 10'000'000;
-
-/// The post-flip quiesce step requires the source task's inflow counter to
-/// read zero twice, this far apart, before snapshotting — closing the
-/// sub-microsecond window of an emitter that picked its route from the old
-/// table but had not yet staged the tuple.
-constexpr MicrosT kMigrationSettleMicros = 2'000;
-
 }  // namespace
 
 /// Routes emissions of one task. Bound to the task for its whole lifetime;
@@ -346,20 +336,6 @@ LocalRuntime::LocalRuntime(Topology topology, Options options)
       queue_of_[static_cast<size_t>(task_base_[c]) + t] =
           tasks_[c][t].input.get();
     }
-  }
-
-  // Elastic scheduling: per-task inflow counters, migration phase gates and
-  // straggler redirects. Allocated only when migration is enabled — the
-  // drain and stage hot paths otherwise test a single bool.
-  if (options_.enable_migration) {
-    elastic_enabled_ = true;
-    task_inbound_ =
-        std::vector<std::atomic<int64_t>>(static_cast<size_t>(total_tasks_));
-    migration_phase_ =
-        std::vector<std::atomic<uint8_t>>(static_cast<size_t>(total_tasks_));
-    forward_of_ =
-        std::vector<std::atomic<int32_t>>(static_cast<size_t>(total_tasks_));
-    for (auto& fwd : forward_of_) fwd.store(-1, std::memory_order_relaxed);
   }
 
   // Overload protection: per-queue admission gates plus cached metrics
@@ -655,20 +631,12 @@ void LocalRuntime::Stop() {
   // in-flight count so it provably returns to zero — no leaked in-flight
   // work no matter how Stop interleaved with crashes and relaunches.
   int64_t abandoned = 0;
-  for (size_t c = 0; c < tasks_.size(); ++c) {
-    for (auto& task : tasks_[c]) {
+  for (auto& component_tasks : tasks_) {
+    for (auto& task : component_tasks) {
       if (task.input == nullptr) continue;
-      int64_t dropped = 0;
-      {
-        MutexLock lock(task.input->mutex);
-        dropped = static_cast<int64_t>(task.input->queue.size());
-        task.input->queue.clear();
-      }
-      if (dropped > 0) {
-        TrackInbound(static_cast<size_t>(task_base_[c] + task.task_index),
-                     -dropped);
-        abandoned += dropped;
-      }
+      MutexLock lock(task.input->mutex);
+      abandoned += static_cast<int64_t>(task.input->queue.size());
+      task.input->queue.clear();
     }
   }
   if (abandoned > 0) in_flight_.fetch_sub(abandoned);
@@ -712,7 +680,6 @@ void LocalRuntime::Stage(int target_component, int task_index, Tuple tuple,
   // predicate can never observe a quiet topology while tuples sit in an
   // outbox.
   in_flight_.fetch_add(1);
-  TrackInbound(gid, 1);
   ++outbox->staged;
   size_t threshold = outbox->adaptive != nullptr ? outbox->adaptive->threshold()
                                                  : options_.emit_batch;
@@ -763,7 +730,6 @@ void LocalRuntime::FlushOutbox(Outbox* outbox) {
       int64_t prev = in_flight_.fetch_sub(static_cast<int64_t>(n));
       TMS_DCHECK_GE(prev, static_cast<int64_t>(n))
           << "in-flight count went negative dropping a block";
-      TrackInbound(gid, -static_cast<int64_t>(n));
       handed_off += n;
       block.clear();
       dropped = true;
@@ -802,7 +768,6 @@ void LocalRuntime::FlushOutbox(Outbox* outbox) {
         int64_t prev = in_flight_.fetch_sub(static_cast<int64_t>(n));
         TMS_DCHECK_GE(prev, static_cast<int64_t>(n))
             << "in-flight count went negative dropping a block";
-        TrackInbound(gid, -static_cast<int64_t>(n));
         handed_off += n;
         block.clear();
         dropped = true;
@@ -860,7 +825,6 @@ void LocalRuntime::FlushOutbox(Outbox* outbox) {
       int64_t prev = in_flight_.fetch_sub(static_cast<int64_t>(n));
       TMS_DCHECK_GE(prev, static_cast<int64_t>(n))
           << "in-flight count went negative dropping a block";
-      TrackInbound(gid, -static_cast<int64_t>(n));
       block.clear();
       dropped = true;
       continue;
@@ -944,7 +908,6 @@ size_t LocalRuntime::ShedStaleTuples(std::vector<Tuple>* block,
     int64_t prev = in_flight_.fetch_sub(static_cast<int64_t>(shed));
     TMS_DCHECK_GE(prev, static_cast<int64_t>(shed))
         << "in-flight count went negative shedding a stale block";
-    TrackInbound(gid, -static_cast<int64_t>(shed));
   }
   return shed;
 }
@@ -1450,12 +1413,6 @@ void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
               .get();
     }
   }
-  std::vector<size_t> task_gids(my_tasks.size(), 0);
-  for (size_t i = 0; i < my_tasks.size(); ++i) {
-    task_gids[i] =
-        static_cast<size_t>(task_base_[static_cast<size_t>(component_index)] +
-                            my_tasks[i]->task_index);
-  }
   // Chain links, `chain_length` per owned task: link k of task i runs
   // member k + 1's task i and is fed by the collector before it. The links'
   // collectors follow the owned tasks' in `collectors`, at
@@ -1512,7 +1469,6 @@ void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
     }
     int64_t prev = in_flight_.fetch_sub(1);
     TMS_DCHECK_GE(prev, int64_t{1}) << "in-flight count went negative on crash";
-    TrackInbound(task_gids[i], -1);
     NotifyPossiblyDone();
     slot->crashed.store(true);
   };
@@ -1532,24 +1488,6 @@ void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
     bool any = false;
     for (size_t i = 0; i < my_tasks.size(); ++i) {
       TaskRuntime* task = my_tasks[i];
-      if (elastic_enabled_) {
-        // Migration gates: a task in any non-idle phase is frozen (arrivals
-        // keep queueing); a retired source with a redirect sweeps stragglers
-        // to the state-owning target instead of executing them clean.
-        uint8_t phase =
-            migration_phase_[task_gids[i]].load(std::memory_order_acquire);
-        if (phase != kMigrationIdle) {
-          if (HandleMigrationPhase(phase, task_gids[i], task, def)) any = true;
-          continue;
-        }
-        int32_t fwd = forward_of_[task_gids[i]].load(std::memory_order_acquire);
-        if (fwd >= 0) {
-          if (ForwardQueuedTuples(task_gids[i], static_cast<size_t>(fwd))) {
-            any = true;
-          }
-          continue;
-        }
-      }
       batch.clear();
       {
         MutexLock lock(task->input->mutex);
@@ -1620,7 +1558,6 @@ void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
           int64_t prev = in_flight_.fetch_sub(1);
           TMS_DCHECK_GE(prev, int64_t{1})
               << "in-flight count went negative after dedup";
-          TrackInbound(task_gids[i], -1);
           NotifyPossiblyDone();
           continue;
         }
@@ -1655,7 +1592,6 @@ void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
         int64_t prev = in_flight_.fetch_sub(1);
         TMS_DCHECK_GE(prev, int64_t{1})
             << "in-flight count went negative after execute";
-        TrackInbound(task_gids[i], -1);
         NotifyPossiblyDone();
       }
       FlushOutbox(collectors[i]->outbox());
@@ -1673,16 +1609,7 @@ void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
         // the topology can drain — otherwise AwaitCompletion would livelock
         // waiting on trees whose last edges sit in pending_acks until the
         // next interval tick.
-        for (size_t i = 0; i < my_tasks.size(); ++i) {
-          TaskRuntime* task = my_tasks[i];
-          if (elastic_enabled_ &&
-              migration_phase_[task_gids[i]].load(
-                  std::memory_order_acquire) != kMigrationIdle) {
-            // Frozen mid-migration: the barrier may be swapping ckpt_slot,
-            // and the final migration snapshot flushes the deferred acks
-            // itself. Same gate as the drain path above.
-            continue;
-          }
+        for (TaskRuntime* task : my_tasks) {
           if (task->ckpt_slot >= 0 && !task->pending_acks.empty()) {
             MaybeCheckpoint(task, def, /*force=*/true);
           }
@@ -1783,8 +1710,8 @@ void LocalRuntime::SupervisorLoop() {
 
 Status LocalRuntime::SerializeTask(TaskRuntime* task, std::string* out) {
   // Copy-on-snapshot: serialize on the executor thread at a batch boundary
-  // (the task's state is quiescent between executions); callers hand the
-  // bytes to the background persister or the migration control block.
+  // (the task's state is quiescent between executions); the caller hands
+  // the bytes to the background persister.
   std::string bolt_state;
   if (task->snapshottable != nullptr) {
     Status s = task->snapshottable->SnapshotState(&bolt_state);
@@ -1800,9 +1727,22 @@ Status LocalRuntime::SerializeTask(TaskRuntime* task, std::string* out) {
   return Status::OK();
 }
 
-void LocalRuntime::SubmitTaskSnapshot(TaskRuntime* task,
-                                      const ComponentDef& def,
-                                      std::string bytes) {
+void LocalRuntime::MaybeCheckpoint(TaskRuntime* task, const ComponentDef& def,
+                                   bool force) {
+  MicrosT now = options_.clock->NowMicros();
+  if (force ? !coordinator_->CanSubmit(task->ckpt_slot)
+            : !coordinator_->Due(task->ckpt_slot, now)) {
+    return;
+  }
+  std::string bytes;
+  Status s = SerializeTask(task, &bytes);
+  if (!s.ok()) {
+    // Keep the deferred acks: the covered executions are not durable, so
+    // their trees must stay open until a later snapshot succeeds.
+    INSIGHT_LOG(Warning) << "snapshot of " << def.name << "/"
+                         << task->task_index << " failed: " << s.message();
+    return;
+  }
   // Move the accumulated deferred acks into the completion closure: exactly
   // one owner at any time. On durable persist they flush to the acker; on a
   // failed persist they are dropped, the covered trees time out, and replay
@@ -1832,32 +1772,13 @@ void LocalRuntime::SubmitTaskSnapshot(TaskRuntime* task,
       });
 }
 
-void LocalRuntime::MaybeCheckpoint(TaskRuntime* task, const ComponentDef& def,
-                                   bool force) {
-  MicrosT now = options_.clock->NowMicros();
-  if (force ? !coordinator_->CanSubmit(task->ckpt_slot)
-            : !coordinator_->Due(task->ckpt_slot, now)) {
-    return;
-  }
-  std::string bytes;
-  Status s = SerializeTask(task, &bytes);
-  if (!s.ok()) {
-    // Keep the deferred acks: the covered executions are not durable, so
-    // their trees must stay open until a later snapshot succeeds.
-    INSIGHT_LOG(Warning) << "snapshot of " << def.name << "/"
-                         << task->task_index << " failed: " << s.message();
-    return;
-  }
-  SubmitTaskSnapshot(task, def, std::move(bytes));
-}
-
 Status LocalRuntime::ApplyTaskSnapshot(TaskRuntime* task,
                                        const std::string& bytes) {
   // Nothing from the previous incarnation survives into the restore: the
   // suppression set and deferred acks roll back exactly as far as the state.
   // On any error the ledger is left cleared and the bolt is in its clean
   // freshly-prepared state (RestoreState's contract), so the caller can
-  // safely fall back to clean or keep the source authoritative.
+  // safely fall back to clean.
   task->pending_acks.clear();
   if (task->ledger != nullptr) task->ledger->Clear();
   auto corrupt = [&](const char* why) {
@@ -1948,418 +1869,6 @@ void LocalRuntime::FailDiscardedTree(const reliability::TreeInfo& info) {
   TMS_DCHECK_GE(prev, size_t{1})
       << "pending tree count underflow on discarded tree";
   NotifyPossiblyDone();
-}
-
-Status LocalRuntime::MigrateTask(const MigrationRequest& request) {
-  if (!elastic_enabled_) {
-    return Status::FailedPrecondition(
-        "MigrateTask requires Options::enable_migration");
-  }
-  if (!started_.load() || stopping_.load()) {
-    return Status::FailedPrecondition("runtime is not running");
-  }
-  int component_index = -1;
-  for (size_t c = 0; c < topology_.components().size(); ++c) {
-    if (topology_.components()[c].name == request.component) {
-      component_index = static_cast<int>(c);
-      break;
-    }
-  }
-  if (component_index < 0) {
-    return Status::NotFound("unknown component " + request.component);
-  }
-  const ComponentDef& def =
-      topology_.components()[static_cast<size_t>(component_index)];
-  if (def.is_spout) {
-    return Status::InvalidArgument("cannot migrate a spout task");
-  }
-  if (chain_next_[static_cast<size_t>(component_index)] >= 0 ||
-      chain_prev_[static_cast<size_t>(component_index)] >= 0) {
-    // A chain member's tasks share executors (and, for a tail, have no
-    // queue to freeze), so a task cannot move on its own.
-    return Status::FailedPrecondition("cannot migrate a task of chained " +
-                                      request.component);
-  }
-  if (request.from_task == request.to_task) {
-    return Status::InvalidArgument("from_task and to_task are the same");
-  }
-  if (request.from_task < 0 || request.from_task >= def.num_tasks ||
-      request.to_task < 0 || request.to_task >= def.num_tasks) {
-    return Status::InvalidArgument("task index out of range for " +
-                                   request.component);
-  }
-  const size_t from_gid = static_cast<size_t>(
-      task_base_[static_cast<size_t>(component_index)] + request.from_task);
-  const size_t to_gid = static_cast<size_t>(
-      task_base_[static_cast<size_t>(component_index)] + request.to_task);
-
-  MutexLock migration_serial(migrate_mutex_);
-  if (stopping_.load()) {
-    return Status::FailedPrecondition("runtime is stopping");
-  }
-  {
-    MutexLock lock(migration_.mutex);
-    migration_.source_gid = from_gid;
-    migration_.target_gid = to_gid;
-    migration_.snapshot_ready = false;
-    migration_.snapshot_status = Status::OK();
-    migration_.bytes.clear();
-    migration_.restore_done = false;
-    migration_.restore_status = Status::OK();
-    migration_.retire_done = false;
-  }
-  const MicrosT deadline =
-      options_.clock->NowMicros() + kMigrationTimeoutMicros;
-
-  // 1. Hold the target: its executor stops draining the queue, so the state
-  // restored in step 4 cannot race tuples that arrive right after the flip.
-  forward_of_[to_gid].store(-1, std::memory_order_release);
-  migration_phase_[to_gid].store(kMigrationHold, std::memory_order_release);
-
-  // 2. Flip routing: every tuple routed from here on targets `to_task`.
-  if (request.flip) {
-    Status s = request.flip();
-    if (!s.ok()) {
-      return AbortMigration(request, from_gid, to_gid, /*flipped=*/false, s);
-    }
-  }
-
-  // 3. Quiesce the source: wait until no tuple is staged, queued, or in
-  // hand for it, stable across the settle window (an emitter that picked
-  // its route from the pre-flip table has then provably staged its tuple,
-  // which the source drained — the counter cannot tick up again).
-  MicrosT zero_since = 0;
-  while (true) {
-    if (stopping_.load()) {
-      return AbortMigration(
-          request, from_gid, to_gid, /*flipped=*/true,
-          Status::FailedPrecondition("runtime stopped during migration"));
-    }
-    MicrosT now = options_.clock->NowMicros();
-    if (now > deadline) {
-      return AbortMigration(
-          request, from_gid, to_gid, /*flipped=*/true,
-          Status::ResourceExhausted("migration quiesce timed out"));
-    }
-    if (task_inbound_[from_gid].load(std::memory_order_acquire) == 0) {
-      if (zero_since == 0) {
-        zero_since = now;
-      } else if (now - zero_since >= kMigrationSettleMicros) {
-        break;
-      }
-    } else {
-      zero_since = 0;
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-
-  // 4. Final snapshot at the source's next batch boundary (on its executor
-  // thread, where the bolt is quiescent between executions).
-  migration_phase_[from_gid].store(kMigrationSnapshot,
-                                   std::memory_order_release);
-  bool snapshot_ready = false;
-  Status snapshot_status;
-  {
-    MutexLock lock(migration_.mutex);
-    while (!migration_.snapshot_ready && !stopping_.load() &&
-           options_.clock->NowMicros() <= deadline) {
-      migration_.cv.WaitFor(migration_.mutex, std::chrono::milliseconds(1));
-    }
-    snapshot_ready = migration_.snapshot_ready;
-    snapshot_status = migration_.snapshot_status;
-  }
-  if (!snapshot_ready) {
-    return AbortMigration(
-        request, from_gid, to_gid, /*flipped=*/true,
-        Status::ResourceExhausted("source snapshot timed out"));
-  }
-  if (!snapshot_status.ok()) {
-    return AbortMigration(request, from_gid, to_gid, /*flipped=*/true,
-                          snapshot_status);
-  }
-
-  // 5. Restore the container into the held target.
-  migration_phase_[to_gid].store(kMigrationRestore, std::memory_order_release);
-  bool restore_done = false;
-  Status restore_status;
-  {
-    MutexLock lock(migration_.mutex);
-    while (!migration_.restore_done && !stopping_.load() &&
-           options_.clock->NowMicros() <= deadline) {
-      migration_.cv.WaitFor(migration_.mutex, std::chrono::milliseconds(1));
-    }
-    restore_done = migration_.restore_done;
-    restore_status = migration_.restore_status;
-  }
-  if (!restore_done || !restore_status.ok()) {
-    // The failed (or unresponsive) target never takes over: routing rolls
-    // back and the source — whose state was only read, never cleared —
-    // stays authoritative. A corrupt migration container must not degrade
-    // the state line to a clean restart.
-    return AbortMigration(request, from_gid, to_gid, /*flipped=*/true,
-                          restore_done ? restore_status
-                                       : Status::ResourceExhausted(
-                                             "target restore timed out"));
-  }
-
-  // 6. The state line moved: the target takes over the source's checkpoint
-  // slot, so its interval checkpoints continue the durable history step 4
-  // just extended; the source inherits the target's. Both tasks are frozen
-  // in Hold, and the phase release-stores below publish the swap to their
-  // executors. On a full process restart the rebuilt topology loads
-  // "component/from_task" back into the source under the seed routing —
-  // the migration simply unwinds, losing nothing.
-  {
-    TaskRuntime& source = tasks_[static_cast<size_t>(component_index)]
-                                [static_cast<size_t>(request.from_task)];
-    TaskRuntime& target = tasks_[static_cast<size_t>(component_index)]
-                                [static_cast<size_t>(request.to_task)];
-    std::swap(source.ckpt_slot, target.ckpt_slot);
-  }
-
-  // 7. Retire the source (fresh bolt, empty ledger) and redirect stragglers:
-  // a tuple that slipped past the settle window or still sits queued at the
-  // source is swept to the state-owning target, never executed clean.
-  forward_of_[from_gid].store(static_cast<int32_t>(to_gid),
-                              std::memory_order_release);
-  migration_phase_[from_gid].store(kMigrationRetire,
-                                   std::memory_order_release);
-  {
-    MutexLock lock(migration_.mutex);
-    while (!migration_.retire_done && !stopping_.load() &&
-           options_.clock->NowMicros() <= deadline) {
-      migration_.cv.WaitFor(migration_.mutex, std::chrono::milliseconds(1));
-    }
-    // A slow retire is not a failure: the phase store is visible, the source
-    // executes it at its next pass, and until then the task is simply
-    // frozen. State and routing are final either way.
-  }
-
-  // 8. Release the target into service.
-  migration_phase_[to_gid].store(kMigrationIdle, std::memory_order_release);
-  if (queue_of_[to_gid] != nullptr) queue_of_[to_gid]->not_empty.NotifyAll();
-  {
-    MutexLock lock(migration_.mutex);
-    migration_.source_gid = kNoMigrationGid;
-    migration_.target_gid = kNoMigrationGid;
-  }
-  metrics_.RecordMigration(request.component, request.from_task);
-  return Status::OK();
-}
-
-Status LocalRuntime::AbortMigration(const MigrationRequest& request,
-                                    size_t from_gid, size_t to_gid,
-                                    bool flipped, const Status& cause) {
-  if (flipped && request.unflip) request.unflip();
-  {
-    MutexLock lock(migration_.mutex);
-    // Disarm late phase handlers: a deposit guarded on these gids now
-    // no-ops instead of polluting the next migration's control block.
-    migration_.source_gid = kNoMigrationGid;
-    migration_.target_gid = kNoMigrationGid;
-  }
-  // Tuples that reached the target between flip and unflip are swept back
-  // to the still-authoritative source once the target's executor looks at
-  // its queue. The target is a standby, so the redirect staying armed is
-  // harmless (and the next migration attempt to it clears it).
-  forward_of_[to_gid].store(static_cast<int32_t>(from_gid),
-                            std::memory_order_release);
-  migration_phase_[from_gid].store(kMigrationIdle, std::memory_order_release);
-  migration_phase_[to_gid].store(kMigrationIdle, std::memory_order_release);
-  if (queue_of_[from_gid] != nullptr) {
-    queue_of_[from_gid]->not_empty.NotifyAll();
-  }
-  if (queue_of_[to_gid] != nullptr) queue_of_[to_gid]->not_empty.NotifyAll();
-  metrics_.RecordMigrationFailure(request.component, request.from_task);
-  INSIGHT_LOG(Warning) << "migration of " << request.component << "/"
-                       << request.from_task << " -> " << request.to_task
-                       << " aborted (" << cause.message()
-                       << "); source stays authoritative";
-  return cause;
-}
-
-bool LocalRuntime::HandleMigrationPhase(uint8_t phase, size_t gid,
-                                        TaskRuntime* task,
-                                        const ComponentDef& def) {
-  switch (phase) {
-    case kMigrationHold:
-      // Frozen: arrivals keep queueing until MigrateTask releases the task.
-      return false;
-    case kMigrationSnapshot: {
-      // Batch boundary on the source's own executor thread: serialize the
-      // full state line and — when the task is checkpointed — submit it on
-      // the task's checkpoint line, so the deferred acks it covers flush
-      // when the persist completes, exactly like an interval checkpoint.
-      std::string bytes;
-      Status s = SerializeTask(task, &bytes);
-      if (s.ok() && coordinator_ != nullptr && task->ckpt_slot >= 0) {
-        // Wait out any in-flight interval persist: the migration snapshot
-        // must be the slot's newest submission.
-        while (!coordinator_->CanSubmit(task->ckpt_slot) &&
-               !stopping_.load()) {
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-        }
-        if (!stopping_.load()) SubmitTaskSnapshot(task, def, bytes);
-      }
-      {
-        MutexLock lock(migration_.mutex);
-        if (migration_.source_gid == gid && !migration_.snapshot_ready) {
-          migration_.snapshot_ready = true;
-          migration_.snapshot_status = s;
-          migration_.bytes = std::move(bytes);
-          migration_.cv.NotifyAll();
-        }
-      }
-      // Self-transition to Hold — unless an abort already reset the phase
-      // to Idle, in which case the task resumes as if nothing happened (the
-      // extra snapshot submitted above is just a valid checkpoint).
-      uint8_t expected = kMigrationSnapshot;
-      migration_phase_[gid].compare_exchange_strong(
-          expected, kMigrationHold, std::memory_order_acq_rel);
-      return true;
-    }
-    case kMigrationRestore: {
-      std::string bytes;
-      {
-        MutexLock lock(migration_.mutex);
-        bytes = migration_.bytes;
-      }
-      Status s = ApplyTaskSnapshot(task, bytes);
-      {
-        MutexLock lock(migration_.mutex);
-        if (migration_.target_gid == gid && !migration_.restore_done) {
-          migration_.restore_done = true;
-          migration_.restore_status = s;
-          migration_.cv.NotifyAll();
-        }
-      }
-      uint8_t expected = kMigrationRestore;
-      migration_phase_[gid].compare_exchange_strong(
-          expected, kMigrationHold, std::memory_order_acq_rel);
-      return true;
-    }
-    case kMigrationRetire: {
-      // The state now lives at the target: swap in a fresh bolt (the
-      // Snapshottable contract has no "reset", and the old instance still
-      // holds the migrated state) and clear the suppression ledger — the
-      // target's copy travelled inside the container.
-      task->bolt->Cleanup();
-      task->bolt = def.bolt_factory();
-      TaskContext context;
-      context.component = def.name;
-      context.num_tasks = def.num_tasks;
-      context.task_index = task->task_index;
-      task->bolt->Prepare(context);
-      task->snapshottable = dynamic_cast<Snapshottable*>(task->bolt.get());
-      task->pending_acks.clear();
-      if (task->ledger != nullptr) task->ledger->Clear();
-      {
-        MutexLock lock(migration_.mutex);
-        if (migration_.source_gid == gid && !migration_.retire_done) {
-          migration_.retire_done = true;
-          migration_.cv.NotifyAll();
-        }
-      }
-      uint8_t expected = kMigrationRetire;
-      migration_phase_[gid].compare_exchange_strong(
-          expected, kMigrationIdle, std::memory_order_acq_rel);
-      return true;
-    }
-    default:
-      return false;
-  }
-}
-
-bool LocalRuntime::ForwardQueuedTuples(size_t from_gid, size_t to_gid) {
-  // Sweeps the retired source's queue into the state-owning target in
-  // bounded chunks, with the producers' own admission discipline (credit
-  // reservation, or the observe-room-then-append-whole overshoot bound).
-  // Never blocks: this runs on the retired task's executor thread, which
-  // may own the target task too — a full target means "stop here, the
-  // executor drains it this same pass and re-enters on the next one".
-  TaskQueue* from = queue_of_[from_gid];
-  TaskQueue* to = queue_of_[to_gid];
-  if (from == nullptr || to == nullptr) return false;
-  overload::QueueGate* from_gate =
-      gates_.empty() ? nullptr : gates_[from_gid].get();
-  overload::QueueGate* to_gate =
-      gates_.empty() ? nullptr : gates_[to_gid].get();
-  const bool shedding = options_.overload.enable_load_shedding;
-  bool any = false;
-  std::vector<Tuple> chunk;
-  while (!stopping_.load()) {
-    // Reserve room at the target before popping anything, so a chunk never
-    // needs to wait (credit mode: exact credits; otherwise: observed free
-    // space, overshootable by at most this chunk — the flush-block bound).
-    size_t room = 0;
-    if (credit_flow_) {
-      size_t want = options_.max_batch;
-      while (want > 0 && !to_gate->TryAcquire(want)) {
-        int64_t free = to_gate->capacity() - to_gate->admitted();
-        size_t next =
-            free > 0 ? std::min(static_cast<size_t>(free), options_.max_batch)
-                     : size_t{0};
-        if (next >= want) next = want - 1;  // racing admits: force progress
-        want = next;
-      }
-      room = want;
-    } else {
-      MutexLock lock(to->mutex);
-      room = to->queue.size() < options_.queue_capacity
-                 ? std::min(options_.max_batch,
-                            options_.queue_capacity - to->queue.size())
-                 : 0;
-    }
-    if (room == 0) return any;
-    chunk.clear();
-    {
-      MutexLock lock(from->mutex);
-      size_t take = std::min(room, from->queue.size());
-      for (size_t k = 0; k < take; ++k) {
-        Tuple& t = from->queue.front();
-        if (shedding && from->high_count > 0 &&
-            t.priority() == TuplePriority::kHigh) {
-          --from->high_count;
-        }
-        chunk.push_back(std::move(t));
-        from->queue.pop_front();
-      }
-      if (take > 0) from->not_full.NotifyAll();
-    }
-    if (credit_flow_ && room > chunk.size()) {
-      to_gate->Release(room - chunk.size());
-    }
-    if (chunk.empty()) return any;
-    if (from_gate != nullptr) from_gate->Release(chunk.size());
-    TrackInbound(from_gid, -static_cast<int64_t>(chunk.size()));
-    {
-      MutexLock lock(to->mutex);
-      if (shedding) {
-        for (const Tuple& t : chunk) {
-          if (t.priority() == TuplePriority::kHigh) ++to->high_count;
-        }
-      }
-      for (Tuple& t : chunk) {
-        // TMS_ANALYZE_EXEMPT(deque chunk churn, bounded by queue_capacity)
-        to->queue.push_back(std::move(t));
-      }
-      size_t sz = to->queue.size();
-      if (credit_flow_) {
-        TMS_CHECK_LE(sz, options_.queue_capacity)
-            << "credit-admitted queue overshot its capacity on forward";
-      }
-      if (sz > to->peak_size.load(std::memory_order_relaxed)) {
-        to->peak_size.store(sz, std::memory_order_relaxed);
-      }
-      to->not_empty.NotifyOne();
-    }
-    if (!credit_flow_ && to_gate != nullptr) {
-      to_gate->ForceAcquire(chunk.size());
-    }
-    TrackInbound(to_gid, static_cast<int64_t>(chunk.size()));
-    any = true;
-  }
-  return any;
 }
 
 double LocalRuntime::QueueOccupancy(const std::string& component, int task) {

@@ -133,14 +133,6 @@ class LocalRuntime {
     /// batch sizing (dsps/overload.h). With every feature off none of the
     /// per-queue gates are even constructed.
     overload::Options overload;
-
-    // --- Elastic scheduling (off by default = seed behaviour; see
-    // DESIGN.md "Elastic scheduling") ---
-
-    /// Enables the live task-migration machinery (MigrateTask): per-task
-    /// inflow counters and migration phase gates on the executor drain path.
-    /// Off = none of it is allocated and the drain path tests one bool.
-    bool enable_migration = false;
   };
 
   LocalRuntime(Topology topology, Options options);
@@ -179,7 +171,7 @@ class LocalRuntime {
 
   /// Runs `action` on every task of bolt `component`, each on its task's
   /// executor thread between two drained blocks, and returns once all ran.
-  /// The action must not emit. Not concurrent with MigrateTask.
+  /// The action must not emit.
   Status RunOnTasks(const std::string& component,
                     std::function<void(Bolt* bolt, int task_index)> action);
 
@@ -213,44 +205,9 @@ class LocalRuntime {
   /// queue_capacity + flush block - 1, and <= queue_capacity in credit mode.
   size_t max_queue_occupancy() const;
 
-  // --- Elastic scheduling (see DESIGN.md "Elastic scheduling") ---
-
-  /// One live task migration: moves the full state line (TCK1 container —
-  /// dedup ledger + bolt snapshot) of `component`'s task `from_task` into
-  /// `to_task`, atomically repointing new traffic via the caller's routing
-  /// flip. Both tasks must belong to the same bolt component (identical rule
-  /// sets, so the snapshot restores cleanly); `to_task` must be a standby —
-  /// a task the current routing sends no traffic to.
-  struct MigrationRequest {
-    std::string component;
-    int from_task = 0;
-    int to_task = 0;
-    /// Atomically repoints new tuples from `from_task` to `to_task` (e.g.
-    /// core::LiveRouter::MoveEngine). Called exactly once, after the target
-    /// task is held; a non-OK return aborts the migration before any state
-    /// moves. Optional for kDirect-free test rigs.
-    std::function<Status()> flip;
-    /// Restores the exact pre-flip routing; called when any later step
-    /// fails, so the source task stays authoritative.
-    std::function<void()> unflip;
-  };
-
-  /// Executes the migration barrier synchronously: hold target → flip
-  /// routing → quiesce the source's inflow → final snapshot at a batch
-  /// boundary (submitted on the source's checkpoint line so deferred acks
-  /// flush on persist) → restore into the target → swap checkpoint slots →
-  /// retire the source with a fresh bolt. On any failure the flip is rolled
-  /// back, post-flip arrivals are rerouted back to the source, and the
-  /// source keeps processing with its state untouched (a failed restore on
-  /// the target never degrades the state line to clean). Serialized: one
-  /// migration at a time. Requires Options::enable_migration and a started,
-  /// non-stopping runtime.
-  Status MigrateTask(const MigrationRequest& request);
-
   /// Current occupancy of a bolt task's input queue in [0, 1] (fraction of
   /// queue_capacity; briefly takes the queue mutex). 0 for spouts, chained
   /// tasks (they have no queue) and unknown tasks.
-  /// The elastic controller reads this as its queue-watermark signal.
   double QueueOccupancy(const std::string& component, int task);
 
  private:
@@ -458,7 +415,7 @@ class LocalRuntime {
                      const std::vector<TaskRuntime*>& my_tasks);
   /// Parks an executor with nothing to do until a task action is posted,
   /// the runtime stops or (bolts) the next batch starts. Bounded, so work
-  /// that arrives without a wake (supervisor, migration) is still seen.
+  /// that arrives without a wake (the supervisor's) is still seen.
   void ParkIdle(uint64_t seen_epoch, bool is_spout);
   /// Fresh nonzero pseudo-random edge id for the acker.
   uint64_t NextEdgeId() TMS_NO_ALLOC;
@@ -476,82 +433,12 @@ class LocalRuntime {
   /// Permanently fails one discarded tree: drops the replay payload, queues
   /// the spout Fail callback, and releases the pending-root count.
   void FailDiscardedTree(const reliability::TreeInfo& info);
-
-  // --- Elastic scheduling helpers (see DESIGN.md "Elastic scheduling") ---
-
-  /// Migration phases a task can be placed in by MigrateTask. Executor
-  /// threads read the phase with acquire at every drain pass; any non-idle
-  /// phase freezes the task's queue (arrivals keep queueing).
-  enum MigrationPhase : uint8_t {
-    kMigrationIdle = 0,
-    /// Frozen, no work owed (target awaiting state; source post-snapshot).
-    kMigrationHold = 1,
-    /// Source: serialize the TCK1 container at this batch boundary and
-    /// deposit it in the control block, then self-transition to Hold.
-    kMigrationSnapshot = 2,
-    /// Target: apply the deposited container, report status, go to Hold.
-    kMigrationRestore = 3,
-    /// Source: swap in a fresh bolt (state now lives at the target), clear
-    /// the ledger, then self-release to Idle.
-    kMigrationRetire = 4,
-  };
-
-  /// Sentinel for MigrationControl::source_gid / target_gid: no migration
-  /// is armed for that role.
-  static constexpr size_t kNoMigrationGid = static_cast<size_t>(-1);
-
-  /// Rendezvous between MigrateTask (controller thread) and the executors
-  /// carrying out the Snapshot/Restore/Retire phases. One migration at a
-  /// time, serialized by migrate_mutex_. The gids identify the armed
-  /// migration: a phase handler that outlived an abort (it loaded its phase
-  /// just before the rollback reset it) finds its gid disarmed and skips the
-  /// deposit, so a stale snapshot can never pollute the next migration.
-  struct MigrationControl {
-    Mutex mutex{TMS_LOCK_RANK(88)};
-    CondVar cv;
-    size_t source_gid GUARDED_BY(mutex) = kNoMigrationGid;
-    size_t target_gid GUARDED_BY(mutex) = kNoMigrationGid;
-    bool snapshot_ready GUARDED_BY(mutex) = false;
-    Status snapshot_status GUARDED_BY(mutex);
-    std::string bytes GUARDED_BY(mutex);
-    bool restore_done GUARDED_BY(mutex) = false;
-    Status restore_status GUARDED_BY(mutex);
-    bool retire_done GUARDED_BY(mutex) = false;
-  };
-
-  /// Executes the pending migration phase for one task on its executor
-  /// thread. Returns true when phase work was performed (keeps the executor
-  /// from parking mid-protocol).
-  bool HandleMigrationPhase(uint8_t phase, size_t gid, TaskRuntime* task,
-                            const ComponentDef& def);
-  /// Moves every tuple queued at `from_gid` to `to_gid`'s queue (credit-
-  /// correct), preserving in-flight accounting. Steady-state redirect for
-  /// post-retire stragglers and the abort path's sweep-back. Returns true
-  /// when tuples moved.
-  bool ForwardQueuedTuples(size_t from_gid, size_t to_gid);
   /// Builds the TCK1 container (ledger + bolt snapshot) for `task`.
   Status SerializeTask(TaskRuntime* task, std::string* out);
   /// Parses and applies a TCK1 container to `task`: ledger contents replace
   /// the task's ledger, bolt state is restored. On error the bolt is clean
   /// (Snapshottable contract) and the ledger empty.
   Status ApplyTaskSnapshot(TaskRuntime* task, const std::string& bytes);
-  /// Submits `bytes` on `task`'s checkpoint line, moving the deferred acks
-  /// into the persist closure (exactly like MaybeCheckpoint's tail).
-  /// Caller must have seen CanSubmit(task->ckpt_slot).
-  void SubmitTaskSnapshot(TaskRuntime* task, const ComponentDef& def,
-                          std::string bytes);
-  /// Rolls a failed migration back: unflip routing, reroute post-flip
-  /// arrivals from the target back to the source, release both tasks.
-  Status AbortMigration(const MigrationRequest& request, size_t from_gid,
-                        size_t to_gid, bool flipped, const Status& cause);
-  /// Mirrors an in_flight_ mutation at task granularity (elastic mode only;
-  /// one atomic add, free otherwise). Every site that moves in_flight_ calls
-  /// this with the same magnitude, so task_inbound_[gid] == 0 iff no tuple
-  /// is staged, queued, or in hand for the task.
-  void TrackInbound(size_t gid, int64_t delta) TMS_NO_ALLOC {
-    if (!elastic_enabled_) return;
-    task_inbound_[gid].fetch_add(delta, std::memory_order_acq_rel);
-  }
 
   Topology topology_;
   Options options_;
@@ -593,26 +480,6 @@ class LocalRuntime {
   std::vector<MetricsRegistry::TaskRef> overload_refs_;
   bool credit_flow_ = false;
   bool shedding_ = false;
-
-  // Elastic scheduling (allocated only when Options::enable_migration).
-  bool elastic_enabled_ = false;
-  /// Global task id -> tuples staged, queued, or in hand for the task (the
-  /// per-task mirror of in_flight_; every in_flight_ mutation moves exactly
-  /// one of these). The quiesce step waits for the source's to reach zero.
-  std::vector<std::atomic<int64_t>> task_inbound_;
-  /// Global task id -> MigrationPhase (written release by MigrateTask and
-  /// the phase handlers, read acquire on the drain path).
-  std::vector<std::atomic<uint8_t>> migration_phase_;
-  /// Global task id -> redirect target (-1 = none). After a migration, a
-  /// straggler that still lands on the retired source is swept to the
-  /// state-owning target instead of executing against the fresh bolt.
-  std::vector<std::atomic<int32_t>> forward_of_;
-  /// Serializes MigrateTask calls. Held across the whole barrier, which
-  /// waits on rank-88 migration_.cv and takes rank-90 queue mutexes, hence
-  /// ranked below them (and below the rank-20 coordinator, unused here but
-  /// reachable from executors the barrier waits on).
-  Mutex migrate_mutex_{TMS_LOCK_RANK(12)};
-  MigrationControl migration_;
 
   std::vector<std::unique_ptr<ExecutorSlot>> executors_;
   Thread monitor_thread_;

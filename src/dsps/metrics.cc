@@ -85,16 +85,6 @@ void MetricsRegistry::RecordShed(const std::string& component, int task,
   }
 }
 
-void MetricsRegistry::RecordMigration(const std::string& component, int task) {
-  StatsFor(component, task).migrations.fetch_add(1, std::memory_order_relaxed);
-}
-
-void MetricsRegistry::RecordMigrationFailure(const std::string& component,
-                                             int task) {
-  StatsFor(component, task)
-      .migration_failures.fetch_add(1, std::memory_order_relaxed);
-}
-
 MetricsRegistry::ComponentTotals MetricsRegistry::Totals(
     const std::string& component) const {
   ComponentTotals totals;
@@ -115,9 +105,6 @@ MetricsRegistry::ComponentTotals MetricsRegistry::Totals(
     totals.shed_low += task->shed_low.load(std::memory_order_relaxed);
     totals.shed_normal += task->shed_normal.load(std::memory_order_relaxed);
     totals.shed_high += task->shed_high.load(std::memory_order_relaxed);
-    totals.task_migrations += task->migrations.load(std::memory_order_relaxed);
-    totals.migration_failures +=
-        task->migration_failures.load(std::memory_order_relaxed);
     totals.latency_histogram.Merge(task->latency_histogram.Snapshot());
   }
   if (totals.executed > 0) {
@@ -137,8 +124,7 @@ MetricsRegistry::ComponentTotals MetricsRegistry::ComponentTotals::Since(
         &ComponentTotals::checkpoints, &ComponentTotals::checkpoint_restores,
         &ComponentTotals::checkpoint_restore_failures, &ComponentTotals::deduped,
         &ComponentTotals::shed_low, &ComponentTotals::shed_normal,
-        &ComponentTotals::shed_high, &ComponentTotals::task_migrations,
-        &ComponentTotals::migration_failures}) {
+        &ComponentTotals::shed_high}) {
     d.*field -= earlier.*field;
   }
   for (size_t i = 0; i < d.latency_histogram.counts.size(); ++i) {
@@ -155,32 +141,6 @@ std::vector<std::string> MetricsRegistry::Components() const {
   std::vector<std::string> out;
   for (const auto& [name, stats] : components_) out.push_back(name);
   return out;
-}
-
-MetricsRegistry::TaskTotals MetricsRegistry::TotalsForTask(
-    const std::string& component, int task) const {
-  TaskTotals totals;
-  auto it = components_.find(component);
-  if (it == components_.end() || task < 0 ||
-      static_cast<size_t>(task) >= it->second.tasks.size()) {
-    return totals;
-  }
-  const TaskStats& stats = *it->second.tasks[static_cast<size_t>(task)];
-  totals.executed = stats.executed.load(std::memory_order_relaxed);
-  totals.emitted = stats.emitted.load(std::memory_order_relaxed);
-  totals.latency_sum_micros =
-      stats.latency_sum.load(std::memory_order_relaxed);
-  totals.shed = stats.shed_low.load(std::memory_order_relaxed) +
-                stats.shed_normal.load(std::memory_order_relaxed) +
-                stats.shed_high.load(std::memory_order_relaxed);
-  totals.latency_histogram = stats.latency_histogram.Snapshot();
-  return totals;
-}
-
-int MetricsRegistry::TaskCount(const std::string& component) const {
-  auto it = components_.find(component);
-  if (it == components_.end()) return 0;
-  return static_cast<int>(it->second.tasks.size());
 }
 
 void MetricsRegistry::MarkWindowStart(MicrosT now) {
@@ -200,8 +160,7 @@ std::vector<MetricsRegistry::WindowReport> MetricsRegistry::TakeWindowSnapshot(
   for (auto& [name, stats] : components_) {
     uint64_t executed = 0, latency_sum = 0, acked = 0, failed = 0,
              replayed = 0, checkpoints = 0, restores = 0, restore_failures = 0,
-             deduped = 0, shed = 0,
-             migrations = 0, migration_failures = 0;
+             deduped = 0, shed = 0;
     observability::HistogramSnapshot histogram;
     for (const auto& task : stats.tasks) {
       executed += task->executed.load(std::memory_order_relaxed);
@@ -217,9 +176,6 @@ std::vector<MetricsRegistry::WindowReport> MetricsRegistry::TakeWindowSnapshot(
       shed += task->shed_low.load(std::memory_order_relaxed) +
               task->shed_normal.load(std::memory_order_relaxed) +
               task->shed_high.load(std::memory_order_relaxed);
-      migrations += task->migrations.load(std::memory_order_relaxed);
-      migration_failures +=
-          task->migration_failures.load(std::memory_order_relaxed);
       histogram.Merge(task->latency_histogram.Snapshot());
     }
     WindowReport report;
@@ -261,9 +217,6 @@ std::vector<MetricsRegistry::WindowReport> MetricsRegistry::TakeWindowSnapshot(
         restore_failures - stats.last_restore_failures;
     report.deduped = deduped - stats.last_deduped;
     report.shed = shed - stats.last_shed;
-    report.task_migrations = migrations - stats.last_migrations;
-    report.migration_failures =
-        migration_failures - stats.last_migration_failures;
     stats.last_executed = executed;
     stats.last_latency_sum = latency_sum;
     stats.last_acked = acked;
@@ -274,8 +227,6 @@ std::vector<MetricsRegistry::WindowReport> MetricsRegistry::TakeWindowSnapshot(
     stats.last_restore_failures = restore_failures;
     stats.last_deduped = deduped;
     stats.last_shed = shed;
-    stats.last_migrations = migrations;
-    stats.last_migration_failures = migration_failures;
     stats.last_histogram = histogram;
     window.push_back(report);
     reports_.push_back(window.back());
@@ -319,11 +270,6 @@ observability::MetricsSnapshot MetricsRegistry::PrometheusSnapshot() const {
        &ComponentTotals::checkpoint_restore_failures},
       {"insight_tuples_deduped_total", "Replayed duplicates suppressed",
        &ComponentTotals::deduped},
-      {"insight_task_migrations_total", "Live task migrations completed",
-       &ComponentTotals::task_migrations},
-      {"insight_migration_failures_total",
-       "Live task migrations aborted and rolled back",
-       &ComponentTotals::migration_failures},
   };
   std::vector<std::string> names = Components();
   std::vector<ComponentTotals> totals;

@@ -44,9 +44,6 @@ class MetricsRegistry {
     uint64_t shed_low = 0;
     uint64_t shed_normal = 0;
     uint64_t shed_high = 0;
-    // Elastic-scheduling counters (zero unless migration is enabled).
-    uint64_t task_migrations = 0;     // completed live migrations (source task)
-    uint64_t migration_failures = 0;  // aborted/rolled-back migrations
     /// Lifetime execute-latency distribution, merged across tasks.
     observability::HistogramSnapshot latency_histogram;
 
@@ -85,8 +82,6 @@ class MetricsRegistry {
     uint64_t checkpoint_restore_failures = 0;
     uint64_t deduped = 0;
     uint64_t shed = 0;       // tuples shed (all priorities)
-    uint64_t task_migrations = 0;     // live migrations completed this window
-    uint64_t migration_failures = 0;  // migrations aborted this window
   };
 
   /// Declares a component with `num_tasks` tasks. Must be called before any
@@ -109,26 +104,9 @@ class MetricsRegistry {
   /// component whose queue triggered the drop.
   void RecordShed(const std::string& component, int task,
                   TuplePriority priority);
-  /// Elastic-scheduling events, attributed to the migration's source task.
-  void RecordMigration(const std::string& component, int task);
-  void RecordMigrationFailure(const std::string& component, int task);
 
   ComponentTotals Totals(const std::string& component) const;
   std::vector<std::string> Components() const;
-
-  /// Per-task lifetime totals — the elastic controller polls these to build
-  /// per-engine window deltas (component-level reports hide which task of a
-  /// component is hot).
-  struct TaskTotals {
-    uint64_t executed = 0;
-    uint64_t emitted = 0;
-    uint64_t latency_sum_micros = 0;
-    uint64_t shed = 0;  // all priorities
-    observability::HistogramSnapshot latency_histogram;
-  };
-  TaskTotals TotalsForTask(const std::string& component, int task) const;
-  /// Number of tasks declared for `component` (0 if unknown).
-  int TaskCount(const std::string& component) const;
 
   /// Process-wide transport counters (src/net data plane). Unlabelled —
   /// frames are a property of the worker's connections, not of any one
@@ -193,8 +171,6 @@ class MetricsRegistry {
     std::atomic<uint64_t> shed_low{0};
     std::atomic<uint64_t> shed_normal{0};
     std::atomic<uint64_t> shed_high{0};
-    std::atomic<uint64_t> migrations{0};
-    std::atomic<uint64_t> migration_failures{0};
     observability::LatencyHistogram latency_histogram;
   };
 
@@ -271,8 +247,6 @@ class MetricsRegistry {
     uint64_t last_restore_failures = 0;
     uint64_t last_deduped = 0;
     uint64_t last_shed = 0;
-    uint64_t last_migrations = 0;
-    uint64_t last_migration_failures = 0;
     observability::HistogramSnapshot last_histogram;
   };
 

@@ -100,7 +100,7 @@ class LatencyModel {
 };
 
 /// Bounded accumulator of live WindowMeasurements feeding periodic Function 1
-/// refits — the elastic controller's "refit the latency model live" loop.
+/// refits, for refitting the latency model between runs (ROADMAP item 8).
 /// Keeps the newest `capacity` non-empty windows and refits once at least
 /// `min_measurements` are held AND `min_new_executions` executions arrived
 /// since the last refit attempt, so a quiet stream never burns solver time.

@@ -528,77 +528,6 @@ TEST(PlanRebalanceTest, Validation) {
   EXPECT_FALSE(PlanRebalance(&out_of_range, rates, 2, 1.25, 8).ok());
 }
 
-// ---------------------------------------------------------------------------
-// LiveRouter
-// ---------------------------------------------------------------------------
-
-SpatialRouter MakeTwoEngineRouter() {
-  SpatialRouter::GroupingRoute areas;
-  areas.location_field = "area_leaf";
-  areas.region_to_engine = {{10, 0}, {11, 0}, {12, 1}};
-  areas.fallback_engines = {0, 1};
-  return SpatialRouter({areas});
-}
-
-std::vector<int> RouteRegion(const LiveRouter& router, int64_t region) {
-  auto fields = std::make_shared<dsps::Fields>(dsps::Fields({"area_leaf"}));
-  std::vector<int> tasks;
-  router.Route(dsps::Tuple(fields, {cep::Value(region)}), &tasks);
-  return tasks;
-}
-
-TEST(LiveRouterTest, MoveEngineRewritesEveryEntryAndBumpsVersion) {
-  LiveRouter router(MakeTwoEngineRouter());
-  uint64_t before = router.version();
-  // Regions 10 and 11 plus one fallback slot point at engine 0.
-  EXPECT_EQ(router.MoveEngine(0, 1), 3u);
-  EXPECT_GT(router.version(), before);
-  EXPECT_EQ(RouteRegion(router, 10), (std::vector<int>{1}));
-  EXPECT_EQ(RouteRegion(router, 11), (std::vector<int>{1}));
-  EXPECT_EQ(RouteRegion(router, 12), (std::vector<int>{1}));
-  EXPECT_EQ(RouteRegion(router, 999), (std::vector<int>{1}));  // fallback
-  // Nothing maps to engine 7.
-  EXPECT_EQ(router.MoveEngine(7, 0), 0u);
-}
-
-TEST(LiveRouterTest, RestoreRollsBackToSnapshot) {
-  LiveRouter router(MakeTwoEngineRouter());
-  auto snapshot = router.Snapshot();
-  ASSERT_GT(router.MoveEngine(0, 1), 0u);
-  EXPECT_EQ(RouteRegion(router, 10), (std::vector<int>{1}));
-  uint64_t flipped = router.version();
-  router.Restore(snapshot);
-  EXPECT_GT(router.version(), flipped);  // rollback is itself a publish
-  EXPECT_EQ(RouteRegion(router, 10), (std::vector<int>{0}));
-  EXPECT_EQ(RouteRegion(router, 12), (std::vector<int>{1}));
-}
-
-TEST(LiveRouterTest, ApplyMovesFollowsARebalancePlan) {
-  LiveRouter router(MakeTwoEngineRouter());
-  std::map<int64_t, int> assignment{{10, 0}, {11, 0}, {12, 1}};
-  std::vector<RegionRate> rates{{10, 100}, {11, 90}, {12, 10}};
-  auto moves = PlanRebalance(&assignment, rates, 2, 1.1, 8);
-  ASSERT_TRUE(moves.ok());
-  ASSERT_FALSE(moves->empty());
-  EXPECT_EQ(router.ApplyMoves(0, *moves), moves->size());
-  for (const auto& [region, engine] : assignment) {
-    EXPECT_EQ(RouteRegion(router, region), std::vector<int>{engine})
-        << "region " << region;
-  }
-}
-
-TEST(LiveRouterTest, AsFunctionTracksSwaps) {
-  LiveRouter router(MakeTwoEngineRouter());
-  auto route_fn = router.AsFunction();
-  auto fields = std::make_shared<dsps::Fields>(dsps::Fields({"area_leaf"}));
-  std::vector<int> tasks;
-  route_fn(dsps::Tuple(fields, {cep::Value(int64_t{10})}), &tasks);
-  EXPECT_EQ(tasks, (std::vector<int>{0}));
-  router.MoveEngine(0, 1);
-  route_fn(dsps::Tuple(fields, {cep::Value(int64_t{10})}), &tasks);
-  EXPECT_EQ(tasks, (std::vector<int>{1}));
-}
-
 TEST(AllocationTest, GroupRulesByLocationSplitsStopsFromAreas) {
   auto rules = Table6Rules(100);
   auto groupings = GroupRulesByLocation(rules, 3000.0, 50);

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -25,15 +24,12 @@
 
 #include "cep/engine.h"
 #include "common/bytes.h"
-#include "common/thread.h"
-#include "core/partitioning.h"
 #include "dist/options.h"
 #include "dist/runtime.h"
 #include "dsps/local_runtime.h"
 #include "dsps/topology.h"
 #include "observability/export.h"
 #include "reliability/state_store.h"
-#include "traffic/bolts.h"
 
 namespace insight {
 namespace dist {
@@ -359,117 +355,6 @@ Listing1App BuildOverloadApp(const std::string& out_dir,
   return app;
 }
 
-/// Elastic-chaos variant (ISSUE 10): the Listing-1 pipeline with the detect
-/// component routed through a per-process core::LiveRouter (all locations to
-/// task 0; task 1 is a standby) and an on_worker_start hook on the detect
-/// worker that live-migrates task 0 -> 1 once the stream is provably
-/// mid-flight. The flip deliberately dawdles so the chaos test can SIGKILL
-/// the worker while the migration barrier is open; the restarted incarnation
-/// retries and must still produce the fault-free detection multiset.
-
-std::shared_ptr<core::LiveRouter> MakeDetectRouter() {
-  core::SpatialRouter::GroupingRoute route;
-  route.location_field = "location";
-  for (int64_t location = 1; location <= 4; ++location) {
-    route.region_to_engine[location] = 0;
-  }
-  route.fallback_engines = {0};
-  return std::make_shared<core::LiveRouter>(core::SpatialRouter({route}));
-}
-
-bool FileExistsAt(const std::string& path) {
-  return ::access(path.c_str(), F_OK) == 0;
-}
-
-dsps::Topology BuildElasticTopology(const std::string& out_dir,
-                                    std::shared_ptr<core::LiveRouter> router) {
-  std::string marker = out_dir + "/progress-marker";
-  std::string detections = out_dir + "/detections.txt";
-  TopologyBuilder builder;
-  builder.SetSpout("source",
-                   [] { return std::make_unique<SerialBusSpout>(kBusMessages); },
-                   Fields({"timestamp", "location", "delay"}));
-  builder
-      .SetBolt("split",
-               [router] {
-                 return std::make_unique<traffic::SplitterBolt>(
-                     [router](const Tuple& tuple, std::vector<int>* tasks) {
-                       router->Route(tuple, tasks);
-                     });
-               },
-               Fields({"timestamp", "location", "delay"}))
-      .GlobalGrouping("source");
-  builder
-      .SetBolt("detect",
-               [marker] { return std::make_unique<Listing1Bolt>(marker); },
-               Fields({"location", "timestamp"}), 2)
-      .DirectGrouping("split");
-  builder
-      .SetBolt("sink",
-               [detections] {
-                 return std::make_unique<DetectionFileSink>(detections);
-               },
-               Fields({}))
-      .GlobalGrouping("detect");
-  auto topology = builder.Build();
-  if (!topology.ok()) {
-    std::fprintf(stderr, "elastic topology build failed: %s\n",
-                 topology.status().ToString().c_str());
-    std::abort();
-  }
-  return std::move(*topology);
-}
-
-Listing1App BuildElasticApp(const std::string& out_dir,
-                            const std::string& ckpt_dir) {
-  auto router = MakeDetectRouter();
-  Listing1App app = BuildListing1App(out_dir, ckpt_dir);
-  app.topology = BuildElasticTopology(out_dir, router);
-  app.options.placement.worker_of = {
-      {"source", 0}, {"split", 1}, {"detect", 1}, {"sink", 2}};
-  app.options.runtime.enable_migration = true;
-  app.options.worker_args = {"--insight-app=listing1-elastic",
-                             "--insight-out=" + out_dir,
-                             "--insight-ckpt=" + ckpt_dir};
-  app.options.on_worker_start =
-      [router, out_dir](uint32_t worker_id, dsps::LocalRuntime* runtime)
-      -> std::function<void()> {
-    if (worker_id != 1) return {};
-    auto stop = std::make_shared<std::atomic<bool>>(false);
-    auto migrator = std::make_shared<Thread>([router, out_dir, runtime, stop] {
-      // Wait until the detect task is provably mid-stream, then migrate it
-      // onto the standby. Every incarnation of this worker retries, so the
-      // run killed mid-barrier completes the move after its restart.
-      while (!stop->load() && !FileExistsAt(out_dir + "/progress-marker")) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      if (stop->load()) return;
-      std::ofstream(out_dir + "/migration-started", std::ios::app) << "go\n";
-      dsps::LocalRuntime::MigrationRequest request;
-      request.component = "detect";
-      request.from_task = 0;
-      request.to_task = 1;
-      auto before = router->Snapshot();
-      request.flip = [router] {
-        router->MoveEngine(0, 1);
-        // Test-only wide-open barrier window: the supervising test SIGKILLs
-        // this worker while the migration is guaranteed in flight.
-        std::this_thread::sleep_for(std::chrono::milliseconds(400));
-        return Status::OK();
-      };
-      request.unflip = [router, before] { router->Restore(before); };
-      Status status = runtime->MigrateTask(request);
-      std::ofstream(out_dir + "/migration-result", std::ios::app)
-          << (status.ok() ? "OK" : status.ToString()) << "\n";
-    });
-    return [stop, migrator] {
-      stop->store(true);
-      migrator->join();
-    };
-  };
-  return app;
-}
-
 std::string MakeTempDir() {
   char tmpl[] = "/tmp/insight-chaos-XXXXXX";
   char* dir = ::mkdtemp(tmpl);
@@ -499,24 +384,6 @@ bool FileExists(const std::string& path) {
 std::map<std::pair<int64_t, int64_t>, int> RunLocalReference(
     const std::string& out_dir) {
   dsps::Topology topology = BuildListing1Topology(out_dir);
-  reliability::InMemoryStateStore store;
-  Listing1App shape = BuildListing1App(out_dir, "");
-  dsps::LocalRuntime::Options options = shape.options.runtime;
-  options.enable_checkpointing = true;
-  options.state_store = &store;
-  dsps::LocalRuntime runtime(std::move(topology), options);
-  EXPECT_TRUE(runtime.Start().ok());
-  runtime.AwaitCompletion();
-  EXPECT_EQ(runtime.pending_trees(), 0u);
-  return ReadDetections(out_dir + "/detections.txt");
-}
-
-/// Fault-free reference for the elastic run: the identical router-split
-/// topology through a single-process LocalRuntime, no migration.
-std::map<std::pair<int64_t, int64_t>, int> RunLocalElasticReference(
-    const std::string& out_dir) {
-  auto router = MakeDetectRouter();
-  dsps::Topology topology = BuildElasticTopology(out_dir, router);
   reliability::InMemoryStateStore store;
   Listing1App shape = BuildListing1App(out_dir, "");
   dsps::LocalRuntime::Options options = shape.options.runtime;
@@ -628,59 +495,6 @@ TEST(DistributedChaosTest, KilledWorkerUnderOverloadMatchesFaultFreeRun) {
   EXPECT_EQ(shed_high, 0) << "a critical tuple was shed";
 }
 
-// Kill-9-mid-migration (ISSUE 10): the detect worker is SIGKILLed while a
-// live task migration's barrier is provably open (the test flip dawdles
-// 400ms between the routing flip and the quiesce). The restarted worker
-// retries the migration and completes it; the final detection multiset must
-// equal a fault-free non-elastic run of the same topology — effectively-once
-// survives a process death in every phase of the barrier.
-TEST(DistributedChaosTest, KilledWorkerMidMigrationMatchesFaultFreeRun) {
-  std::string local_dir = MakeTempDir();
-  std::map<std::pair<int64_t, int64_t>, int> reference =
-      RunLocalElasticReference(local_dir);
-  ASSERT_FALSE(reference.empty());
-
-  std::string out_dir = MakeTempDir();
-  std::string ckpt_dir = MakeTempDir();
-  Listing1App app = BuildElasticApp(out_dir, ckpt_dir);
-  DistributedRuntime runtime(std::move(app.topology), app.options);
-  ASSERT_TRUE(runtime.Start().ok());
-
-  // The worker announces the migration right before entering the barrier;
-  // the SIGKILL lands inside the flip's 400ms window.
-  std::string started = out_dir + "/migration-started";
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (!FileExists(started) &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_TRUE(FileExists(started)) << "migration never started";
-  runtime.KillWorker(1);
-
-  ASSERT_EQ(runtime.WaitForCompletion(300'000'000), 0);
-  EXPECT_GE(runtime.worker_restarts(), 1u);
-
-  std::map<std::pair<int64_t, int64_t>, int> detections =
-      ReadDetections(out_dir + "/detections.txt");
-  EXPECT_EQ(detections, reference);
-  for (const auto& [detection, count] : detections) {
-    EXPECT_EQ(count, 1) << "duplicate detection for location "
-                        << detection.first << " at t=" << detection.second;
-  }
-
-  // The restarted incarnation retried the interrupted migration to a
-  // definite outcome (completed, or aborted with the source authoritative —
-  // either preserves the results; the file proves the retry ran).
-  std::ifstream results(out_dir + "/migration-result");
-  std::string line;
-  std::string last;
-  while (std::getline(results, line)) {
-    if (!line.empty()) last = line;
-  }
-  EXPECT_FALSE(last.empty()) << "restarted worker never retried the migration";
-  EXPECT_EQ(last, "OK");
-}
-
 }  // namespace
 
 namespace testapp {
@@ -697,17 +511,14 @@ int WorkerMain(int argc, char** argv, const WorkerSpec& spec) {
   std::string app = FlagValue(argc, argv, "--insight-app=");
   std::string out_dir = FlagValue(argc, argv, "--insight-out=");
   std::string ckpt_dir = FlagValue(argc, argv, "--insight-ckpt=");
-  if ((app != "listing1" && app != "listing1-overload" &&
-       app != "listing1-elastic") ||
-      out_dir.empty() || ckpt_dir.empty()) {
+  if ((app != "listing1" && app != "listing1-overload") || out_dir.empty() ||
+      ckpt_dir.empty()) {
     std::fprintf(stderr, "unknown worker app '%s'\n", app.c_str());
     return 2;
   }
   Listing1App built = app == "listing1-overload"
                           ? BuildOverloadApp(out_dir, ckpt_dir)
-                          : app == "listing1-elastic"
-                                ? BuildElasticApp(out_dir, ckpt_dir)
-                                : BuildListing1App(out_dir, ckpt_dir);
+                          : BuildListing1App(out_dir, ckpt_dir);
   return RunWorker(spec, std::move(built.topology), built.options);
 }
 

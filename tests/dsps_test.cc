@@ -1294,30 +1294,6 @@ TEST(OperatorChainTest, CrashInChainedTailRelaunchesTheExecutorAndReplays) {
   }
 }
 
-TEST(OperatorChainTest, ChainedMembersCannotMigrate) {
-  TopologyBuilder builder;
-  builder.SetSpout("s", [] { return std::make_unique<CounterSpout>(10); }, Fields({"v"}));
-  builder.SetBolt("a", [] { return std::make_unique<DoubleBolt>(); }, Fields({"v"}), 1, 2)
-      .ShuffleGrouping("s");
-  builder.SetBolt("b", [] { return std::make_unique<DoubleBolt>(); }, Fields({"v"}), 1, 2)
-      .ShuffleGrouping("a");
-  auto topology = builder.Build();
-  ASSERT_TRUE(topology.ok());
-  LocalRuntime::Options options;
-  options.enable_migration = true;
-  LocalRuntime runtime(std::move(*topology), options);
-  ASSERT_TRUE(runtime.Start().ok());
-  for (const char* name : {"a", "b"}) {
-    LocalRuntime::MigrationRequest request;
-    request.component = name;
-    request.from_task = 0;
-    request.to_task = 1;
-    EXPECT_EQ(runtime.MigrateTask(request).code(), StatusCode::kFailedPrecondition)
-        << name;
-  }
-  runtime.AwaitCompletion();
-}
-
 /// Sleeps `micros` per tuple, then forwards its input.
 class SleepBolt : public Bolt {
  public:

@@ -159,6 +159,49 @@ TEST(LatencyModelTest, EstimateAllRespectsNodePlacement) {
   EXPECT_NEAR(latencies[0], latencies[1], 1e-9);
 }
 
+TEST(RollingRefitTest, RecalibratesFunctionOneFromWindows) {
+  model::RollingRefit::Options options;
+  options.min_measurements = 8;
+  model::RollingRefit refit{options};
+  model::LatencyModel model = model::LatencyModel::Default();
+
+  // Synthetic truth: latency = 7 + 2*l + 5*t, observed over distinct rule
+  // configurations — enough independent points for the quadratic basis.
+  for (int l = 1; l <= 4; ++l) {
+    for (int t = 0; t <= 2; ++t) {
+      model::WindowMeasurement m;
+      m.window_length = l;
+      m.num_thresholds = t;
+      m.avg_latency_micros = 7.0 + 2.0 * l + 5.0 * t;
+      m.executed = 100;
+      refit.Observe(m);
+    }
+  }
+  EXPECT_EQ(refit.size(), 12u);
+  EXPECT_TRUE(refit.MaybeRefit(&model));
+  EXPECT_EQ(refit.refits(), 1u);
+  EXPECT_NEAR(model.SingleRuleLatency(3, 2), 7.0 + 6.0 + 10.0, 0.5);
+
+  // No new executions arrived: the gate holds, no second solve.
+  EXPECT_FALSE(refit.MaybeRefit(&model));
+}
+
+TEST(RollingRefitTest, IgnoresEmptyWindowsAndRespectsMinimum) {
+  model::RollingRefit refit;
+  model::LatencyModel model = model::LatencyModel::Default();
+  model::WindowMeasurement idle;
+  idle.executed = 0;
+  refit.Observe(idle);
+  EXPECT_EQ(refit.size(), 0u);
+
+  model::WindowMeasurement one;
+  one.executed = 5;
+  one.avg_latency_micros = 10;
+  refit.Observe(one);
+  EXPECT_FALSE(refit.MaybeRefit(&model));  // below min_measurements
+  EXPECT_EQ(refit.refits(), 0u);
+}
+
 }  // namespace
 }  // namespace model
 }  // namespace insight
