@@ -327,6 +327,8 @@ Engine::EngineStats Engine::GetStats() const {
     stats.retained_events += source->window().TotalSize();
   }
   stats.sources = sources_.sources().size();
+  stats.lookups = sources_.lookups();
+  stats.lookups_shared = sources_.lookups_shared();
   return stats;
 }
 
@@ -342,6 +344,7 @@ void Engine::ResetStats() {
   events_processed_ = 0;
   matches_fired_ = 0;
   latency_micros_ = RunningStats();
+  sources_.ResetCounters();
 }
 
 }  // namespace cep

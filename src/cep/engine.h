@@ -68,6 +68,11 @@ class Engine {
     size_t retained_events = 0;
     /// Distinct shared sources (DESIGN.md "Shared sources").
     size_t sources = 0;
+    /// Index probes and group lookups executed by incremental evaluations,
+    /// and those served from a lookup another statement made for the same
+    /// event (DESIGN.md "Shared lookups").
+    size_t lookups = 0;
+    size_t lookups_shared = 0;
   };
   EngineStats GetStats() const;
   void ResetStats();

@@ -33,6 +33,7 @@ void HashIndex::Remove(const Event* e) {
 }
 
 void Source::Insert(const EventPtr& event) {
+  ++*epoch_;
   received_ = true;
   expired_scratch_.clear();
   window_->Insert(event, &expired_scratch_);
@@ -48,6 +49,7 @@ void Source::Insert(const EventPtr& event) {
 }
 
 void Source::Clear() {
+  ++*epoch_;
   window_->Clear();
   for (HashIndex& index : indexes_) index.map.clear();
   accums_.clear();
@@ -184,17 +186,42 @@ Result<Source*> SourceSet::Acquire(const EventTypePtr& type,
   }
   INSIGHT_ASSIGN_OR_RETURN(auto window, Window::Create(chain, type));
   sources_.push_back(
-      std::make_unique<Source>(std::move(key), type, std::move(window)));
+      std::make_unique<Source>(std::move(key), type, std::move(window),
+                               &epoch_));
   return sources_.back().get();
 }
 
 void SourceSet::Release(const Statement* statement) {
+  ++epoch_;
+  for (const auto& slot : slots_) std::erase(slot->users, statement);
+  slots_.erase(std::remove_if(slots_.begin(), slots_.end(),
+                              [](const std::unique_ptr<LookupSlot>& slot) {
+                                return slot->users.empty();
+                              }),
+               slots_.end());
   for (const auto& source : sources_) source->RemoveUser(statement);
   sources_.erase(std::remove_if(sources_.begin(), sources_.end(),
                                 [](const std::unique_ptr<Source>& source) {
                                   return source->users().empty();
                                 }),
                  sources_.end());
+}
+
+LookupSlot* SourceSet::Intern(LookupKey key, const Statement* user) {
+  ++epoch_;
+  if (key.owner == nullptr) {
+    for (const auto& slot : slots_) {
+      if (slot->key == key) {
+        slot->users.push_back(user);
+        return slot.get();
+      }
+    }
+  }
+  auto slot = std::make_unique<LookupSlot>();
+  slot->key = std::move(key);
+  slot->users.push_back(user);
+  slots_.push_back(std::move(slot));
+  return slots_.back().get();
 }
 
 }  // namespace cep

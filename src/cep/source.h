@@ -12,6 +12,7 @@
 
 #include "cep/expr.h"
 #include "cep/view.h"
+#include "common/static_analysis.h"
 
 namespace insight {
 namespace cep {
@@ -59,8 +60,14 @@ struct GroupAccum {
 /// and only evaluate; every event enters each source of its type once.
 class Source {
  public:
-  Source(std::string key, EventTypePtr type, std::unique_ptr<Window> window)
-      : key_(std::move(key)), type_(std::move(type)), window_(std::move(window)) {}
+  /// `epoch` is the owning set's lookup epoch, bumped by every change to
+  /// this source's contents.
+  Source(std::string key, EventTypePtr type, std::unique_ptr<Window> window,
+         uint64_t* epoch)
+      : key_(std::move(key)),
+        type_(std::move(type)),
+        window_(std::move(window)),
+        epoch_(epoch) {}
 
   Source(const Source&) = delete;
   Source& operator=(const Source&) = delete;
@@ -127,6 +134,7 @@ class Source {
   std::string key_;
   EventTypePtr type_;
   std::unique_ptr<Window> window_;
+  uint64_t* epoch_;
   std::vector<HashIndex> indexes_;
   std::vector<AccumColumn> columns_;
   std::unordered_map<Value, GroupAccum, ValueHash, ValueEq> accums_;
@@ -138,24 +146,92 @@ class Source {
   std::array<const Event*, kMaxStreamsPerStatement> accum_row_{};
 };
 
-/// The sources of one engine, in creation order (the snapshot order).
+/// Identity of one lookup an incremental evaluation makes: a probe of
+/// index `index_id` on `source`, or (index_id == -1) the group lookup on the
+/// grouped `source`. `fields` holds, per key expression, the (source, field)
+/// it reads: the field of the event a std:lastevent source binds, which is
+/// the same for every statement. A key expression that is anything else
+/// makes the lookup private to `owner`.
+struct LookupKey {
+  const Source* source = nullptr;
+  int index_id = -1;
+  std::vector<std::pair<const Source*, int>> fields;
+  const Statement* owner = nullptr;  // null: shared by equal keys
+
+  bool operator==(const LookupKey&) const = default;
+};
+
+/// One lookup shared by the statements in `users`, with its result. The
+/// result is valid while the set's epoch equals `epoch`: the key
+/// expressions read only bound lastevent events, so within one epoch every
+/// user would compute the same result.
+struct LookupSlot {
+  LookupKey key;
+  std::vector<const Statement*> users;
+  uint64_t epoch = 0;  // never valid: the set's epoch starts at 1
+  /// Probe: the matching events, null when there are none.
+  const std::vector<const Event*>* candidates = nullptr;
+  /// Group lookup: the group's key and window bucket (null when the group
+  /// is absent or empty), and its accumulators when the source has columns.
+  Value group_key;
+  const EventRing* bucket = nullptr;
+  GroupAccum* accum = nullptr;
+};
+
+/// The sources of one engine, in creation order (the snapshot order), and
+/// the lookups its statements share (DESIGN.md "Shared lookups").
 class SourceSet {
  public:
+  SourceSet() = default;
+  SourceSet(const SourceSet&) = delete;
+  SourceSet& operator=(const SourceSet&) = delete;
+
   /// A source for (type, chain): the newest one with that key while it has
   /// received no event, otherwise a new one. The caller registers itself
   /// with Source::AddUser.
   Result<Source*> Acquire(const EventTypePtr& type,
                           const std::vector<ViewSpec>& chain);
-  /// Drops every use `statement` makes of a source, and frees each source
-  /// with its last user.
+  /// Drops every use `statement` makes of a source or a lookup slot, and
+  /// frees each with its last user.
   void Release(const Statement* statement);
 
   const std::vector<std::unique_ptr<Source>>& sources() const {
     return sources_;
   }
 
+  /// The slot for `key`, shared with every statement interning an equal
+  /// key unless key.owner is set; `user` holds it until Release.
+  LookupSlot* Intern(LookupKey key, const Statement* user);
+
+  /// Whether `slot` holds this epoch's result. When it does not, it is
+  /// stamped with the epoch and the caller fills it.
+  bool Current(LookupSlot* slot) TMS_NO_ALLOC {
+    if (slot->epoch == epoch_) {
+      ++lookups_shared_;
+      return true;
+    }
+    slot->epoch = epoch_;
+    ++lookups_;
+    return false;
+  }
+
+  /// Lookups executed, and lookups served from a slot filled earlier in
+  /// the same epoch.
+  uint64_t lookups() const { return lookups_; }
+  uint64_t lookups_shared() const { return lookups_shared_; }
+  void ResetCounters() {
+    lookups_ = 0;
+    lookups_shared_ = 0;
+  }
+
  private:
   std::vector<std::unique_ptr<Source>> sources_;
+  std::vector<std::unique_ptr<LookupSlot>> slots_;
+  /// Bumped by every Source::Insert and Source::Clear, by Release and by
+  /// Intern, so no slot outlives the state it was filled from.
+  uint64_t epoch_ = 1;
+  uint64_t lookups_ = 0;
+  uint64_t lookups_shared_ = 0;
 };
 
 }  // namespace cep

@@ -348,8 +348,26 @@ bool Statement::PlanIncremental() {
   }
 
   inc_group_source_ = g;
-  inc_shape_a_ = gplan.use_group_lookup;
+  probe_slots_.assign(sources_.size(), nullptr);
+  for (size_t t = 0; t < sources_.size(); ++t) {
+    const SourcePlan& plan = plans_[t];
+    if (static_cast<int>(t) == g ||
+        sources_[t]->window().data_kind() == ViewKind::kLastEvent) {
+      continue;
+    }
+    probe_slots_[t] = source_set_->Intern(
+        KeyOf(sources_[t], plan.hash_index_id, plan.bound_exprs), this);
+    // The probe enforces its equi-join conjuncts (the index compares keys
+    // as kEq does), so they need no gate.
+    for (int cid : plan.conjunct_ids) std::erase(inc_gate_conjuncts_, cid);
+  }
   Source* group_source = sources_[static_cast<size_t>(g)];
+  if (gplan.use_group_lookup) {
+    group_slot_ = source_set_->Intern(
+        KeyOf(group_source, -1,
+              {gplan.bound_exprs[static_cast<size_t>(gplan.group_expr_pos)]}),
+        this);
+  }
   std::vector<int> columns;
   for (const Expr* arg : accum_args) {
     columns.push_back(group_source->AddAccumColumn(arg));
@@ -361,6 +379,28 @@ bool Statement::PlanIncremental() {
     }
   }
   return true;
+}
+
+LookupKey Statement::KeyOf(const Source* source, int index_id,
+                           const std::vector<const Expr*>& exprs) const {
+  LookupKey key;
+  key.source = source;
+  key.index_id = index_id;
+  for (const Expr* e : exprs) {
+    // Only a std:lastevent source binds the same event in every statement.
+    const auto* ref = dynamic_cast<const FieldRefExpr*>(e);
+    const Source* bound =
+        ref == nullptr ? nullptr
+                       : sources_[static_cast<size_t>(ref->source_index())];
+    if (bound == nullptr || bound->window().grouped() ||
+        bound->window().data_kind() != ViewKind::kLastEvent) {
+      key.owner = this;
+      key.fields.emplace_back(nullptr, -1);
+      continue;
+    }
+    key.fields.emplace_back(bound, ref->field_index());
+  }
+  return key;
 }
 
 bool Statement::ConsumesType(const std::string& type_name) const {
@@ -591,52 +631,66 @@ void Statement::EvaluateIncremental() {
   ctx.row = &row;
 
   // Bind every non-grouped source to its single candidate, in FROM order so
-  // probe keys only read already-bound slots.
+  // probe keys only read already-bound slots. A probe is read from its slot
+  // when a statement already made it in this epoch.
   for (size_t i = 0; i < n; ++i) {
     if (static_cast<int>(i) == inc_group_source_) continue;
-    const Source& source = *sources_[i];
-    if (source.window().data_kind() == ViewKind::kLastEvent) {
-      const EventRing& contents = source.window().Contents();
+    LookupSlot* slot = probe_slots_[i];
+    if (slot == nullptr) {  // std:lastevent
+      const EventRing& contents = sources_[i]->window().Contents();
       if (contents.empty()) return;
       row_scratch_[i] = contents.back().get();
       continue;
     }
-    const SourcePlan& plan = plans_[i];
-    const HashIndex& index = source.index(plan.hash_index_id);
-    probe_key_.clear();
-    for (const Expr* e : plan.bound_exprs) probe_key_.push_back(e->Eval(ctx));
-    auto it = index.map.find(probe_key_);
-    if (it == index.map.end() || it->second.empty()) return;
-    row_scratch_[i] = it->second.front();
+    if (!source_set_->Current(slot)) {
+      const SourcePlan& plan = plans_[i];
+      const HashIndex& index = sources_[i]->index(plan.hash_index_id);
+      probe_key_.clear();
+      for (const Expr* e : plan.bound_exprs) probe_key_.push_back(e->Eval(ctx));
+      auto it = index.map.find(probe_key_);
+      slot->candidates =
+          it == index.map.end() || it->second.empty() ? nullptr : &it->second;
+    }
+    if (slot->candidates == nullptr) return;
+    row_scratch_[i] = slot->candidates->front();
   }
 
   for (int cid : inc_gate_conjuncts_) {
     if (!conjuncts_[static_cast<size_t>(cid)].expr->Eval(ctx).AsBool()) return;
   }
 
-  const Window& group_window =
-      sources_[static_cast<size_t>(inc_group_source_)]->window();
-  if (inc_shape_a_) {
-    const SourcePlan& plan = plans_[static_cast<size_t>(inc_group_source_)];
-    Value key =
-        plan.bound_exprs[static_cast<size_t>(plan.group_expr_pos)]->Eval(ctx);
-    const EventRing* bucket = group_window.GroupContents(key);
-    if (bucket != nullptr) EmitIncrementalGroup(key, *bucket, &ctx);
+  Source* group_source = sources_[static_cast<size_t>(inc_group_source_)];
+  const Window& group_window = group_source->window();
+  if (group_slot_ != nullptr) {
+    LookupSlot& slot = *group_slot_;
+    if (!source_set_->Current(&slot)) {
+      const SourcePlan& plan = plans_[static_cast<size_t>(inc_group_source_)];
+      slot.group_key =
+          plan.bound_exprs[static_cast<size_t>(plan.group_expr_pos)]->Eval(ctx);
+      slot.bucket = group_window.GroupContents(slot.group_key);
+      if (slot.bucket != nullptr && slot.bucket->empty()) slot.bucket = nullptr;
+      slot.accum =
+          slot.bucket != nullptr && group_source->num_accum_columns() > 0
+              ? group_source->Accum(slot.group_key, *slot.bucket)
+              : nullptr;
+    }
+    if (slot.bucket != nullptr) {
+      EmitIncrementalGroup(*slot.bucket, slot.accum, &ctx);
+    }
   } else {
     group_window.ForEachGroupT([&](const Value& key, const EventRing& bucket) {
-      EmitIncrementalGroup(key, bucket, &ctx);
+      if (bucket.empty()) return;
+      GroupAccum* acc =
+          inc_accum_args_.empty() ? nullptr : group_source->Accum(key, bucket);
+      EmitIncrementalGroup(bucket, acc, &ctx);
     });
   }
 }
 
-void Statement::EmitIncrementalGroup(const Value& key, const EventRing& bucket,
+void Statement::EmitIncrementalGroup(const EventRing& bucket, GroupAccum* acc,
                                      EvalContext* ctx) {
-  if (bucket.empty()) return;
   const size_t count = bucket.size();
   Source* group_source = sources_[static_cast<size_t>(inc_group_source_)];
-  GroupAccum* acc = nullptr;
-  if (!inc_accum_args_.empty()) acc = group_source->Accum(key, bucket);
-
   agg_scratch_.resize(aggregates_.size());
   for (size_t k = 0; k < inc_aggs_.size(); ++k) {
     const IncAgg& ia = inc_aggs_[k];

@@ -220,8 +220,13 @@ class Statement {
   /// Plans the incremental shape; on success registers the accumulated
   /// arguments as columns of the grouped source.
   bool PlanIncremental();
+  /// The engine-wide key of a lookup on `source` keyed by `exprs`.
+  LookupKey KeyOf(const Source* source, int index_id,
+                  const std::vector<const Expr*>& exprs) const;
   void EvaluateIncremental();
-  void EmitIncrementalGroup(const Value& key, const EventRing& bucket,
+  /// Emits the group whose non-empty window bucket is `bucket`; `acc` is its
+  /// accumulators, set whenever the statement reads them.
+  void EmitIncrementalGroup(const EventRing& bucket, GroupAccum* acc,
                             EvalContext* ctx);
 
   SourceSet* source_set_;
@@ -253,8 +258,12 @@ class Statement {
 
   // --- incremental aggregation plan ---
   bool incremental_ = false;
-  bool inc_shape_a_ = false;  // single group via g's group lookup; else scan
   int inc_group_source_ = -1;
+  /// The engine's shared lookups this plan makes: a probe per FROM item
+  /// bound through a hash index (null for the others), and g's group lookup
+  /// (null when the plan scans every group instead).
+  std::vector<LookupSlot*> probe_slots_;
+  LookupSlot* group_slot_ = nullptr;
   /// Arguments registered as columns of the grouped source, with their
   /// column; released when the statement goes.
   std::vector<std::pair<const Expr*, int>> inc_accum_args_;

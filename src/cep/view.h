@@ -41,16 +41,18 @@ struct ViewSpec {
   /// this is how dynamically refreshed thresholds replace stale ones).
   std::vector<std::string> unique_fields;
 
-  static ViewSpec LastEvent() { return {ViewKind::kLastEvent, 0, 0, ""}; }
-  static ViewSpec Length(size_t n) { return {ViewKind::kLength, n, 0, ""}; }
+  static ViewSpec LastEvent() { return {ViewKind::kLastEvent, 0, 0, "", {}}; }
+  static ViewSpec Length(size_t n) { return {ViewKind::kLength, n, 0, "", {}}; }
   static ViewSpec LengthBatch(size_t n) {
-    return {ViewKind::kLengthBatch, n, 0, ""};
+    return {ViewKind::kLengthBatch, n, 0, "", {}};
   }
-  static ViewSpec Time(MicrosT micros) { return {ViewKind::kTime, 0, micros, ""}; }
+  static ViewSpec Time(MicrosT micros) {
+    return {ViewKind::kTime, 0, micros, "", {}};
+  }
   static ViewSpec TimeBatch(MicrosT micros) {
-    return {ViewKind::kTimeBatch, 0, micros, ""};
+    return {ViewKind::kTimeBatch, 0, micros, "", {}};
   }
-  static ViewSpec KeepAll() { return {ViewKind::kKeepAll, 0, 0, ""}; }
+  static ViewSpec KeepAll() { return {ViewKind::kKeepAll, 0, 0, "", {}}; }
   static ViewSpec GroupWin(std::string field) {
     ViewSpec spec;
     spec.kind = ViewKind::kGroupWin;

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <random>
@@ -548,6 +550,351 @@ TEST(SharedSourcesTest, SnapshotOfDifferentlySharedSourcesIsRejected) {
   ASSERT_TRUE(alone.engine.Snapshot(&snapshot).ok());
   EXPECT_FALSE(target.engine.Restore(snapshot).ok());
   EXPECT_EQ(target.engine.GetStats().retained_events, 0u);
+}
+
+// --- Shared lookups: one probe or group lookup per distinct key and epoch ---
+
+/// Runs `n` bus events from `stream` through `engines`, starting at `*next`.
+void RunBus(Stream* stream, int64_t* next, int64_t n,
+            const std::vector<RuleEngine*>& engines) {
+  for (int64_t end = *next + n; *next < end; ++*next) {
+    SendToAll(engines, {BusEvent(engines[0]->engine, stream->NextBus(*next))});
+  }
+}
+
+/// The all_rules engine beside one private engine per statement, matches
+/// compared statement by statement.
+struct SharedAndPrivates {
+  RuleEngine shared{AllRulesOneEngine()};
+  std::map<std::string, std::unique_ptr<RuleEngine>> privates;
+
+  SharedAndPrivates() {
+    for (const core::RuleTemplate& rule : AllRulesOneEngine()) {
+      privates[rule.name] =
+          std::make_unique<RuleEngine>(std::vector<core::RuleTemplate>{rule});
+    }
+  }
+
+  std::vector<RuleEngine*> All() {
+    std::vector<RuleEngine*> all = {&shared};
+    for (auto& [name, re] : privates) all.push_back(re.get());
+    return all;
+  }
+
+  /// Every private engine fired, and the shared engine delivered exactly
+  /// their matches.
+  void ExpectSameMatches() {
+    std::map<std::string, std::vector<std::string>> shared_by_rule;
+    for (const std::string& m : shared.log) {
+      ByteReader reader(m);
+      std::string name;
+      ASSERT_TRUE(reader.GetString(&name));
+      shared_by_rule[name].push_back(m);
+    }
+    size_t total = 0;
+    for (auto& [name, re] : privates) {
+      EXPECT_FALSE(re->log.empty()) << name << " never fired";
+      EXPECT_EQ(shared_by_rule[name], re->log) << name;
+      total += re->log.size();
+    }
+    EXPECT_EQ(shared.log.size(), total);
+  }
+};
+
+TEST(SharedLookupsTest, AllRulesEngineMakesEachDistinctLookupOncePerBusEvent) {
+  SharedAndPrivates engines;
+  Stream stream(31, /*exact=*/false);
+  SendToAll(engines.All(), stream.Thresholds(engines.shared.engine, 1.0));
+  for (RuleEngine* re : engines.All()) re->engine.ResetStats();
+
+  constexpr int64_t kBusEvents = 1200;
+  int64_t next = 0;
+  RunBus(&stream, &next, kBusEvents, engines.All());
+
+  // Every threshold key is loaded, so each statement probes each of its
+  // threshold streams and looks up its group: 27 probes and 15 group
+  // lookups per bus event. Only 4 probes (one per threshold stream) and 3
+  // group lookups (one per window length) are distinct.
+  const Engine::EngineStats stats = engines.shared.engine.GetStats();
+  EXPECT_LE(stats.lookups, 7u * kBusEvents);
+  EXPECT_EQ(stats.lookups + stats.lookups_shared, 42u * kBusEvents);
+  size_t private_lookups = 0;
+  for (auto& [name, re] : engines.privates) {
+    EXPECT_EQ(re->engine.GetStats().lookups_shared, 0u) << name;
+    private_lookups += re->engine.GetStats().lookups;
+  }
+  EXPECT_EQ(private_lookups, 42u * kBusEvents);
+  engines.ExpectSameMatches();
+
+  engines.shared.engine.ResetStats();
+  EXPECT_EQ(engines.shared.engine.GetStats().lookups, 0u);
+  EXPECT_EQ(engines.shared.engine.GetStats().lookups_shared, 0u);
+}
+
+TEST(SharedLookupsTest, ResetStreamRestoreAndRemoveStatementServeNoStaleSlot) {
+  SharedAndPrivates engines;
+  Stream stream(47, /*exact=*/true);
+  int64_t next = 0;
+  SendToAll(engines.All(), stream.Thresholds(engines.shared.engine, 1.0));
+  RunBus(&stream, &next, 400, engines.All());
+
+  for (RuleEngine* re : engines.All()) re->engine.ResetStream("bus");
+  RunBus(&stream, &next, 300, engines.All());
+
+  // Each engine restores its own snapshot over a running one.
+  for (RuleEngine* re : engines.All()) {
+    std::string snapshot;
+    ASSERT_TRUE(re->engine.Snapshot(&snapshot).ok());
+    ASSERT_TRUE(re->engine.Restore(snapshot).ok());
+  }
+  RunBus(&stream, &next, 300, engines.All());
+  // A restore into engines that have run ahead of the snapshot.
+  {
+    std::vector<std::string> snapshots;
+    for (RuleEngine* re : engines.All()) {
+      ASSERT_TRUE(re->engine.Snapshot(&snapshots.emplace_back()).ok());
+    }
+    Stream ahead = stream;
+    int64_t ahead_next = next;
+    RunBus(&ahead, &ahead_next, 150, engines.All());
+    std::vector<RuleEngine*> all = engines.All();
+    for (size_t k = 0; k < all.size(); ++k) {
+      ASSERT_TRUE(all[k]->engine.Restore(snapshots[k]).ok());
+    }
+  }
+  RunBus(&stream, &next, 300, engines.All());
+  engines.ExpectSameMatches();
+
+  // Dropping the statements that fill the slots first (name order) leaves
+  // the remaining users of those slots to fill them.
+  const std::vector<std::string> removed = {"actual_delay_area_leaf_w1",
+                                            "actual_delay_area_leaf_w10",
+                                            "all_area_leaf_w1"};
+  for (const std::string& name : removed) {
+    ASSERT_TRUE(engines.shared.engine.RemoveStatement(name).ok()) << name;
+    engines.privates.erase(name);
+  }
+  engines.shared.log.clear();
+  for (auto& [name, re] : engines.privates) re->log.clear();
+  engines.shared.engine.ResetStats();
+  RunBus(&stream, &next, 400, engines.All());
+  engines.ExpectSameMatches();
+  EXPECT_LE(engines.shared.engine.GetStats().lookups, 7u * 400);
+  EXPECT_GT(engines.shared.engine.GetStats().lookups_shared, 0u);
+}
+
+TEST(SharedLookupsTest, ThresholdRefreshBetweenBusEventsIsSeenByTheNextProbe) {
+  // Two statements probe threshold_delay with the same key.
+  std::vector<core::RuleTemplate> rules;
+  for (const core::RuleTemplate& rule : core::Table6Rules(1)) {
+    if (rule.location_field == "area_leaf" &&
+        rule.name.rfind("delay_", 0) == 0) {
+      rules.push_back(rule);
+    }
+  }
+  ASSERT_EQ(rules.size(), 2u);  // delay and delay_congestion
+  RuleEngine re(rules);
+  std::vector<double> fired_thresholds;
+  for (const core::RuleTemplate& rule : rules) {
+    auto stmt = re.engine.GetStatement(rule.name);
+    ASSERT_TRUE(stmt.ok());
+    (*stmt)->AddListener([&](const MatchResult& m) {
+      fired_thresholds.push_back(m.Get("threshold")->AsDouble());
+    });
+  }
+  auto threshold = [&](const char* attr, double value) {
+    auto type = re.engine.GetEventType(traffic::ThresholdEventTypeName(attr));
+    EXPECT_TRUE(type.ok());
+    re.engine.SendEvent(EventBuilder(*type)
+                            .Set("location", int64_t{3})
+                            .Set("hour", int64_t{8})
+                            .Set("day", std::string("weekday"))
+                            .Set("value", value)
+                            .Build());
+  };
+  int64_t ts = 0;
+  auto bus = [&]() {
+    const size_t before = re.log.size();
+    re.engine.SendEvent(re.engine.NewEvent("bus")
+                            .Set("timestamp", ts)
+                            .Set("delay", 100.0)
+                            .Set("congestion", true)
+                            .Set("hour", int64_t{8})
+                            .Set("date_type", std::string("weekday"))
+                            .Set("area_leaf", int64_t{3})
+                            .Set("bus_stop", int64_t{3})
+                            .SetTimestamp(ts)
+                            .Build());
+    ++ts;
+    return re.log.size() - before;
+  };
+  auto stats = [&]() { return re.engine.GetStats(); };
+
+  // No delay threshold for the key: the shared probe finds nothing.
+  threshold("congestion", 0.5);
+  EXPECT_EQ(bus(), 0u);
+  EXPECT_EQ(stats().lookups, 1u);  // the second statement read the slot
+  EXPECT_EQ(stats().lookups_shared, 1u);
+
+  // A threshold that appears between two bus events is found.
+  threshold("delay", 50.0);
+  EXPECT_EQ(bus(), 2u);
+  // Refreshed in place above the reading: neither statement fires.
+  threshold("delay", 150.0);
+  EXPECT_EQ(bus(), 0u);
+  // And back below it.
+  threshold("delay", 99.5);
+  EXPECT_EQ(bus(), 2u);
+  EXPECT_EQ(fired_thresholds, (std::vector<double>{50.0, 50.0, 99.5, 99.5}));
+}
+
+TEST(SharedLookupsTest, ResetStreamInsideASendEmptiesLaterStatementsProbes) {
+  // a_reset's listener drops every threshold while the bus event is still
+  // being evaluated: b_rule, which shares a_reset's probe, must find none.
+  std::vector<core::RuleTemplate> rules;
+  for (const core::RuleTemplate& rule : core::Table6Rules(1)) {
+    if (rule.location_field == "area_leaf" &&
+        rule.name.rfind("delay_", 0) == 0 && rule.attributes.size() == 1) {
+      core::RuleTemplate a = rule;
+      a.name = "a_reset";
+      core::RuleTemplate b = rule;
+      b.name = "b_rule";
+      rules = {a, b};
+    }
+  }
+  ASSERT_EQ(rules.size(), 2u);
+  RuleEngine re(rules);
+  auto a = re.engine.GetStatement("a_reset");
+  ASSERT_TRUE(a.ok());
+  (*a)->AddListener(
+      [&](const MatchResult&) { re.engine.ResetStream("threshold_delay"); });
+
+  Stream stream(5, /*exact=*/false);
+  SendToAll({&re}, stream.Thresholds(re.engine, 1.0));
+  size_t a_matches = 0, b_matches = 0;
+  for (int64_t i = 0; i < 400; ++i) {
+    re.log.clear();
+    SendToAll({&re}, {BusEvent(re.engine, stream.NextBus(i))});
+    for (const std::string& m : re.log) {
+      ByteReader reader(m);
+      std::string name;
+      ASSERT_TRUE(reader.GetString(&name));
+      (name == "a_reset" ? a_matches : b_matches) += 1;
+    }
+    // Reload whatever a_reset dropped.
+    if (!re.log.empty()) SendToAll({&re}, stream.Thresholds(re.engine, 1.0));
+  }
+  EXPECT_GT(a_matches, 0u);
+  EXPECT_EQ(b_matches, 0u);
+}
+
+/// a_avg and c_avg make the same group lookup; b_feed, evaluated between
+/// them, re-injects each low reading into a new zone (zone + 10), which is
+/// then the last reading, so c_avg looks up a group a_avg did not.
+struct GroupCascadeEngine : ReadingEngine {
+  Statement* a;
+  Statement* c;
+
+  GroupCascadeEngine() {
+    constexpr char kAvg[] =
+        "@Trigger(reading) SELECT g.zone AS zone, avg(g.v) AS a, "
+        "min(g.v) AS lo, count(*) AS n FROM reading.std:lastevent() as r, "
+        "reading.std:groupwin(zone).win:length(3) as g "
+        "WHERE r.zone = g.zone GROUP BY g.zone";
+    a = Add(kAvg, "a_avg");
+    Add("@Trigger(reading) INSERT INTO reading "
+        "SELECT r.zone + 10 AS zone, r.v + 1000.0 AS v "
+        "FROM reading.std:lastevent() as r WHERE r.v < 10.0",
+        "b_feed");
+    c = Add(kAvg, "c_avg");
+  }
+};
+
+TEST(SharedLookupsTest, InsertIntoCascadeRefreshesASharedGroupLookup) {
+  GroupCascadeEngine re;
+  ASSERT_TRUE(re.a->incremental());
+  ASSERT_TRUE(re.c->incremental());
+  ASSERT_EQ(re.a->sources()[1], re.c->sources()[1]);
+
+  // Every match agrees with a scan of the group of the last reading, taken
+  // when the match is delivered.
+  size_t checked = 0;
+  auto check = [&](const MatchResult& m) {
+    const Window& lastevent = re.c->sources()[0]->window();
+    const int64_t zone = lastevent.Contents().back()->Get(0).AsInt();
+    EXPECT_EQ(m.Get("zone")->AsInt(), zone);
+    const EventRing* bucket = re.c->sources()[1]->window().GroupContents(zone);
+    ASSERT_NE(bucket, nullptr);
+    double sum = 0.0;
+    double lo = std::numeric_limits<double>::infinity();
+    for (const EventPtr& e : *bucket) {
+      sum += e->Get(1).AsDouble();
+      lo = std::min(lo, e->Get(1).AsDouble());
+    }
+    EXPECT_EQ(m.Get("n")->AsInt(), static_cast<int64_t>(bucket->size()));
+    EXPECT_EQ(m.Get("a")->AsDouble(),
+              sum / static_cast<double>(bucket->size()));
+    EXPECT_EQ(m.Get("lo")->AsDouble(), lo);
+    ++checked;
+  };
+  re.a->AddListener(check);
+  re.c->AddListener(check);
+
+  std::mt19937 rng(9);
+  size_t fed = 0;
+  for (int64_t i = 0; i < 600; ++i) {
+    const int64_t zone = std::uniform_int_distribution<int64_t>(0, 2)(rng);
+    const double v = std::uniform_int_distribution<int>(0, 40)(rng);
+    re.Send(zone, v, i);
+    fed += v < 10.0 ? 1 : 0;
+  }
+  ASSERT_GT(fed, 0u);
+  // The last reading's own group always holds it, so both statements fire
+  // on every evaluation: the outer readings and the fed-back ones.
+  EXPECT_EQ(re.a->total_matches(), re.a->total_events());
+  EXPECT_EQ(re.c->total_matches(), re.c->total_events());
+  EXPECT_EQ(re.c->total_events(), 600u + fed);
+  EXPECT_EQ(checked, 2 * (600u + fed));
+}
+
+TEST(SharedLookupsTest, KeysThatAreNotPlainFieldReferencesAreNotShared) {
+  // Both statements probe the same unique window on `zone` through the same
+  // index, with different computed keys: each keeps a private slot. Their
+  // group lookup is keyed on a plain field and stays shared.
+  ReadingEngine re;
+  ASSERT_TRUE(re.engine
+                  .RegisterEventType("limit", {{"zone", ValueType::kInt},
+                                               {"max", ValueType::kDouble}})
+                  .ok());
+  std::map<std::string, std::vector<double>> maxes;
+  for (const auto& [name, offset] :
+       {std::pair<const char*, const char*>{"next_zone", "1"},
+        {"zone_after_next", "2"}}) {
+    Statement* stmt = re.Add(
+        std::string("@Trigger(reading) SELECT g.zone AS zone, ") +
+            "max(l.max) AS max, count(*) AS n "
+            "FROM reading.std:lastevent() as r, limit.std:unique(zone) as l, "
+            "reading.std:groupwin(zone).win:length(2) as g "
+            "WHERE l.zone = r.zone + " + offset + " and g.zone = r.zone "
+            "GROUP BY g.zone",
+        name);
+    ASSERT_NE(stmt, nullptr);
+    ASSERT_TRUE(stmt->incremental());
+    stmt->AddListener([&maxes, name = std::string(name)](const MatchResult& m) {
+      maxes[name].push_back(m.Get("max")->AsDouble());
+    });
+  }
+  for (int64_t zone = 0; zone < 4; ++zone) {
+    re.engine.SendEvent(re.engine.NewEvent("limit")
+                            .Set("zone", zone)
+                            .Set("max", 10.0 * static_cast<double>(zone))
+                            .Build());
+  }
+  re.Send(1, 0.5, 1);
+  EXPECT_EQ(maxes["next_zone"], std::vector<double>{20.0});
+  EXPECT_EQ(maxes["zone_after_next"], std::vector<double>{30.0});
+  EXPECT_EQ(re.engine.GetStats().lookups, 3u);
+  EXPECT_EQ(re.engine.GetStats().lookups_shared, 1u);
 }
 
 }  // namespace
