@@ -189,7 +189,6 @@ void SpatialRouter::Route(const dsps::Tuple& tuple,
                           std::vector<int>* tasks) const {
   tasks->clear();
   for (size_t r = 0; r < routes_.size(); ++r) {
-    const GroupingRoute& route = routes_[r];
     int slot = location_slots_.IndexOf(tuple, r);
     if (slot < 0) continue;
     int engine = EngineFor(r, tuple.Get(static_cast<size_t>(slot)).AsInt());

@@ -91,7 +91,7 @@ RuleTemplate MakeRule(const std::string& name, const std::string& attribute,
 std::vector<RuleTemplate> Table6Rules(size_t window_length) {
   auto w = std::to_string(window_length);
   std::vector<RuleTemplate> rules;
-  for (const std::string loc : {std::string("bus_stop"), std::string("area_leaf")}) {
+  for (const std::string& loc : {std::string("bus_stop"), std::string("area_leaf")}) {
     const std::string suffix = "_" + loc + "_w" + w;
     rules.push_back(MakeRule("delay" + suffix, "delay", loc, window_length));
     rules.push_back(

@@ -539,10 +539,6 @@ class ForwardingBolt::Capture : public dsps::Collector {
     CaptureValues(values);
     real_->Emit(std::move(values));
   }
-  void EmitMove(std::vector<Value> values) override {
-    CaptureValues(values);
-    real_->EmitMove(std::move(values));
-  }
   void EmitRooted(uint64_t message_id, std::vector<Value> values) override {
     // From a bolt EmitRooted degrades to Emit (see Collector docs).
     CaptureValues(values);
@@ -552,6 +548,9 @@ class ForwardingBolt::Capture : public dsps::Collector {
     // kDirect edges are always worker-local (placement validation), so
     // direct emissions are never forwarded.
     real_->EmitDirect(task_index, std::move(values));
+  }
+  void ForwardDirect(int task_index, const dsps::Tuple& input) override {
+    real_->ForwardDirect(task_index, input);  // worker-local, like EmitDirect
   }
 
  private:

@@ -105,6 +105,14 @@ class LocalRuntime::TaskCollector : public Collector {
     EmitValues(target_task, current_priority_, std::move(values));
   }
 
+  /// Shares the input's payload: a refcount bump instead of a copy of its
+  /// values, and one buffer for every task the input is forwarded to.
+  void ForwardDirect(int target_task, const Tuple& input) override {
+    EmitTuple(target_task, current_priority_,
+              Tuple(runtime_->fields_[static_cast<size_t>(component_index_)],
+                    input.payload(), current_spout_time_));
+  }
+
   void EmitPrioritized(TuplePriority priority,
                        std::vector<Value> values) override {
     EmitValues(/*direct_task=*/-1, priority, std::move(values));
@@ -174,22 +182,29 @@ class LocalRuntime::TaskCollector : public Collector {
   /// the trace only groups the hop spans (open_root=false). Bolt emissions
   /// inherit the input's trace id from BeginExecute instead. The acked
   /// spout path (EmitRooted -> EmitTracked) never reaches this: there the
-  /// runtime samples with an open root that the final ack closes.
+  /// runtime samples with an open root that the final ack closes. With no
+  /// root span to open the trace needs no start time, so an unsampled
+  /// emission does not read the clock.
   void MaybeTraceSpoutEmit(Tuple* tuple) {
     if (is_spout_ && runtime_->tracer_ != nullptr) {
-      current_trace_id_ = runtime_->tracer_->MaybeStartTrace(
-          runtime_->options_.clock->NowMicros(), /*open_root=*/false);
+      current_trace_id_ =
+          runtime_->tracer_->MaybeStartTrace(/*now=*/0, /*open_root=*/false);
     }
     tuple->set_trace_id(current_trace_id_);
   }
 
-  /// The one emit routine behind Emit, EmitDirect and the prioritized
-  /// variants (all but a spout's tracked EmitRooted, which EmitTracked
-  /// roots): a bolt's output joins its input's tree when the input has one.
   void EmitValues(int direct_task, TuplePriority priority,
                   std::vector<Value> values) {
-    Tuple tuple(runtime_->fields_[static_cast<size_t>(component_index_)],
-                std::move(values), current_spout_time_);
+    EmitTuple(direct_task, priority,
+              Tuple(runtime_->fields_[static_cast<size_t>(component_index_)],
+                    std::move(values), current_spout_time_));
+  }
+
+  /// The one emit routine behind Emit, EmitDirect, ForwardDirect and the
+  /// prioritized variants (all but a spout's tracked EmitRooted, which
+  /// EmitTracked roots): a bolt's output joins its input's tree when the
+  /// input has one.
+  void EmitTuple(int direct_task, TuplePriority priority, Tuple tuple) {
     tuple.set_priority(priority);
     Emission emission;
     emission.source_component = component_index_;
@@ -782,8 +797,8 @@ void LocalRuntime::FlushOutbox(Outbox* outbox) {
         }
       }
       for (size_t k = 0; k < take; ++k) {
-        // TMS_ANALYZE_EXEMPT(deque chunk churn: libstdc++ recycles chunks
-        // as the consumer pops, and the queue is bounded by queue_capacity)
+        // TMS_ANALYZE_EXEMPT(amortized ring growth: the ring doubles only
+        // when full and never shrinks, and credits bound it by capacity)
         queue->queue.push_back(std::move(block[k]));
       }
       if (take == n) {
@@ -834,8 +849,8 @@ void LocalRuntime::FlushOutbox(Outbox* outbox) {
         if (t.priority() == TuplePriority::kHigh) ++queue->high_count;
       }
     }
-    // TMS_ANALYZE_EXEMPT(deque chunk churn: libstdc++ recycles chunks as the
-    // consumer pops, and the queue is bounded by Options::queue_capacity)
+    // TMS_ANALYZE_EXEMPT(amortized ring growth: the ring doubles only when
+    // full and never shrinks, and queue_capacity plus one block bounds it)
     for (Tuple& t : block) queue->queue.push_back(std::move(t));
     block.clear();  // keeps capacity for the next batch
     size_t sz = queue->queue.size();
@@ -1491,7 +1506,7 @@ void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
       batch.clear();
       {
         MutexLock lock(task->input->mutex);
-        std::deque<Tuple>& q = task->input->queue;
+        RingQueue<Tuple>& q = task->input->queue;
         size_t n = std::min(options_.max_batch, q.size());
         if (options_.overload.enable_load_shedding &&
             task->input->high_count > 0 && n < q.size()) {
@@ -1513,7 +1528,7 @@ void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
             if (write != read) q[write] = std::move(q[read]);
             ++write;
           }
-          q.resize(write);  // TMS_ANALYZE_EXEMPT(shrink only)
+          q.truncate(write);
           task->input->high_count -= taken_high;
           n -= taken_high;
         }

@@ -16,6 +16,7 @@
 #include "common/thread_annotations.h"
 #include "dsps/metrics.h"
 #include "dsps/overload.h"
+#include "dsps/ring_queue.h"
 #include "dsps/topology.h"
 #include "observability/trace.h"
 #include "reliability/acker.h"
@@ -217,7 +218,7 @@ class LocalRuntime {
     Mutex mutex{TMS_LOCK_RANK(90)};
     CondVar not_empty;
     CondVar not_full;
-    std::deque<Tuple> queue GUARDED_BY(mutex);
+    RingQueue<Tuple> queue GUARDED_BY(mutex);
     /// kHigh tuples currently queued. Maintained only while load shedding
     /// is enabled; lets the drain path skip the priority scan entirely when
     /// no critical tuples are waiting.

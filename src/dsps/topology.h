@@ -40,10 +40,14 @@ class Collector {
   virtual void Emit(std::vector<Value> values) = 0;
   virtual void EmitDirect(int task_index, std::vector<Value> values) = 0;
 
-  /// Emit that documents single-consumer intent: the runtime may hand the
-  /// value buffer straight to the one downstream task without sharing.
-  /// Payloads are refcount-shared either way, so the default forwards.
-  virtual void EmitMove(std::vector<Value> values) { Emit(std::move(values)); }
+  /// EmitDirect of `input`'s values, unchanged, to subscriber task
+  /// `task_index` (a router forwarding its input). A runtime may hand the
+  /// task the input's shared payload instead of a copy: LocalRuntime does,
+  /// so every task one input is forwarded to reads the same buffer. The
+  /// default copies the values into EmitDirect.
+  virtual void ForwardDirect(int task_index, const Tuple& input) {
+    EmitDirect(task_index, input.values());
+  }
 
   /// Spout-only: emit a root tuple tracked by the reliability subsystem
   /// under `message_id` (Storm's emit-with-message-id). When the topology

@@ -41,6 +41,16 @@ std::vector<std::string> EnrichedNames(const std::vector<int>& layers) {
   return names;
 }
 
+/// A copy of `input`'s values with capacity for `extra` more, so an
+/// enrichment stage builds its output in one allocation at final width.
+std::vector<Value> WithRoomFor(const Tuple& input, size_t extra) {
+  const std::vector<Value>& in = input.values();
+  std::vector<Value> out;
+  out.reserve(in.size() + extra);
+  out.insert(out.end(), in.begin(), in.end());
+  return out;
+}
+
 }  // namespace
 
 Fields RawTraceFields() { return Fields(RawNames()); }
@@ -201,7 +211,7 @@ void PreProcessBolt::Execute(const Tuple& input, dsps::Collector* collector) {
   vehicles_[vehicle] = {position, delay, timestamp};
 
   int hour = static_cast<int>(static_cast<double>(timestamp) / kMicrosPerHour) % 24;
-  std::vector<Value> out = input.values();
+  std::vector<Value> out = WithRoomFor(input, 4);
   out.push_back(speed);
   out.push_back(actual_delay);
   out.push_back(hour);
@@ -256,7 +266,7 @@ Status PreProcessBolt::RestoreState(const std::string& bytes) {
 
 void AreaTrackerBolt::Execute(const Tuple& input, dsps::Collector* collector) {
   geo::LatLon position{input.Get(4).AsDouble(), input.Get(3).AsDouble()};
-  std::vector<Value> out = input.values();
+  std::vector<Value> out = WithRoomFor(input, 1 + layers_.size());
   out.push_back(static_cast<int64_t>(quadtree_->LocateLeaf(position)));
   for (int layer : layers_) {
     out.push_back(static_cast<int64_t>(quadtree_->Locate(position, layer)));
@@ -273,7 +283,7 @@ void BusStopsTrackerBolt::Execute(const Tuple& input,
   geo::LatLon position{input.Get(4).AsDouble(), input.Get(3).AsDouble()};
   int line = static_cast<int>(input.Get(1).AsInt());
   bool direction = input.Get(2).AsBool();
-  std::vector<Value> out = input.values();
+  std::vector<Value> out = WithRoomFor(input, 1);
   out.push_back(index_->Locate(position, line, direction));
   collector->Emit(std::move(out));
 }
@@ -285,9 +295,7 @@ void BusStopsTrackerBolt::Execute(const Tuple& input,
 void SplitterBolt::Execute(const Tuple& input, dsps::Collector* collector) {
   targets_.clear();
   router_(input, &targets_);
-  for (int task : targets_) {
-    collector->EmitDirect(task, input.values());
-  }
+  for (int task : targets_) collector->ForwardDirect(task, input);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-// Hot-path regression tests: shared tuple payloads across fan-out, batched
-// queue hand-off (backpressure, Stop() mid-batch, FIFO), acking through the
-// batch flush, Fields/EventType hash-index lookups, and the incremental
-// aggregation plan for the canonical detection rule.
+// Hot-path regression tests: shared tuple payloads across fan-out and
+// ForwardDirect, batched queue hand-off (backpressure, Stop() mid-batch,
+// FIFO), the chunked ring task queue (chunk reuse, crash requeue, priority
+// drain, Stop accounting), acking through the batch flush, Fields/EventType
+// hash-index lookups, and the incremental aggregation plan for the
+// canonical detection rule.
 
 #include <gtest/gtest.h>
 
@@ -16,25 +18,28 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "dsps/local_runtime.h"
+#include "dsps/ring_queue.h"
 #include "dsps/topology.h"
+#include "reliability/fault_injector.h"
 
 namespace insight {
 namespace dsps {
 namespace {
 
-/// Emits the integers [0, n) one per NextTuple, in order.
+/// Emits the integers [first, first + n) one per NextTuple, in order.
 class CounterSpout : public Spout {
  public:
-  explicit CounterSpout(int n) : n_(n) {}
+  explicit CounterSpout(int n, int64_t first = 0) : n_(n), first_(first) {}
   bool NextTuple(Collector* collector) override {
     if (next_ >= n_) return false;
-    collector->Emit({Value(int64_t{next_})});
+    collector->Emit({Value(first_ + next_)});
     ++next_;
     return next_ < n_;
   }
 
  private:
   int n_;
+  int64_t first_;
   int next_ = 0;
 };
 
@@ -107,13 +112,71 @@ class CaptureBolt : public Bolt {
   std::shared_ptr<Capture> capture_;
 };
 
-/// Forwards its input via EmitMove (single-consumer emission path).
-class MoveRelayBolt : public Bolt {
+/// Emits its input's value plus 1000.
+class RelayBolt : public Bolt {
  public:
   void Execute(const Tuple& input, Collector* collector) override {
-    collector->EmitMove({Value(input.Get(0).AsInt() + 1000)});
+    collector->Emit({Value(input.Get(0).AsInt() + 1000)});
   }
 };
+
+/// Forwards each input unchanged to every task of its direct subscriber,
+/// as the Figure-8 splitter forwards a trace to the engines it routes to.
+class ForwardBolt : public Bolt {
+ public:
+  explicit ForwardBolt(int targets) : targets_(targets) {}
+  void Execute(const Tuple& input, Collector* collector) override {
+    for (int task = 0; task < targets_; ++task) {
+      collector->ForwardDirect(task, input);
+    }
+  }
+
+ private:
+  int targets_;
+};
+
+/// Sleeps `delay_micros` per execution, then records like CaptureBolt.
+class SlowCaptureBolt : public CaptureBolt {
+ public:
+  SlowCaptureBolt(std::shared_ptr<Capture> capture, int delay_micros)
+      : CaptureBolt(std::move(capture)), delay_micros_(delay_micros) {}
+  void Execute(const Tuple& input, Collector* collector) override {
+    std::this_thread::sleep_for(std::chrono::microseconds(delay_micros_));
+    CaptureBolt::Execute(input, collector);
+  }
+
+ private:
+  int delay_micros_;
+};
+
+/// Records what a bolt hands the collector, without a runtime.
+class RecordingCollector : public Collector {
+ public:
+  struct Emission {
+    int task;  // -1 for a plain Emit
+    std::vector<Value> values;
+  };
+  void Emit(std::vector<Value> values) override {
+    out.push_back({-1, std::move(values)});
+  }
+  void EmitDirect(int task, std::vector<Value> values) override {
+    out.push_back({task, std::move(values)});
+  }
+  std::vector<Emission> out;
+};
+
+/// The values of `capture` in arrival order, read under its lock.
+std::vector<int64_t> ValuesOf(CaptureBolt::Capture* capture) {
+  MutexLock lock(capture->mutex);
+  return capture->values;
+}
+
+bool StrictlyIncreasing(const std::vector<int64_t>& values) {
+  for (size_t i = 1; i < values.size(); ++i) {
+    if (values[i] <= values[i - 1]) return false;
+  }
+  return true;
+}
 
 // ---------------------------------------------------------------------------
 // Shared payload identity
@@ -227,29 +290,286 @@ TEST(HotpathTransportTest, StopDuringPartiallyFlushedBatch) {
   EXPECT_TRUE(runtime.finished());
 }
 
-TEST(HotpathTransportTest, EmitMoveDeliversThroughDefaultPath) {
+// ---------------------------------------------------------------------------
+// ForwardDirect
+// ---------------------------------------------------------------------------
+
+TEST(HotpathTransportTest, ForwardDirectSharesOnePayloadAcrossDirectTasks) {
+  // A splitter-style bolt forwards each input to both tasks of a direct
+  // subscriber: the two deliveries must read one buffer, holding the
+  // input's values.
   auto capture = std::make_shared<CaptureBolt::Capture>();
-  static constexpr int kTuples = 100;
+  static constexpr int kTuples = 300;
   TopologyBuilder builder;
   builder.SetSpout("s", [] { return std::make_unique<CounterSpout>(kTuples); },
                    Fields({"v"}));
-  builder.SetBolt("relay", [] { return std::make_unique<MoveRelayBolt>(); },
+  builder.SetBolt("split", [] { return std::make_unique<ForwardBolt>(2); },
                   Fields({"v"}))
       .ShuffleGrouping("s");
-  builder.SetBolt("sink",
+  builder.SetBolt("engines",
                   [capture] { return std::make_unique<CaptureBolt>(capture); },
-                  Fields({}))
-      .ShuffleGrouping("relay");
+                  Fields({}), 2)
+      .DirectGrouping("split");
   auto topology = builder.Build();
   ASSERT_TRUE(topology.ok());
   LocalRuntime runtime(std::move(*topology), {});
   ASSERT_TRUE(runtime.Start().ok());
   runtime.AwaitCompletion();
 
-  ASSERT_EQ(capture->values.size(), static_cast<size_t>(kTuples));
-  std::set<int64_t> distinct(capture->values.begin(), capture->values.end());
-  EXPECT_EQ(*distinct.begin(), 1000);
-  EXPECT_EQ(*distinct.rbegin(), 1000 + kTuples - 1);
+  ASSERT_EQ(capture->buffers.size(), static_cast<size_t>(kTuples));
+  for (const auto& [value, pointers] : capture->buffers) {
+    ASSERT_EQ(pointers.size(), 2u) << "value " << value;
+    EXPECT_EQ(pointers[0], pointers[1])
+        << "value " << value << " was copied for each direct task";
+  }
+  EXPECT_EQ(capture->buffers.begin()->first, 0);
+}
+
+TEST(HotpathTransportTest, DefaultForwardDirectCopiesTheValues) {
+  // A collector that does not override ForwardDirect receives the input's
+  // values through EmitDirect, in a buffer of its own.
+  auto fields = std::make_shared<const Fields>(Fields({"a", "b"}));
+  Tuple input(fields, std::vector<Value>{Value(int64_t{7}), Value(2.5)});
+  RecordingCollector collector;
+  ForwardBolt(2).Execute(input, &collector);
+
+  ASSERT_EQ(collector.out.size(), 2u);
+  for (int task = 0; task < 2; ++task) {
+    const RecordingCollector::Emission& emission =
+        collector.out[static_cast<size_t>(task)];
+    EXPECT_EQ(emission.task, task);
+    ASSERT_EQ(emission.values.size(), 2u);
+    EXPECT_EQ(emission.values[0].AsInt(), 7);
+    EXPECT_EQ(emission.values[1].AsDouble(), 2.5);
+    EXPECT_NE(emission.values.data(), input.values().data());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Ring task queue
+// ---------------------------------------------------------------------------
+
+TEST(HotpathRingQueueTest, FifoAcrossChunkBoundariesReusesChunks) {
+  constexpr size_t kChunk = RingQueue<int>::kChunk;
+  RingQueue<int> ring;
+  int next_in = 0;
+  int next_out = 0;
+  // Three and a half chunks, with the front a quarter into the first one.
+  for (size_t i = 0; i < 3 * kChunk + kChunk / 2; ++i) {
+    ring.push_back(next_in++);
+  }
+  for (size_t i = 0; i < kChunk / 4; ++i) {
+    ASSERT_EQ(ring.front(), next_out++);
+    ring.pop_front();
+  }
+  for (size_t i = 0; i < ring.size(); ++i) {
+    ASSERT_EQ(ring[i], next_out + static_cast<int>(i));
+  }
+  const size_t filled = ring.capacity();
+  // Twenty chunks of traffic at a steady occupancy: each chunk the front
+  // leaves comes back at the back, so at most one more is ever allocated.
+  for (size_t i = 0; i < 20 * kChunk; ++i) {
+    ring.push_back(next_in++);
+    ASSERT_EQ(ring.front(), next_out++);
+    ring.pop_front();
+  }
+  EXPECT_LE(ring.capacity(), filled + kChunk) << "chunks were not reused";
+  const size_t steady = ring.capacity();
+  while (!ring.empty()) {
+    ASSERT_EQ(ring.front(), next_out++);
+    ring.pop_front();
+  }
+  EXPECT_EQ(next_out, next_in);
+  EXPECT_EQ(ring.capacity(), steady) << "chunks are kept for reuse";
+}
+
+TEST(HotpathRingQueueTest, PushFrontRequeuesAheadOfQueuedElements) {
+  // The crash path's requeue: the un-executed rest of a drained batch goes
+  // back, last first, ahead of the tuples that arrived meanwhile. The
+  // batches leave the front mid-chunk, on a chunk boundary and just past
+  // one, so the requeue fills the front chunk, starts a chunk before it,
+  // and crosses from one into the other.
+  constexpr int kChunk = static_cast<int>(RingQueue<int>::kChunk);
+  for (int drained : {8, kChunk, kChunk + 2}) {
+    RingQueue<int> ring;
+    int next_in = 0;
+    while (next_in < drained + 4) ring.push_back(next_in++);
+    std::vector<int> batch;
+    for (int i = 0; i < drained; ++i) {
+      batch.push_back(ring.front());
+      ring.pop_front();
+    }
+    for (int i = 0; i < kChunk; ++i) ring.push_back(next_in++);
+    // Executed batch[0..2]; batch[3] died in hand; requeue batch[4..].
+    for (size_t k = batch.size(); k-- > 4;) ring.push_front(batch[k]);
+    std::vector<int> out;
+    while (!ring.empty()) {
+      out.push_back(ring.front());
+      ring.pop_front();
+    }
+    std::vector<int> expected;
+    for (int i = 4; i < next_in; ++i) expected.push_back(i);
+    EXPECT_EQ(out, expected) << "batch of " << drained;
+  }
+}
+
+TEST(HotpathRingQueueTest, PoppedTruncatedAndClearedSlotsReleaseTheirValues) {
+  constexpr size_t kChunk = RingQueue<std::shared_ptr<int>>::kChunk;
+  RingQueue<std::shared_ptr<int>> ring;
+  auto payload = std::make_shared<int>(5);
+  const long total = static_cast<long>(2 * kChunk + 10);  // three chunks
+  for (long i = 0; i < total; ++i) ring.push_back(payload);
+  EXPECT_EQ(payload.use_count(), total + 1);
+  const size_t capacity = ring.capacity();
+  ring.pop_front();
+  EXPECT_EQ(payload.use_count(), total);
+  ring.truncate(4);
+  EXPECT_EQ(payload.use_count(), 5);
+  EXPECT_EQ(ring.size(), 4u);
+  ring.clear();
+  EXPECT_EQ(payload.use_count(), 1);
+  EXPECT_TRUE(ring.empty());
+  // The chunks truncate and clear left empty are reused.
+  for (long i = 0; i < total; ++i) ring.push_back(payload);
+  EXPECT_EQ(ring.capacity(), capacity);
+}
+
+/// A queue whose peak occupancy was `peak` holds fewer slots than this, so
+/// once more tuples than that have passed it, its chunks have been reused.
+size_t RingSlotsBound(size_t peak) {
+  return peak + 2 * RingQueue<Tuple>::kChunk;
+}
+
+TEST(HotpathRingQueueTest, CrashRequeueOnReusedChunksLosesOnlyTheTupleInHand) {
+  // A slow sink keeps its queue full, so every drained batch is whole and
+  // the crash leaves a remainder to requeue. More tuples pass the queue
+  // before the crash than it has slots, so its chunks are being reused.
+  static constexpr int kTuples = 1500;
+  static constexpr uint64_t kCrashAt = 301;  // mid-batch: 301 % 16 != 0
+  reliability::FaultPlan plan;
+  plan.crashes.push_back({.component = "sink", .task = 0,
+                          .after_executions = kCrashAt, .repeat = false});
+  reliability::FaultInjector injector(plan);
+  auto capture = std::make_shared<CaptureBolt::Capture>();
+  TopologyBuilder builder;
+  builder.SetSpout("s", [] { return std::make_unique<CounterSpout>(kTuples); },
+                   Fields({"v"}));
+  builder.SetBolt("sink",
+                  [capture] {
+                    return std::make_unique<SlowCaptureBolt>(capture, 20);
+                  },
+                  Fields({}))
+      .ShuffleGrouping("s");
+  auto topology = builder.Build();
+  ASSERT_TRUE(topology.ok());
+  LocalRuntime::Options options;
+  options.queue_capacity = 32;
+  options.max_batch = 16;
+  options.fault_injector = &injector;
+  options.supervisor_interval_micros = 1'000;
+  LocalRuntime runtime(std::move(*topology), options);
+  ASSERT_TRUE(runtime.Start().ok());
+  runtime.AwaitCompletion();
+
+  EXPECT_EQ(injector.crashes_injected(), 1u);
+  EXPECT_GE(runtime.executor_restarts(), 1u);
+  ASSERT_LT(RingSlotsBound(runtime.max_queue_occupancy()), kCrashAt);
+  std::vector<int64_t> values = ValuesOf(capture.get());
+  ASSERT_EQ(values.size(), static_cast<size_t>(kTuples - 1));
+  EXPECT_TRUE(StrictlyIncreasing(values)) << "requeue reordered tuples";
+  // The kCrashAt-th execution died with value kCrashAt - 1 in hand.
+  EXPECT_EQ(values[kCrashAt - 2], static_cast<int64_t>(kCrashAt - 2));
+  EXPECT_EQ(values[kCrashAt - 1], static_cast<int64_t>(kCrashAt));
+}
+
+TEST(HotpathRingQueueTest, PriorityDrainOnReusedChunksKeepsEachTierInOrder) {
+  // With load shedding on (watermarks out of reach, so nothing sheds), a
+  // sink queue holding more than one batch extracts its kHigh tuples first
+  // and compacts the rest in place across its chunks, while they are being
+  // reused. Every tuple must arrive once, each tier in its emission order.
+  static constexpr int kNormal = 600;
+  static constexpr int kHigh = 200;
+  static constexpr int64_t kHighBase = 100000;
+  auto capture = std::make_shared<CaptureBolt::Capture>();
+  TopologyBuilder builder;
+  builder.SetSpout("normal",
+                   [] { return std::make_unique<CounterSpout>(kNormal); },
+                   Fields({"v"}));
+  builder.SetSpout("high",
+                   [] {
+                     return std::make_unique<CounterSpout>(kHigh, kHighBase);
+                   },
+                   Fields({"v"}));
+  builder.SetBolt("sink",
+                  [capture] {
+                    return std::make_unique<SlowCaptureBolt>(capture, 20);
+                  },
+                  Fields({}))
+      .ShuffleGrouping("normal")
+      .ShuffleGrouping("high");
+  builder.SetPriority("high", TuplePriority::kHigh);
+  auto topology = builder.Build();
+  ASSERT_TRUE(topology.ok());
+  LocalRuntime::Options options;
+  options.queue_capacity = 48;
+  options.max_batch = 8;
+  options.emit_batch = 8;
+  options.overload.enable_load_shedding = true;
+  options.overload.shed_low_watermark = 2.0;
+  options.overload.shed_high_watermark = 2.0;
+  LocalRuntime runtime(std::move(*topology), options);
+  ASSERT_TRUE(runtime.Start().ok());
+  runtime.AwaitCompletion();
+
+  std::vector<int64_t> values = ValuesOf(capture.get());
+  ASSERT_EQ(values.size(), static_cast<size_t>(kNormal + kHigh));
+  std::vector<int64_t> normal, high;
+  for (int64_t v : values) (v >= kHighBase ? high : normal).push_back(v);
+  ASSERT_EQ(normal.size(), static_cast<size_t>(kNormal));
+  ASSERT_EQ(high.size(), static_cast<size_t>(kHigh));
+  EXPECT_TRUE(StrictlyIncreasing(normal)) << "drain reordered kNormal";
+  EXPECT_TRUE(StrictlyIncreasing(high)) << "drain reordered kHigh";
+  auto totals = runtime.metrics()->Totals("sink");
+  EXPECT_EQ(totals.shed_low + totals.shed_normal + totals.shed_high, 0u);
+  EXPECT_LT(RingSlotsBound(runtime.max_queue_occupancy()), values.size());
+}
+
+TEST(HotpathRingQueueTest, StopWithABacklogOnReusedChunksBalancesInFlight) {
+  // An endless spout against a slow sink: at Stop the sink queue is full,
+  // and hundreds of tuples have passed its few chunks. Stop drops the
+  // backlog and must leave nothing in flight.
+  auto capture = std::make_shared<CaptureBolt::Capture>();
+  TopologyBuilder builder;
+  builder.SetSpout("s", [] { return std::make_unique<InfiniteSpout>(); },
+                   Fields({"v"}));
+  builder.SetBolt("sink",
+                  [capture] {
+                    return std::make_unique<SlowCaptureBolt>(capture, 50);
+                  },
+                  Fields({}))
+      .ShuffleGrouping("s");
+  auto topology = builder.Build();
+  ASSERT_TRUE(topology.ok());
+  LocalRuntime::Options options;
+  options.queue_capacity = 16;
+  options.emit_batch = 8;
+  LocalRuntime runtime(std::move(*topology), options);
+  ASSERT_TRUE(runtime.Start().ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (ValuesOf(capture.get()).size() < 300 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_GE(runtime.QueueOccupancy("sink", 0), 0.5) << "no backlog at Stop";
+  runtime.Stop();
+
+  EXPECT_TRUE(runtime.finished());
+  EXPECT_EQ(runtime.in_flight(), 0) << "abandoned tuples left in flight";
+  std::vector<int64_t> values = ValuesOf(capture.get());
+  ASSERT_GE(values.size(), 300u);
+  EXPECT_LT(RingSlotsBound(runtime.max_queue_occupancy()), values.size());
+  EXPECT_TRUE(StrictlyIncreasing(values));
 }
 
 // ---------------------------------------------------------------------------
@@ -269,7 +589,7 @@ TEST(HotpathTransportTest, AckingTracksPerTupleEdgeIdsAcrossBatches) {
                                                           spout_capture);
                    },
                    Fields({"v"}));
-  builder.SetBolt("relay", [] { return std::make_unique<MoveRelayBolt>(); },
+  builder.SetBolt("relay", [] { return std::make_unique<RelayBolt>(); },
                   Fields({"v"}), 2)
       .ShuffleGrouping("s");
   builder.SetBolt("sink",
