@@ -67,6 +67,11 @@ int main() {
               static_cast<unsigned long long>(report->esper.executed),
               report->esper.avg_latency_micros, report->esper_throughput);
   std::printf("detections stored: %zu\n", report->detections);
+  std::printf("executor utilisation (CPU s per wall s):\n");
+  for (const auto& executor : report->utilisation) {
+    std::printf("  %-16s #%d %5.2f\n", executor.component.c_str(),
+                executor.executor_index, executor.utilisation);
+  }
 
   // Show a few stored detections (the events an operator would see).
   auto events = system.store()->SelectAll("detected_events");

@@ -539,6 +539,7 @@ Result<TrafficManagementSystem::RunReport> TrafficManagementSystem::Run() {
 
   Live& live = *live_;
   const auto esper_before = live.runtime->metrics()->Totals("esper");
+  const auto cpu_before = live.runtime->ExecutorCpuTimes();
   const auto start = std::chrono::steady_clock::now();
   INSIGHT_RETURN_NOT_OK(live.runtime->Feed(
       "busReader", [traces = live.traces](dsps::Spout* spout, int) {
@@ -548,6 +549,8 @@ Result<TrafficManagementSystem::RunReport> TrafficManagementSystem::Run() {
     return Status::Internal("topology stopped during the run");
   }
   report.wall_seconds = SecondsSince(start);
+  report.utilisation = dsps::LocalRuntime::Utilisation(
+      cpu_before, live.runtime->ExecutorCpuTimes(), report.wall_seconds);
 
   std::vector<std::shared_ptr<RegionTally>> tallies;
   {

@@ -94,6 +94,10 @@ class TrafficManagementSystem {
     double esper_throughput = 0.0;
     /// Engines granted per grouping by Algorithm 2.
     std::vector<int> engines_per_grouping;
+    /// Each executor's CPU seconds over `wall_seconds`, keyed by component
+    /// (the chain head for chained stages) and executor index. An executor
+    /// near 1.0 is the one that bounds the run.
+    std::vector<dsps::LocalRuntime::ExecutorUtilisation> utilisation;
   };
 
   explicit TrafficManagementSystem(Config config);

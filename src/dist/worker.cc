@@ -1,5 +1,6 @@
 #include "dist/worker.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -518,10 +519,13 @@ class Worker {
     report.snapshot = runtime_->metrics()->PrometheusSnapshot();
     std::vector<dsps::MetricsRegistry::WindowReport> windows =
         runtime_->metrics()->window_reports();
-    for (size_t i = windows_sent_; i < windows.size(); ++i) {
-      report.windows.push_back(windows[i]);
+    {
+      MutexLock lock(mutex_);
+      for (size_t i = windows_sent_; i < windows.size(); ++i) {
+        report.windows.push_back(windows[i]);
+      }
+      windows_sent_ = std::max(windows_sent_, windows.size());
     }
-    windows_sent_ = windows.size();
     net::Frame frame;
     frame.type = net::FrameType::kMetrics;
     EncodeMetricsReport(report, &frame.payload);
@@ -585,10 +589,12 @@ class Worker {
   // Loop-thread-only timers.
   MicrosT last_heartbeat_micros_ = 0;
   MicrosT last_metrics_micros_ = 0;
-  size_t windows_sent_ = 0;
 
   Mutex mutex_{TMS_LOCK_RANK(15)};
   CondVar shutdown_cv_;
+  /// Metrics windows already reported; the loop's metrics tick and the main
+  /// thread's final report both advance it.
+  size_t windows_sent_ GUARDED_BY(mutex_) = 0;
   bool draining_ GUARDED_BY(mutex_) = false;
   bool abort_ GUARDED_BY(mutex_) = false;
   std::map<uint32_t, PeerInfo> peers_ GUARDED_BY(mutex_);

@@ -1,5 +1,7 @@
 #include "dsps/local_runtime.h"
 
+#include <pthread.h>
+
 #include <chrono>
 #include <functional>
 
@@ -80,6 +82,7 @@ class LocalRuntime::TaskCollector : public Collector {
         component_index_(component_index),
         task_index_(task_index),
         is_spout_(is_spout),
+        schema_(runtime->fields_[static_cast<size_t>(component_index)].get()),
         declared_priority_(
             runtime->topology_.components()[static_cast<size_t>(
                                                 component_index)]
@@ -109,8 +112,7 @@ class LocalRuntime::TaskCollector : public Collector {
   /// values, and one buffer for every task the input is forwarded to.
   void ForwardDirect(int target_task, const Tuple& input) override {
     EmitTuple(target_task, current_priority_,
-              Tuple(runtime_->fields_[static_cast<size_t>(component_index_)],
-                    input.payload(), current_spout_time_));
+              Tuple(schema_, input.payload(), current_spout_time_));
   }
 
   void EmitPrioritized(TuplePriority priority,
@@ -196,8 +198,7 @@ class LocalRuntime::TaskCollector : public Collector {
   void EmitValues(int direct_task, TuplePriority priority,
                   std::vector<Value> values) {
     EmitTuple(direct_task, priority,
-              Tuple(runtime_->fields_[static_cast<size_t>(component_index_)],
-                    std::move(values), current_spout_time_));
+              Tuple(schema_, std::move(values), current_spout_time_));
   }
 
   /// The one emit routine behind Emit, EmitDirect, ForwardDirect and the
@@ -227,6 +228,8 @@ class LocalRuntime::TaskCollector : public Collector {
   int component_index_;
   int task_index_;
   bool is_spout_;
+  /// The component's output schema, owned by the runtime.
+  const Fields* schema_;
   /// The component's declared shedding tier: the default for spout
   /// emissions; bolts override per input in BeginExecute.
   TuplePriority declared_priority_;
@@ -272,7 +275,7 @@ LocalRuntime::LocalRuntime(Topology topology, Options options)
 
   for (size_t c = 0; c < components.size(); ++c) {
     const ComponentDef& def = components[c];
-    fields_[c] = std::make_shared<const Fields>(def.output_fields);
+    fields_[c] = std::make_unique<const Fields>(def.output_fields);
     metrics_.DeclareComponent(def.name, def.num_tasks);
     for (int t = 0; t < def.num_tasks; ++t) {
       TaskRuntime task;
@@ -691,10 +694,9 @@ void LocalRuntime::Stage(int target_component, int task_index, Tuple tuple,
   // by FlushOutbox with capacity retained, so steady-state staging reuses it)
   if (block.empty()) outbox->dirty.push_back(static_cast<uint32_t>(gid));
   block.push_back(std::move(tuple));  // TMS_ANALYZE_EXEMPT(capacity retained)
-  // Counted in flight from the moment it is staged, so the completion
-  // predicate can never observe a quiet topology while tuples sit in an
-  // outbox.
-  in_flight_.fetch_add(1);
+  // Counted in flight when the outbox flushes; until then the emitter's
+  // unsettled input (or live spout task) keeps the topology from quiescing.
+  ++outbox->uncounted;
   ++outbox->staged;
   size_t threshold = outbox->adaptive != nullptr ? outbox->adaptive->threshold()
                                                  : options_.emit_batch;
@@ -712,6 +714,12 @@ void LocalRuntime::Stage(int target_component, int task_index, Tuple tuple,
 
 void LocalRuntime::FlushOutbox(Outbox* outbox) {
   if (outbox->staged == 0) return;
+  // One addition per flush, before any block reaches a queue: a consumer
+  // can only settle a tuple that is already counted.
+  if (outbox->uncounted > 0) {
+    in_flight_.fetch_add(static_cast<int64_t>(outbox->uncounted));
+    outbox->uncounted = 0;
+  }
   bool dropped = false;
   size_t handed_off = 0;  // enqueued + dropped, to balance against staged
   size_t kept = 0;        // left staged awaiting credits (credit mode only)
@@ -797,8 +805,9 @@ void LocalRuntime::FlushOutbox(Outbox* outbox) {
         }
       }
       for (size_t k = 0; k < take; ++k) {
-        // TMS_ANALYZE_EXEMPT(amortized ring growth: the ring doubles only
-        // when full and never shrinks, and credits bound it by capacity)
+        // TMS_ANALYZE_EXEMPT(bounded chunk growth: the queue takes a new
+        // 64-slot chunk only past its peak occupancy and reuses spare
+        // chunks, and credits bound occupancy by capacity)
         queue->queue.push_back(std::move(block[k]));
       }
       if (take == n) {
@@ -849,8 +858,9 @@ void LocalRuntime::FlushOutbox(Outbox* outbox) {
         if (t.priority() == TuplePriority::kHigh) ++queue->high_count;
       }
     }
-    // TMS_ANALYZE_EXEMPT(amortized ring growth: the ring doubles only when
-    // full and never shrinks, and queue_capacity plus one block bounds it)
+    // TMS_ANALYZE_EXEMPT(bounded chunk growth: the queue takes a new 64-slot
+    // chunk only past its peak occupancy and reuses spare chunks, and
+    // queue_capacity plus one block per producer bounds occupancy)
     for (Tuple& t : block) queue->queue.push_back(std::move(t));
     block.clear();  // keeps capacity for the next batch
     size_t sz = queue->queue.size();
@@ -1127,6 +1137,12 @@ void LocalRuntime::Route(const Emission& emission, const Tuple& tuple,
     }
     switch (target.grouping) {
       case Grouping::kShuffle: {
+        if (emission.chained != nullptr) {
+          // A chained edge's target is fixed: the task behind the emitter.
+          Deliver(emission, component, emission.chained->task->task_index,
+                  tuple);
+          break;
+        }
         uint64_t n =
             shuffle_counters_[source].fetch_add(1, std::memory_order_relaxed);
         Deliver(emission, component, static_cast<int>(n % num_tasks), tuple);
@@ -1181,8 +1197,8 @@ void LocalRuntime::EmitTracked(int component_index, int task_index,
   // before the remaining copies are registered.
   uint64_t guard = NextEdgeId();
   acker_->Register(info, guard);
-  Tuple tuple(fields_[static_cast<size_t>(component_index)], std::move(values),
-              spout_time);
+  Tuple tuple(fields_[static_cast<size_t>(component_index)].get(),
+              std::move(values), spout_time);
   tuple.set_root_key(info.root_key);
   tuple.set_trace_id(info.trace_id);
   tuple.set_priority(priority);
@@ -1331,6 +1347,9 @@ void LocalRuntime::SpoutLoop(
       // A long-lived topology's spouts then wait for their next batch.
       if (!acking || pending_roots_.load() == 0) {
         if (!long_lived_) break;
+        // Hand off credit-deferred blocks first: nothing wakes a parked
+        // spout when its targets grant credits again.
+        for (auto& collector : collectors) DrainOutbox(collector->outbox());
         ParkIdle(seen_epoch, /*is_spout=*/true);
         continue;
       }
@@ -1351,6 +1370,18 @@ void LocalRuntime::SpoutLoop(
 }
 
 void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
+  // Publishes this thread's CPU clock to ExecutorCpuTimes while it runs the
+  // loop, on every return path.
+  struct CpuClockPublication {
+    explicit CpuClockPublication(ExecutorSlot* s) : slot(s) {
+      clockid_t clock = kNoCpuClock;
+      if (pthread_getcpuclockid(pthread_self(), &clock) == 0) {
+        slot->cpu_clock.store(clock);
+      }
+    }
+    ~CpuClockPublication() { slot->cpu_clock.store(kNoCpuClock); }
+    ExecutorSlot* slot;
+  } cpu_clock_publication(slot);
   const int component_index = slot->component_index;
   const int executor_index = slot->executor_index;
   const ComponentDef& def =
@@ -1453,6 +1484,14 @@ void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
       upstream = link.collector;
     }
   }
+  // Settles `count` tuples of a drained batch (see `in_flight_`): called
+  // once per batch, after the outboxes the batch filled were flushed.
+  auto settle = [this](size_t count) {
+    int64_t prev = in_flight_.fetch_sub(static_cast<int64_t>(count));
+    TMS_DCHECK_GE(prev, static_cast<int64_t>(count))
+        << "in-flight count went negative settling a batch";
+    NotifyPossiblyDone();
+  };
   // The executor dies with `batch[j]` of owned task `i` in hand: exactly
   // that tuple is lost (its tree will time out and replay under acking) and
   // the thread exits without Cleanup, like a killed Storm worker. The
@@ -1462,7 +1501,8 @@ void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
   // to the front of the queue — batching must not widen the failure beyond
   // what per-tuple hand-off lost. Drain, not flush: the relaunched executor
   // builds fresh outboxes, so any credit-deferred tuples must be handed off
-  // before these go out of scope.
+  // before these go out of scope. The executed prefix and the lost tuple
+  // settle; the requeued remainder stays counted.
   std::vector<Tuple> batch;
   auto die = [&](size_t i, size_t j) {
     TaskRuntime* task = my_tasks[i];
@@ -1482,9 +1522,7 @@ void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
         task_gates[i]->ForceAcquire(batch.size() - j - 1);
       }
     }
-    int64_t prev = in_flight_.fetch_sub(1);
-    TMS_DCHECK_GE(prev, int64_t{1}) << "in-flight count went negative on crash";
-    NotifyPossiblyDone();
+    settle(j + 1);
     slot->crashed.store(true);
   };
   // Bolt executor: drain the owned tasks' queues round-robin, moving up to
@@ -1570,11 +1608,7 @@ void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
           if (acker_ != nullptr && tuple.root_key() != 0) {
             task->pending_acks[tuple.root_key()] ^= tuple.edge_id();
           }
-          int64_t prev = in_flight_.fetch_sub(1);
-          TMS_DCHECK_GE(prev, int64_t{1})
-              << "in-flight count went negative after dedup";
-          NotifyPossiblyDone();
-          continue;
+          continue;  // settles with the batch
         }
         collectors[i]->BeginExecute(tuple);
         MicrosT start = options_.clock->NowMicros();
@@ -1604,15 +1638,12 @@ void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
         if (task->ledger != nullptr && tuple.dedup_id() != 0) {
           task->ledger->Insert(tuple.dedup_id());
         }
-        int64_t prev = in_flight_.fetch_sub(1);
-        TMS_DCHECK_GE(prev, int64_t{1})
-            << "in-flight count went negative after execute";
-        NotifyPossiblyDone();
       }
       FlushOutbox(collectors[i]->outbox());
       for (size_t k = 0; k < chain_length; ++k) {
         FlushOutbox(collectors[n + i * chain_length + k]->outbox());
       }
+      settle(batch.size());
       if (coordinator_ != nullptr && task->ckpt_slot >= 0) {
         MaybeCheckpoint(task, def, /*force=*/false);
       }
@@ -1921,6 +1952,43 @@ void LocalRuntime::MonitorLoop() {
       metrics_.TakeWindowSnapshot(options_.clock->NowMicros());
     }
   }
+}
+
+std::vector<LocalRuntime::ExecutorCpu> LocalRuntime::ExecutorCpuTimes() const {
+  std::vector<ExecutorCpu> out;
+  out.reserve(executors_.size());
+  for (const auto& slot : executors_) {
+    ExecutorCpu cpu;
+    cpu.component =
+        topology_.components()[static_cast<size_t>(slot->component_index)].name;
+    cpu.executor_index = slot->executor_index;
+    const clockid_t clock = slot->cpu_clock.load();
+    timespec ts{};
+    // Fails (and reads 0) if the thread exited since the load.
+    if (clock != kNoCpuClock && clock_gettime(clock, &ts) == 0) {
+      cpu.cpu_seconds = static_cast<double>(ts.tv_sec) +
+                        static_cast<double>(ts.tv_nsec) * 1e-9;
+    }
+    out.push_back(std::move(cpu));
+  }
+  return out;
+}
+
+std::vector<LocalRuntime::ExecutorUtilisation> LocalRuntime::Utilisation(
+    const std::vector<ExecutorCpu>& before,
+    const std::vector<ExecutorCpu>& after, double wall_seconds) {
+  std::vector<ExecutorUtilisation> out;
+  out.reserve(after.size());
+  for (size_t e = 0; e < after.size(); ++e) {
+    double used = after[e].cpu_seconds;
+    // A relaunched thread's clock restarts below the earlier reading.
+    if (e < before.size() && before[e].cpu_seconds <= used) {
+      used -= before[e].cpu_seconds;
+    }
+    out.push_back({after[e].component, after[e].executor_index,
+                   wall_seconds > 0 ? used / wall_seconds : 0.0});
+  }
+  return out;
 }
 
 size_t LocalRuntime::max_queue_occupancy() const {

@@ -2,6 +2,7 @@
 #define INSIGHT_DSPS_LOCAL_RUNTIME_H_
 
 #include <atomic>
+#include <ctime>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -189,9 +190,12 @@ class LocalRuntime {
 
   /// Tracked tuple trees not yet resolved (acking only).
   size_t pending_trees() const { return pending_roots_.load(); }
-  /// Tuples staged or queued but not yet consumed; the distributed worker
-  /// reports this in its heartbeat so the supervisor can detect cluster
-  /// quiescence.
+  /// Tuples flushed towards a queue, queued or being executed, and not yet
+  /// settled by their consumer (see `in_flight_`). Tuples still staged in an
+  /// outbox are not counted: their emitter's unsettled input or its live
+  /// spout task stands for them, and a spout flushes before it counts out.
+  /// The distributed worker reports this in its heartbeat, next to its spouts'
+  /// liveness, so the supervisor can detect cluster quiescence.
   int64_t in_flight() const { return in_flight_.load(); }
   /// Executor threads restarted by the supervisor after injected crashes.
   uint64_t executor_restarts() const { return executor_restarts_.load(); }
@@ -200,6 +204,32 @@ class LocalRuntime {
   const reliability::CheckpointCoordinator* checkpoint_coordinator() const {
     return coordinator_.get();
   }
+
+  /// CPU time one executor thread has used since it was (re)launched. An
+  /// executor runs its component's tasks and every task chained behind them,
+  /// so `component` names the chain head.
+  struct ExecutorCpu {
+    std::string component;
+    int executor_index = 0;
+    double cpu_seconds = 0.0;
+  };
+  /// Reads every executor thread's CPU clock from the calling thread
+  /// (pthread_getcpuclockid + clock_gettime), in executor order; the
+  /// executors do no bookkeeping for it. An executor whose thread is not
+  /// running reads 0.
+  std::vector<ExecutorCpu> ExecutorCpuTimes() const;
+  struct ExecutorUtilisation {
+    std::string component;
+    int executor_index = 0;
+    /// CPU seconds per wall second: 1.0 is one core kept busy.
+    double utilisation = 0.0;
+  };
+  /// Each executor's CPU seconds between two ExecutorCpuTimes() readings of
+  /// this runtime, divided by the wall seconds between them. An executor
+  /// relaunched in between counts its new thread only.
+  static std::vector<ExecutorUtilisation> Utilisation(
+      const std::vector<ExecutorCpu>& before,
+      const std::vector<ExecutorCpu>& after, double wall_seconds);
 
   /// Highest input-queue occupancy any task queue ever reached (tuples).
   /// Regression hook for the backpressure overshoot bound: always <=
@@ -230,12 +260,16 @@ class LocalRuntime {
   };
 
   /// Per-collector staging buffer for batched hand-off: tuples accumulate
-  /// here (already counted in `in_flight_`, edge ids already assigned) and
-  /// are pushed to their target queues as blocks by FlushOutbox.
+  /// here (edge ids already assigned) and are pushed to their target queues
+  /// as blocks by FlushOutbox, which first adds the ones not yet counted to
+  /// `in_flight_`.
   struct Outbox {
     std::vector<std::vector<Tuple>> per_task;  // indexed by global task id
     std::vector<uint32_t> dirty;               // global task ids with tuples
     size_t staged = 0;
+    /// Staged tuples not yet added to `in_flight_` (at most `staged`; the
+    /// rest are credit-deferred blocks counted by an earlier flush).
+    size_t uncounted = 0;
     /// Time flushes spent blocked on full downstream queues (or parked for
     /// credits) since the owning collector's current execution began.
     MicrosT blocked_micros = 0;
@@ -308,6 +342,8 @@ class LocalRuntime {
     bool* crashed = nullptr;
   };
 
+  static constexpr clockid_t kNoCpuClock = -1;
+
   /// One executor thread plus its liveness state, so the supervisor can
   /// detect an injected crash and relaunch the executor.
   struct ExecutorSlot {
@@ -315,6 +351,9 @@ class LocalRuntime {
     int executor_index = 0;
     Thread thread;
     std::atomic<bool> crashed{false};
+    /// The running thread's CPU clock, published by the thread itself for
+    /// ExecutorCpuTimes; kNoCpuClock while no thread runs the loop.
+    std::atomic<clockid_t> cpu_clock{kNoCpuClock};
   };
 
   /// One emission's routing context: the emitting component, the outbox its
@@ -356,13 +395,15 @@ class LocalRuntime {
   /// `direct_task`, when that is >= 0), staging each delivered copy into the
   /// emission's outbox.
   void Route(const Emission& emission, const Tuple& tuple, int direct_task);
-  /// Stages one tuple; counted in `in_flight_` immediately. Auto-flushes the
-  /// outbox past Options::emit_batch (or the adaptive threshold).
+  /// Stages one tuple, uncounted until the outbox flushes (see `in_flight_`).
+  /// Auto-flushes the outbox past Options::emit_batch (or the adaptive
+  /// threshold).
   void Stage(int target_component, int task_index, Tuple tuple,
              Outbox* outbox) TMS_NO_ALLOC;
-  /// Pushes every staged block to its target queue: one lock wait
-  /// (backpressure-aware), one bulk append, and one not_empty wake per
-  /// target task. During shutdown staged tuples are dropped. In credit mode
+  /// Adds the outbox's uncounted tuples to `in_flight_`, then pushes every
+  /// staged block to its target queue: one lock wait (backpressure-aware),
+  /// one bulk append, and one not_empty wake per target task. During
+  /// shutdown staged tuples are dropped. In credit mode
   /// a block whose target grants no credits stays staged (still counted
   /// in flight) for a later flush instead of blocking the producer.
   void FlushOutbox(Outbox* outbox) TMS_NO_ALLOC;
@@ -443,6 +484,11 @@ class LocalRuntime {
 
   Topology topology_;
   Options options_;
+  /// Output schema of each component, indexed by component index. Tuples
+  /// point at these without owning them, so this is declared before every
+  /// member that can hold a tuple (queues, bolts) and destroyed after them;
+  /// the outboxes live on executor threads, joined by Stop().
+  std::vector<std::unique_ptr<const Fields>> fields_;
   MetricsRegistry metrics_;
 
   // Reliability state (constructed only when acking is enabled).
@@ -457,7 +503,6 @@ class LocalRuntime {
   bool dedup_enabled_ = false;
 
   // Flattened state, indexed by component index.
-  std::vector<std::shared_ptr<const Fields>> fields_;
   std::vector<std::vector<TaskRuntime>> tasks_;
   std::vector<std::vector<RouteTarget>> routes_;
   std::vector<std::atomic<uint64_t>> shuffle_counters_;
@@ -488,6 +533,19 @@ class LocalRuntime {
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
   std::atomic<bool> finished_{false};
+  /// Tuples counted into the topology and not yet settled. Invariant:
+  /// in_flight_ >= tuples queued + tuples being executed, so
+  /// live_spout_tasks_ == in_flight_ == pending_roots_ == 0 means quiescent.
+  /// Counting is per block, not per tuple:
+  /// - FlushOutbox adds an outbox's uncounted tuples before any of its
+  ///   blocks reaches a queue. Until then a staged tuple is covered by its
+  ///   emitter: a bolt's unsettled input batch, or a live spout task (a
+  ///   spout flushes before it counts out).
+  /// - A bolt executor settles its drained batch (executed and
+  ///   dedup-suppressed tuples alike) with one subtraction, after flushing
+  ///   the outboxes that batch filled. A crash settles the executed prefix
+  ///   plus the tuple in hand; the requeued rest stays counted.
+  /// - Shedding and shutdown drops subtract only tuples already counted.
   std::atomic<int64_t> in_flight_{0};
   std::atomic<int> live_spout_tasks_{0};
   std::atomic<size_t> pending_roots_{0};

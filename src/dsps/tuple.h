@@ -20,6 +20,11 @@ using cep::Value;
 /// Declared output fields of a component, Storm-style. Name lookups go
 /// through a precomputed hash index (first declaration wins for duplicate
 /// names, matching the old linear scan).
+///
+/// Every Fields object carries a process-unique id(), drawn at construction
+/// and redrawn on assignment (a copy takes a fresh one). Caches keyed by id()
+/// therefore never confuse two schemas, even when a freed schema's address
+/// is reused by another.
 class Fields {
  public:
   Fields() = default;
@@ -29,6 +34,20 @@ class Fields {
   explicit Fields(std::vector<std::string> names) : names_(std::move(names)) {
     BuildIndex();
   }
+  // Copies, never moves (a moved-from schema would keep an id that names
+  // other contents); schemas are built once per component.
+  Fields(const Fields& other) : names_(other.names_), index_(other.index_) {}
+  Fields& operator=(const Fields& other) {
+    if (this != &other) {
+      names_ = other.names_;
+      index_ = other.index_;
+      id_ = NextId();
+    }
+    return *this;
+  }
+
+  /// Process-unique identity of this schema (never 0).
+  uint64_t id() const { return id_; }
 
   int IndexOf(const std::string& name) const {
     return index_.Find(name, [this](size_t i) -> const std::string& {
@@ -44,8 +63,14 @@ class Fields {
                  [this](size_t i) -> const std::string& { return names_[i]; });
   }
 
+  static uint64_t NextId() {
+    static std::atomic<uint64_t> next{1};
+    return next.fetch_add(1, std::memory_order_relaxed);
+  }
+
   std::vector<std::string> names_;
   cep::detail::NameIndex index_;
+  uint64_t id_ = NextId();
 };
 
 /// A data tuple flowing through the topology. Values are positionally
@@ -57,14 +82,17 @@ class Fields {
 /// shuffle/fields/all fan-out does, once per downstream task) bumps a
 /// refcount instead of deep-copying N values. Per-delivery metadata
 /// (spout_time, root_key, edge_id) stays by-value in the Tuple itself.
+///
+/// The schema is borrowed, not owned: a tuple points at a Fields that must
+/// outlive it. LocalRuntime owns the schema of every tuple it emits, so
+/// copying or dropping a tuple writes nothing but the payload's refcount.
 class Tuple {
  public:
   using Payload = std::shared_ptr<const std::vector<Value>>;
 
   Tuple() = default;
-  Tuple(std::shared_ptr<const Fields> fields, std::vector<Value> values,
-        MicrosT spout_time = 0)
-      : fields_(std::move(fields)),
+  Tuple(const Fields* fields, std::vector<Value> values, MicrosT spout_time = 0)
+      : fields_(fields),
         // allocate_shared with the thread-local block cache: an interior
         // executor reuses the block it just freed for its input's payload,
         // so forwarding hops allocate nothing for the shared buffer.
@@ -73,14 +101,20 @@ class Tuple {
             std::move(values))),
         spout_time_(spout_time) {}
   /// Shares an existing payload (fan-out copies).
-  Tuple(std::shared_ptr<const Fields> fields, Payload payload,
+  Tuple(const Fields* fields, Payload payload, MicrosT spout_time = 0)
+      : fields_(fields), values_(std::move(payload)), spout_time_(spout_time) {}
+  /// For callers outside a runtime: the caller keeps `fields` alive for as
+  /// long as the tuple and its copies live.
+  Tuple(const std::shared_ptr<const Fields>& fields, std::vector<Value> values,
         MicrosT spout_time = 0)
-      : fields_(std::move(fields)),
-        values_(std::move(payload)),
-        spout_time_(spout_time) {}
+      : Tuple(fields.get(), std::move(values), spout_time) {}
+  Tuple(const std::shared_ptr<const Fields>& fields, Payload payload,
+        MicrosT spout_time = 0)
+      : Tuple(fields.get(), std::move(payload), spout_time) {}
 
   const Fields& fields() const { return *fields_; }
-  const std::shared_ptr<const Fields>& fields_ptr() const { return fields_; }
+  /// The schema, or null for a default-constructed tuple.
+  const Fields* fields_ptr() const { return fields_; }
   const std::vector<Value>& values() const {
     static const std::vector<Value> kEmpty;
     return values_ != nullptr ? *values_ : kEmpty;
@@ -146,7 +180,7 @@ class Tuple {
   }
 
  private:
-  std::shared_ptr<const Fields> fields_;
+  const Fields* fields_ = nullptr;
   Payload values_;
   MicrosT spout_time_ = 0;
   uint64_t root_key_ = 0;
@@ -158,10 +192,10 @@ class Tuple {
 };
 
 /// Positions of a fixed list of field names, resolved against the first
-/// schema a lookup sees and reused for every tuple carrying that same Fields
-/// instance (all tuples of one output stream share one). Tuples of any
-/// other schema are looked up by name. Safe to share between threads: the
-/// resolved positions are published once and never change.
+/// schema a lookup sees and reused for every tuple carrying that same schema
+/// (all tuples of one output stream share one), recognised by Fields::id().
+/// Tuples of any other schema are looked up by name. Safe to share between
+/// threads: the resolved positions are published once and never change.
 class FieldSlots {
  public:
   explicit FieldSlots(std::vector<std::string> names) : names_(std::move(names)) {}
@@ -177,24 +211,25 @@ class FieldSlots {
 
   /// Index of the i-th name in `tuple`'s schema, or -1 when it has no such field.
   int IndexOf(const Tuple& tuple, size_t i) const {
-    const Fields* schema = tuple.fields_ptr().get();
+    const Fields* schema = tuple.fields_ptr();
     if (schema == nullptr) return -1;
     const Resolved* resolved = resolved_.load(std::memory_order_acquire);
-    if (resolved == nullptr) resolved = Resolve(tuple.fields_ptr());
-    if (resolved->schema.get() == schema) return resolved->slots[i];
+    if (resolved == nullptr) resolved = Resolve(*schema);
+    if (resolved->schema_id == schema->id()) return resolved->slots[i];
     return schema->IndexOf(names_[i]);
   }
 
  private:
   struct Resolved {
-    // Held so no other Fields can take this address while it is compared.
-    std::shared_ptr<const Fields> schema;
+    // An id, not an address: a later schema may be allocated where a freed
+    // one lived, but never gets its id.
+    uint64_t schema_id = 0;
     std::vector<int> slots;
   };
 
-  const Resolved* Resolve(const std::shared_ptr<const Fields>& schema) const {
-    auto mine = std::make_unique<Resolved>(Resolved{schema, {}});
-    for (const std::string& name : names_) mine->slots.push_back(schema->IndexOf(name));
+  const Resolved* Resolve(const Fields& schema) const {
+    auto mine = std::make_unique<Resolved>(Resolved{schema.id(), {}});
+    for (const std::string& name : names_) mine->slots.push_back(schema.IndexOf(name));
     const Resolved* expected = nullptr;
     if (resolved_.compare_exchange_strong(expected, mine.get(), std::memory_order_acq_rel)) {
       return mine.release();

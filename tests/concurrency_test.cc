@@ -19,9 +19,11 @@
 #include <future>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "common/check.h"
 #include "common/mutex.h"
+#include "common/thread_annotations.h"
 #include "dsps/local_runtime.h"
 #include "dsps/topology.h"
 #include "reliability/acker.h"
@@ -154,6 +156,156 @@ TEST(ConcurrencyTest, StopRacingSupervisorRelaunchLeaksNothing) {
     // tuple leaked; finished() confirms the clean join.
     EXPECT_TRUE(runtime.finished());
   }
+}
+
+// In-flight is counted per outbox flush and settled per drained batch, not
+// per tuple. The quiescence tests check that no interleaving lets
+// AwaitQuiescence return while a tuple is staged, queued or executing: each
+// cycle feeds a batch through spout -> relay -> tag (chained behind relay)
+// -> slow sink and then expects every tuple at the sink and in_flight() == 0.
+
+/// Emits [0, n) over its task's stripe each time it is fed.
+class FedSpout : public Spout {
+ public:
+  void Open(const TaskContext& context) override {
+    first_ = context.task_index;
+    stride_ = context.num_tasks;
+  }
+  bool NextTuple(Collector* collector) override {
+    if (next_ >= n_) return false;
+    collector->Emit({Value(int64_t{next_})});
+    next_ += stride_;
+    return next_ < n_;
+  }
+  void Rewind(int n) {
+    n_ = n;
+    next_ = first_;
+  }
+
+ private:
+  int n_ = 0;
+  int first_ = 0;
+  int next_ = 0;
+  int stride_ = 1;
+};
+
+class RelayBolt : public Bolt {
+ public:
+  void Execute(const Tuple& input, Collector* collector) override {
+    collector->Emit(input.values());
+  }
+};
+
+/// Counts how often each value was executed; pauses every 8th tuple so its
+/// queues hold a backlog when the spout finishes.
+class CountingSink : public Bolt {
+ public:
+  struct Counts {
+    Mutex mutex;
+    std::vector<int> executed GUARDED_BY(mutex);
+  };
+  explicit CountingSink(std::shared_ptr<Counts> counts) : counts_(std::move(counts)) {}
+  void Execute(const Tuple& input, Collector*) override {
+    if (++calls_ % 8 == 0) std::this_thread::sleep_for(std::chrono::microseconds(20));
+    MutexLock lock(counts_->mutex);
+    size_t v = static_cast<size_t>(input.Get(0).AsInt());
+    if (v >= counts_->executed.size()) counts_->executed.resize(v + 1, 0);
+    ++counts_->executed[v];
+  }
+
+ private:
+  std::shared_ptr<Counts> counts_;
+  uint64_t calls_ = 0;
+};
+
+/// Runs 200 Feed/AwaitQuiescence cycles; after each, every fed value must
+/// have been executed at the sink exactly once, except the values an
+/// injected crash lost in hand (one per crash), and nothing may be in flight.
+void RunQuiescenceCycles(LocalRuntime::Options options, FaultInjector* injector) {
+  auto counts = std::make_shared<CountingSink::Counts>();
+  TopologyBuilder builder;
+  builder.SetSpout("source", [] { return std::make_unique<FedSpout>(); },
+                   Fields({"v"}), /*parallelism=*/1, /*num_tasks=*/2);
+  builder.SetBolt("relay", [] { return std::make_unique<RelayBolt>(); },
+                  Fields({"v"}), 2)
+      .ShuffleGrouping("source");
+  builder.SetBolt("tag", [] { return std::make_unique<RelayBolt>(); },
+                  Fields({"v"}), 2)
+      .ShuffleGrouping("relay");
+  builder.SetBolt("sink",
+                  [counts] { return std::make_unique<CountingSink>(counts); },
+                  Fields({}), /*parallelism=*/2, /*num_tasks=*/3)
+      .ShuffleGrouping("tag");
+  auto topology = builder.Build();
+  ASSERT_TRUE(topology.ok());
+  options.emit_batch = 8;
+  options.max_batch = 16;
+  options.fault_injector = injector;
+  options.supervisor_interval_micros = 500;
+  LocalRuntime runtime(std::move(*topology), options);
+  ASSERT_TRUE(runtime.StartLongLived().ok());
+  ASSERT_TRUE(runtime.AwaitQuiescence());
+  uint64_t crashes_before = 0;
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    const int n = 1 + (cycle * 37) % 150;
+    {
+      MutexLock lock(counts->mutex);
+      counts->executed.assign(static_cast<size_t>(n), 0);
+    }
+    ASSERT_TRUE(runtime
+                    .Feed("source",
+                          [n](Spout* spout, int) {
+                            static_cast<FedSpout*>(spout)->Rewind(n);
+                          })
+                    .ok());
+    // A count that is never settled would block AwaitQuiescence forever;
+    // fail instead (Stop wakes the wait).
+    auto quiet = std::async(std::launch::async, [&runtime] { return runtime.AwaitQuiescence(); });
+    if (quiet.wait_for(std::chrono::seconds(20)) != std::future_status::ready) {
+      const int64_t stuck = runtime.in_flight();
+      runtime.Stop();
+      FAIL() << "cycle " << cycle << " never quiesced; in flight: " << stuck;
+    }
+    ASSERT_TRUE(quiet.get());
+    ASSERT_EQ(runtime.in_flight(), 0) << "cycle " << cycle;
+    const uint64_t crashes =
+        injector == nullptr ? 0 : injector->crashes_injected();
+    const int lost = static_cast<int>(crashes - crashes_before);
+    crashes_before = crashes;
+    MutexLock lock(counts->mutex);
+    ASSERT_EQ(counts->executed.size(), static_cast<size_t>(n)) << "cycle " << cycle;
+    int once = 0;
+    for (int times : counts->executed) {
+      ASSERT_LE(times, 1) << "cycle " << cycle;
+      once += times;
+    }
+    ASSERT_EQ(once + lost, n) << "cycle " << cycle << ": " << lost << " lost to crashes";
+  }
+  runtime.Stop();
+  EXPECT_EQ(runtime.in_flight(), 0);
+}
+
+TEST(QuiescenceStressTest, EveryFedTupleIsExecutedBeforeQuiescence) {
+  RunQuiescenceCycles({}, nullptr);
+}
+
+TEST(QuiescenceStressTest, CreditFlowDefersBlocksButNeverQuiescesEarly) {
+  LocalRuntime::Options options;
+  options.queue_capacity = 16;  // blocks wait for credits
+  options.overload.enable_credit_flow = true;
+  RunQuiescenceCycles(options, nullptr);
+}
+
+TEST(QuiescenceStressTest, CrashRequeuingPartOfABatchKeepsTheRestCounted) {
+  // Every 23rd execution of a sink task dies in hand, mid-batch: the rest
+  // of its drained batch is requeued and must still be executed before
+  // quiescence; only the tuple in hand is lost.
+  FaultPlan plan;
+  plan.crashes.push_back({"sink", /*task=*/-1, /*after_executions=*/23,
+                          /*repeat=*/true});
+  FaultInjector injector(plan);
+  RunQuiescenceCycles({}, &injector);
+  EXPECT_GT(injector.crashes_injected(), 0u);
 }
 
 using AckerDeathTest = ::testing::Test;

@@ -6,14 +6,17 @@
 #include <sstream>
 
 #include "common/csv.h"
+#include "common/mutex.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "common/thread.h"
+#include "common/thread_annotations.h"
 #include "core/allocation.h"
 #include "core/dynamic.h"
 #include "core/partitioning.h"
 #include "core/retrieval.h"
 #include "core/system.h"
+#include "dsps/local_runtime.h"
 #include "core/rule_template.h"
 #include "traffic/bolts.h"
 
@@ -327,6 +330,133 @@ TEST(SpatialRouterTest, FieldSlotsHoldAcrossSchemasThreadsAndCopies) {
   SpatialRouter copy = router;
   EXPECT_EQ(route(copy, reversed, 6, 11), (std::vector<int>{1, 3}));
   EXPECT_EQ(route(copy, forward, 10, 5), (std::vector<int>{0, 2}));
+}
+
+SpatialRouter AreaAndStopRouter() {
+  SpatialRouter::GroupingRoute areas;
+  areas.location_field = "area_leaf";
+  areas.region_to_engine = {{10, 0}, {11, 1}};
+  SpatialRouter::GroupingRoute stops;
+  stops.location_field = "bus_stop";
+  stops.region_to_engine = {{5, 2}, {6, 3}};
+  return SpatialRouter({areas, stops});
+}
+
+TEST(SpatialRouterTest, FieldSlotsTellASchemaFromOneBuiltAtItsAddress) {
+  const SpatialRouter router = AreaAndStopRouter();
+  const dsps::FieldSlots slots({"area_leaf", "bus_stop"});
+  // Two schemas built one after the other in the same storage: the second
+  // has the first one's address, but not its id.
+  alignas(dsps::Fields) unsigned char storage[sizeof(dsps::Fields)];
+  auto* first = new (storage) dsps::Fields({"area_leaf", "bus_stop"});
+  const uint64_t first_id = first->id();
+  std::vector<int> tasks;
+  router.Route(dsps::Tuple(first, {cep::Value(int64_t{10}), cep::Value(int64_t{5})}),
+               &tasks);
+  EXPECT_EQ(tasks, (std::vector<int>{0, 2}));
+  EXPECT_EQ(slots.IndexOf(dsps::Tuple(first, std::vector<cep::Value>{}), 1), 1);
+  first->~Fields();
+  auto* second = new (storage) dsps::Fields({"bus_stop", "area_leaf"});
+  ASSERT_EQ(static_cast<void*>(second), static_cast<void*>(first));
+  EXPECT_NE(second->id(), first_id);
+  router.Route(dsps::Tuple(second, {cep::Value(int64_t{6}), cep::Value(int64_t{11})}),
+               &tasks);
+  EXPECT_EQ(tasks, (std::vector<int>{1, 3}));
+  EXPECT_EQ(slots.IndexOf(dsps::Tuple(second, std::vector<cep::Value>{}), 0), 1);
+  EXPECT_EQ(slots.IndexOf(dsps::Tuple(second, std::vector<cep::Value>{}), 1), 0);
+  second->~Fields();
+  // A copy of a schema is a new schema too.
+  const dsps::Fields original({"area_leaf"});
+  const dsps::Fields copy = original;
+  EXPECT_NE(copy.id(), original.id());
+  EXPECT_EQ(copy.names(), original.names());
+}
+
+/// Routes each input with a router and FieldSlots that outlive the runtime,
+/// recording the engines and the "bus_stop" slot it resolved.
+class RecordingRouteBolt : public dsps::Bolt {
+ public:
+  struct Seen {
+    Mutex mutex;
+    std::vector<std::vector<int>> tasks GUARDED_BY(mutex);
+    std::vector<int> stop_slots GUARDED_BY(mutex);
+  };
+  RecordingRouteBolt(const SpatialRouter* router, const dsps::FieldSlots* slots,
+                     std::shared_ptr<Seen> seen)
+      : router_(router), slots_(slots), seen_(std::move(seen)) {}
+  void Execute(const dsps::Tuple& input, dsps::Collector*) override {
+    std::vector<int> tasks;
+    router_->Route(input, &tasks);
+    MutexLock lock(seen_->mutex);
+    seen_->tasks.push_back(std::move(tasks));
+    seen_->stop_slots.push_back(slots_->IndexOf(input, 0));
+  }
+
+ private:
+  const SpatialRouter* router_;
+  const dsps::FieldSlots* slots_;
+  std::shared_ptr<Seen> seen_;
+};
+
+/// Emits one (first, second) pair, once.
+class PairSpout : public dsps::Spout {
+ public:
+  PairSpout(int64_t first, int64_t second) : first_(first), second_(second) {}
+  bool NextTuple(dsps::Collector* collector) override {
+    collector->Emit({cep::Value(first_), cep::Value(second_)});
+    return false;
+  }
+
+ private:
+  int64_t first_;
+  int64_t second_;
+};
+
+TEST(SpatialRouterTest, FieldSlotsResolveTheSchemaOfEachRuntime) {
+  // The router and slots outlive two runtimes whose "regions" component
+  // declares the same fields in opposite orders. The first runtime's schema
+  // is freed before the second one is built, so the second may be allocated
+  // at the same address.
+  const SpatialRouter router = AreaAndStopRouter();
+  const dsps::FieldSlots slots({"bus_stop"});
+  auto run = [&](dsps::Fields fields, int64_t first, int64_t second) {
+    auto seen = std::make_shared<RecordingRouteBolt::Seen>();
+    dsps::TopologyBuilder builder;
+    builder.SetSpout("regions",
+                     [first, second] { return std::make_unique<PairSpout>(first, second); },
+                     fields);
+    builder.SetBolt("route",
+                    [&router, &slots, seen] {
+                      return std::make_unique<RecordingRouteBolt>(&router, &slots, seen);
+                    },
+                    dsps::Fields({}))
+        .ShuffleGrouping("regions");
+    auto topology = builder.Build();
+    EXPECT_TRUE(topology.ok());
+    {
+      dsps::LocalRuntime runtime(std::move(*topology), {});
+      EXPECT_TRUE(runtime.Start().ok());
+      runtime.AwaitCompletion();
+    }
+    return seen;
+  };
+  auto forward = run(dsps::Fields({"area_leaf", "bus_stop"}), 10, 5);
+  auto reversed = run(dsps::Fields({"bus_stop", "area_leaf"}), 6, 11);
+  MutexLock forward_lock(forward->mutex);
+  MutexLock reversed_lock(reversed->mutex);
+  ASSERT_EQ(forward->tasks.size(), 1u);
+  ASSERT_EQ(reversed->tasks.size(), 1u);
+  EXPECT_EQ(forward->tasks[0], (std::vector<int>{0, 2}));
+  EXPECT_EQ(forward->stop_slots[0], 1);
+  EXPECT_EQ(reversed->tasks[0], (std::vector<int>{1, 3}));
+  EXPECT_EQ(reversed->stop_slots[0], 0);
+  // Tuples built outside a runtime, over a shared schema, resolve as before.
+  auto shared = std::make_shared<const dsps::Fields>(dsps::Fields({"x", "bus_stop"}));
+  EXPECT_EQ(slots.IndexOf(dsps::Tuple(shared, std::vector<cep::Value>{}), 0), 1);
+  std::vector<int> tasks;
+  router.Route(dsps::Tuple(shared, {cep::Value(int64_t{10}), cep::Value(int64_t{6})}),
+               &tasks);
+  EXPECT_EQ(tasks, (std::vector<int>{3}));
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <ctime>
 #include <future>
 #include <map>
 #include <set>
@@ -972,6 +973,74 @@ TEST(LongLivedRuntimeTest, IdleTopologyUsesNoCpu) {
   const double cpu_before = CpuSeconds();
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   EXPECT_LT(CpuSeconds() - cpu_before, 0.020);
+}
+
+/// Burns `micros` of its own thread's CPU time per tuple.
+class BusyBolt : public Bolt {
+ public:
+  explicit BusyBolt(int64_t micros) : micros_(micros) {}
+  void Execute(const Tuple&, Collector*) override {
+    const int64_t until = ThreadCpuMicros() + micros_;
+    while (ThreadCpuMicros() < until) {
+    }
+  }
+
+ private:
+  static int64_t ThreadCpuMicros() {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<int64_t>(ts.tv_sec) * 1'000'000 + ts.tv_nsec / 1000;
+  }
+  int64_t micros_;
+};
+
+TEST(LongLivedRuntimeTest, UtilisationFindsTheBusyExecutor) {
+  TopologyBuilder builder;
+  builder.SetSpout("s", [] { return std::make_unique<FedCounterSpout>(); },
+                   Fields({"v"}));
+  builder.SetBolt("busy", [] { return std::make_unique<BusyBolt>(250); },
+                  Fields({}))
+      .ShuffleGrouping("s");
+  auto topology = builder.Build();
+  ASSERT_TRUE(topology.ok());
+  LocalRuntime runtime(std::move(*topology), {});
+  EXPECT_TRUE(runtime.ExecutorCpuTimes().empty());  // not started
+  ASSERT_TRUE(runtime.StartLongLived().ok());
+  ASSERT_TRUE(runtime.AwaitQuiescence());
+
+  const auto before = runtime.ExecutorCpuTimes();
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(runtime
+                  .Feed("s",
+                        [](Spout* spout, int) {
+                          static_cast<FedCounterSpout*>(spout)->Rewind(400);
+                        })
+                  .ok());
+  ASSERT_TRUE(runtime.AwaitQuiescence());
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  const auto utilisation =
+      LocalRuntime::Utilisation(before, runtime.ExecutorCpuTimes(), wall);
+
+  // 400 tuples x 250 us of CPU: on an idle machine the bolt's executor is
+  // busy nearly all run. How much of the wall time that is depends on what
+  // else the machine runs, so the test checks the CPU it burned instead:
+  // at least the 100 ms it was made to spin, and the most of any executor.
+  ASSERT_EQ(utilisation.size(), 2u);
+  std::map<std::string, double> by_component;
+  for (const auto& executor : utilisation) {
+    EXPECT_EQ(executor.executor_index, 0);
+    EXPECT_GE(executor.utilisation, 0.0) << executor.component;
+    EXPECT_LE(executor.utilisation, 1.05) << executor.component;
+    by_component[executor.component] = executor.utilisation;
+  }
+  EXPECT_GE(by_component.at("busy") * wall, 0.099);
+  EXPECT_LT(by_component.at("s"), by_component.at("busy"));
+  runtime.Stop();
+  // Stopped executors have no clock to read.
+  for (const auto& executor : runtime.ExecutorCpuTimes()) {
+    EXPECT_EQ(executor.cpu_seconds, 0.0) << executor.component;
+  }
 }
 
 TEST(LongLivedRuntimeTest, TaskActionsCheckTheirTarget) {

@@ -362,6 +362,21 @@ TEST(LongLivedSystemTest, ConsecutiveRunsReportPerRunDeltas) {
   EXPECT_GT(reports[0].esper.executed, 4000u);
   EXPECT_GT(reports[0].build_seconds, 0.0);
   EXPECT_EQ(reports[2].build_seconds, 0.0);
+  // One utilisation per executor; the chained enrichment stages run on
+  // preProcess's executors and have none of their own.
+  for (const auto& report : reports) {
+    std::map<std::string, int> executors;
+    for (const auto& executor : report.utilisation) {
+      ++executors[executor.component];
+      EXPECT_GE(executor.utilisation, 0.0) << executor.component;
+      EXPECT_LE(executor.utilisation, 1.05) << executor.component;
+    }
+    EXPECT_EQ(executors["busReader"], 1);
+    EXPECT_EQ(executors["preProcess"], 3);
+    EXPECT_GE(executors["esper"], 1);
+    EXPECT_EQ(executors["eventsStorer"], 1);
+    EXPECT_EQ(executors.count("splitter"), 0u);
+  }
 }
 
 TEST(LongLivedSystemTest, IdleTopologyUsesNoCpuBetweenRuns) {
