@@ -1,6 +1,5 @@
 #include "dist/channel.h"
 
-#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -57,7 +56,6 @@ EgressBuffer::EgressBuffer(std::string stream, uint32_t sender_task,
   for (uint32_t worker : dest_workers_) {
     DestState dest;
     dest.worker = worker;
-    dest.remote_credits = static_cast<int64_t>(options_.initial_credits);
     dests_.push_back(std::move(dest));
   }
 }
@@ -145,7 +143,6 @@ Status EgressBuffer::Restore(const std::string& bytes) {
   restored.reserve(dest_count);
   for (uint32_t i = 0; i < dest_count; ++i) {
     DestState dest;
-    dest.remote_credits = static_cast<int64_t>(options_.initial_credits);
     uint32_t frame_count = 0;
     if (!reader.GetU32(&dest.worker) || !reader.GetU64(&dest.next_seq) ||
         !reader.GetU32(&frame_count)) {
@@ -176,24 +173,11 @@ Status EgressBuffer::Restore(const std::string& bytes) {
 }
 
 void EgressBuffer::HandleAck(uint32_t dest_worker,
-                             const std::vector<uint64_t>& seqs,
-                             uint32_t credits) {
+                             const std::vector<uint64_t>& seqs) {
   MutexLock lock(mutex_);
   for (DestState& dest : dests_) {
     if (dest.worker != dest_worker) continue;
     for (uint64_t seq : seqs) dest.unacked.erase(seq);
-    if (options_.credit_flow) {
-      // The receiver's grant counts its free slots now; frames of ours
-      // still in flight (sent, unacked) will consume part of it, so
-      // subtract them. A frame both delivered and still queued remotely is
-      // counted twice — conservative, and self-correcting as acks arrive.
-      int64_t sent_unacked = 0;
-      for (const auto& [seq, rec] : dest.unacked) {
-        if (rec.sent) sent_unacked += rec.tuple_count;
-      }
-      dest.remote_credits =
-          std::max<int64_t>(0, static_cast<int64_t>(credits) - sent_unacked);
-    }
     break;
   }
   window_cv_.NotifyAll();
@@ -211,15 +195,6 @@ std::vector<std::string> EgressBuffer::TakeSendable(uint32_t dest_worker,
     }
     for (auto& [seq, rec] : dest.unacked) {
       if (rec.sent) continue;
-      if (options_.credit_flow &&
-          dest.remote_credits < static_cast<int64_t>(rec.tuple_count)) {
-        // Out of credit: stop at the first unaffordable frame (frames must
-        // leave in sequence order) until the next ack refreshes the grant.
-        break;
-      }
-      if (options_.credit_flow) {
-        dest.remote_credits -= static_cast<int64_t>(rec.tuple_count);
-      }
       rec.sent = true;
       out.push_back(rec.bytes);
     }
@@ -239,9 +214,6 @@ uint64_t EgressBuffer::MarkDisconnected(uint32_t dest_worker) {
         requeued += rec.tuple_count;
       }
     }
-    // Fresh connection, fresh budget: the receiver's queue state is
-    // unknown until its first ack arrives on the new connection.
-    dest.remote_credits = static_cast<int64_t>(options_.initial_credits);
     break;
   }
   return requeued;
@@ -270,22 +242,14 @@ IngressQueue::IngressQueue(std::string stream, IngressOptions options)
     : stream_(std::move(stream)), options_(options) {}
 
 void IngressQueue::SetAckSink(
-    std::function<void(uint32_t, std::vector<uint64_t>, uint32_t)> sink) {
+    std::function<void(uint32_t, std::vector<uint64_t>)> sink) {
   MutexLock lock(mutex_);
   ack_sink_ = std::move(sink);
 }
 
-uint32_t IngressQueue::CreditsLocked() const {
-  return queue_.size() >= options_.pause_threshold
-             ? 0
-             : static_cast<uint32_t>(options_.pause_threshold -
-                                     queue_.size());
-}
-
-void IngressQueue::EmitAcks(std::vector<std::pair<uint32_t, uint64_t>> acks,
-                            uint32_t credits) {
+void IngressQueue::EmitAcks(std::vector<std::pair<uint32_t, uint64_t>> acks) {
   if (acks.empty()) return;
-  std::function<void(uint32_t, std::vector<uint64_t>, uint32_t)> sink;
+  std::function<void(uint32_t, std::vector<uint64_t>)> sink;
   {
     MutexLock lock(mutex_);
     sink = ack_sink_;
@@ -304,7 +268,7 @@ void IngressQueue::EmitAcks(std::vector<std::pair<uint32_t, uint64_t>> acks,
         ++j;
       }
     }
-    sink(task, std::move(seqs), credits);
+    sink(task, std::move(seqs));
   }
 }
 
@@ -312,7 +276,6 @@ IngressQueue::Disposition IngressQueue::OfferFrame(
     uint64_t incarnation, const net::TupleBatch& batch) {
   std::vector<std::pair<uint32_t, uint64_t>> acks;
   Disposition disposition = Disposition::kAccepted;
-  uint32_t credits = 0;
   {
     MutexLock lock(mutex_);
     if (incarnation < incarnation_) return Disposition::kStale;
@@ -371,9 +334,8 @@ IngressQueue::Disposition IngressQueue::OfferFrame(
         queue_.push_back(std::move(pending));
       }
     }
-    credits = CreditsLocked();
   }
-  EmitAcks(std::move(acks), credits);
+  EmitAcks(std::move(acks));
   return disposition;
 }
 
@@ -417,7 +379,6 @@ void IngressQueue::ResolveRefLocked(
 
 void IngressQueue::ResolveInflight(uint64_t wire_id) {
   std::vector<std::pair<uint32_t, uint64_t>> acks;
-  uint32_t credits = 0;
   {
     MutexLock lock(mutex_);
     auto it = inflight_.find(wire_id);
@@ -425,21 +386,18 @@ void IngressQueue::ResolveInflight(uint64_t wire_id) {
     std::vector<FrameKey> refs = std::move(it->second);
     inflight_.erase(it);
     for (const FrameKey& key : refs) ResolveRefLocked(key, &acks);
-    credits = CreditsLocked();
   }
-  EmitAcks(std::move(acks), credits);
+  EmitAcks(std::move(acks));
 }
 
 void IngressQueue::ResolveNow(const PendingTuple& tuple) {
   std::vector<std::pair<uint32_t, uint64_t>> acks;
-  uint32_t credits = 0;
   {
     MutexLock lock(mutex_);
     FrameKey key{tuple.sender_task, tuple.incarnation, tuple.seq};
     ResolveRefLocked(key, &acks);
-    credits = CreditsLocked();
   }
-  EmitAcks(std::move(acks), credits);
+  EmitAcks(std::move(acks));
 }
 
 void IngressQueue::MarkDone() {

@@ -51,16 +51,6 @@ struct EgressOptions {
   size_t window_frames = 128;
   /// Staged tuples older than this are flushed by the network tick.
   MicrosT flush_interval_micros = 2'000;
-  /// Credit-based flow control: TakeSendable releases frames only while the
-  /// destination's remote credit (granted back on every hop-ack, see
-  /// HopAck::credits) covers their tuples, instead of window-filling and
-  /// relying on the receiver's read-pause. Off by default — disabled
-  /// behavior is byte-identical to the seed protocol (the credits field
-  /// rides along but is ignored).
-  bool credit_flow = false;
-  /// Budget assumed for a destination before its first ack (and after a
-  /// reconnect). Matches IngressOptions::pause_threshold's default.
-  size_t initial_credits = 4096;
 };
 
 /// Per-(source component, task) retransmit buffer feeding every remote
@@ -91,12 +81,11 @@ class EgressBuffer {
   Status Restore(const std::string& bytes);
 
   /// Receiver resolved these frame sequences; drops them and releases Add
-  /// waiters. `credits` is the receiver's current free-slot grant for this
-  /// stream (consulted only under credit_flow; pass 0 otherwise).
+  /// waiters.
   /// Runs on the network thread (an EventLoop frame handler): must never
   /// block, or one slow destination stalls every connection on the loop.
-  void HandleAck(uint32_t dest_worker, const std::vector<uint64_t>& seqs,
-                 uint32_t credits = 0) TMS_NON_BLOCKING;
+  void HandleAck(uint32_t dest_worker,
+                 const std::vector<uint64_t>& seqs) TMS_NON_BLOCKING;
 
   /// Encoded kTupleBatch payloads for `dest_worker` not yet sent on the
   /// current connection, in sequence order (marks them sent). Also cuts a
@@ -134,9 +123,6 @@ class EgressBuffer {
     std::map<uint64_t, FrameRec> unacked;
     std::vector<Staged> staging;
     MicrosT staging_since = 0;
-    /// Remaining credit-flow budget (tuples); refreshed by HandleAck from
-    /// the receiver's grant minus what is already sent-but-unacked.
-    int64_t remote_credits = 0;
   };
 
   void FlushStagingLocked(DestState* dest) REQUIRES(mutex_);
@@ -231,12 +217,10 @@ class IngressQueue {
   uint64_t SheddedTuples(dsps::TuplePriority priority) const;
   uint64_t SheddedTuples() const;
 
-  /// Sink for hop-acks: (sender_task, seqs, credits) where credits is the
-  /// queue's free-slot grant at resolution time (HopAck::credits). Called
-  /// on whichever thread resolved the frame (spout executor or network);
-  /// the sink must be thread-safe (EventLoop::Send is).
-  void SetAckSink(
-      std::function<void(uint32_t, std::vector<uint64_t>, uint32_t)> sink);
+  /// Sink for hop-acks: (sender_task, seqs). Called on whichever thread
+  /// resolved the frame (spout executor or network); the sink must be
+  /// thread-safe (EventLoop::Send is).
+  void SetAckSink(std::function<void(uint32_t, std::vector<uint64_t>)> sink);
 
   const std::string& stream() const { return stream_; }
 
@@ -259,10 +243,7 @@ class IngressQueue {
   void ResolveRefLocked(const FrameKey& key,
                         std::vector<std::pair<uint32_t, uint64_t>>* acks)
       REQUIRES(mutex_);
-  /// Free-slot grant advertised with outgoing hop-acks.
-  uint32_t CreditsLocked() const REQUIRES(mutex_);
-  void EmitAcks(std::vector<std::pair<uint32_t, uint64_t>> acks,
-                uint32_t credits);
+  void EmitAcks(std::vector<std::pair<uint32_t, uint64_t>> acks);
 
   const std::string stream_;
   const IngressOptions options_;
@@ -275,7 +256,7 @@ class IngressQueue {
       GUARDED_BY(mutex_);
   bool done_ GUARDED_BY(mutex_) = false;
   uint64_t shed_[3] GUARDED_BY(mutex_) = {0, 0, 0};
-  std::function<void(uint32_t, std::vector<uint64_t>, uint32_t)> ack_sink_
+  std::function<void(uint32_t, std::vector<uint64_t>)> ack_sink_
       GUARDED_BY(mutex_);
 };
 

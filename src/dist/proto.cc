@@ -275,7 +275,6 @@ void EncodeHopAck(const HopAck& msg, std::string* out) {
   ByteWriter writer(out);
   writer.PutString(msg.stream);
   writer.PutU32(msg.sender_task);
-  writer.PutU32(msg.credits);
   writer.PutU32(static_cast<uint32_t>(msg.seqs.size()));
   for (uint64_t seq : msg.seqs) writer.PutU64(seq);
 }
@@ -284,8 +283,7 @@ Status DecodeHopAck(const std::string& payload, HopAck* out) {
   ByteReader reader(payload);
   uint32_t count = 0;
   if (!reader.GetString(&out->stream) || !reader.GetU32(&out->sender_task) ||
-      !reader.GetU32(&out->credits) || !reader.GetU32(&count) ||
-      count > kSanityLimit) {
+      !reader.GetU32(&count) || count > kSanityLimit) {
     return Truncated("HopAck");
   }
   out->seqs.clear();

@@ -79,11 +79,6 @@ struct ChannelHello {
 struct HopAck {
   std::string stream;
   uint32_t sender_task = 0;
-  /// Receiver-granted credit: free tuple slots in the stream's ingress
-  /// queue at ack time (pause_threshold minus queued). A credit-flow
-  /// sender caps its unsent frames to this budget instead of blindly
-  /// filling the window; a zero grant pauses sending until the next ack.
-  uint32_t credits = 0;
   std::vector<uint64_t> seqs;
 };
 

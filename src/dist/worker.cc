@@ -162,9 +162,8 @@ class Worker {
       uint32_t owner = plan_.ingress_sources.at(source);
       std::string stream = source;
       queue->SetAckSink([this, owner, stream](uint32_t sender_task,
-                                              std::vector<uint64_t> seqs,
-                                              uint32_t credits) {
-        SendHopAck(owner, stream, sender_task, std::move(seqs), credits);
+                                              std::vector<uint64_t> seqs) {
+        SendHopAck(owner, stream, sender_task, std::move(seqs));
       });
     }
 
@@ -347,8 +346,7 @@ class Worker {
         if (group_it == egress_groups_.end()) return;
         auto& buffers = group_it->second->buffers;
         if (ack.sender_task >= buffers.size()) return;
-        buffers[ack.sender_task]->HandleAck(dest_worker, ack.seqs,
-                                            ack.credits);
+        buffers[ack.sender_task]->HandleAck(dest_worker, ack.seqs);
         return;
       }
       default:
@@ -533,8 +531,7 @@ class Worker {
   }
 
   void SendHopAck(uint32_t owner, const std::string& stream,
-                  uint32_t sender_task, std::vector<uint64_t> seqs,
-                  uint32_t credits) {
+                  uint32_t sender_task, std::vector<uint64_t> seqs) {
     net::EventLoop::ConnId conn = 0;
     {
       MutexLock lock(mutex_);
@@ -545,7 +542,6 @@ class Worker {
     HopAck ack;
     ack.stream = stream;
     ack.sender_task = sender_task;
-    ack.credits = credits;
     ack.seqs = std::move(seqs);
     net::Frame frame;
     frame.type = net::FrameType::kHopAck;

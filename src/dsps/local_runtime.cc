@@ -89,15 +89,6 @@ class LocalRuntime::TaskCollector : public Collector {
                 .priority),
         current_priority_(declared_priority_) {
     outbox_.per_task.resize(static_cast<size_t>(runtime->total_tasks_));
-    const overload::Options& opts = runtime->options_.overload;
-    // kHigh components keep the base flush threshold: growing their blocks
-    // would trade away exactly the latency the tier exists to protect.
-    if (opts.enable_adaptive_batch &&
-        declared_priority_ != TuplePriority::kHigh) {
-      adaptive_ = std::make_unique<overload::AdaptiveBatch>(
-          runtime->options_.emit_batch, opts.adaptive_batch_max);
-      outbox_.adaptive = adaptive_.get();
-    }
   }
 
   void Emit(std::vector<Value> values) override {
@@ -234,8 +225,6 @@ class LocalRuntime::TaskCollector : public Collector {
   /// emissions; bolts override per input in BeginExecute.
   TuplePriority declared_priority_;
   TuplePriority current_priority_;
-  /// Adaptive flush threshold; null unless adaptive batching is enabled.
-  std::unique_ptr<overload::AdaptiveBatch> adaptive_;
   MicrosT current_spout_time_ = 0;
   uint64_t current_root_key_ = 0;
   uint64_t current_dedup_id_ = 0;
@@ -356,12 +345,11 @@ LocalRuntime::LocalRuntime(Topology topology, Options options)
     }
   }
 
-  // Overload protection: per-queue admission gates plus cached metrics
-  // handles for shed attribution. All of it exists only when at least one
-  // feature is on — otherwise the emit path never touches any of this.
+  // Overload protection: per-queue occupancy gates plus cached metrics
+  // handles for shed attribution. All of it exists only when shedding is
+  // on — otherwise the emit path never touches any of this.
   if (options_.overload.any_enabled()) {
-    credit_flow_ = options_.overload.enable_credit_flow;
-    shedding_ = options_.overload.enable_load_shedding;
+    shedding_ = true;
     gates_.resize(static_cast<size_t>(total_tasks_));
     overload_refs_.resize(static_cast<size_t>(total_tasks_));
     for (size_t c = 0; c < components.size(); ++c) {
@@ -696,144 +684,26 @@ void LocalRuntime::Stage(int target_component, int task_index, Tuple tuple,
   block.push_back(std::move(tuple));  // TMS_ANALYZE_EXEMPT(capacity retained)
   // Counted in flight when the outbox flushes; until then the emitter's
   // unsettled input (or live spout task) keeps the topology from quiescing.
-  ++outbox->uncounted;
-  ++outbox->staged;
-  size_t threshold = outbox->adaptive != nullptr ? outbox->adaptive->threshold()
-                                                 : options_.emit_batch;
-  if (outbox->staged >= threshold) {
-    FlushOutbox(outbox);
-    // Credit mode: a producer that outran its consumers far enough parks in
-    // bounded slices until a flush makes progress, so the outbox (and the
-    // in-flight count) stays bounded without blocking-on-full semantics.
-    if (credit_flow_ &&
-        outbox->staged >= options_.overload.max_deferred_tuples) {
-      StallForCredits(outbox);
-    }
-  }
+  if (++outbox->staged >= options_.emit_batch) FlushOutbox(outbox);
 }
 
 void LocalRuntime::FlushOutbox(Outbox* outbox) {
   if (outbox->staged == 0) return;
   // One addition per flush, before any block reaches a queue: a consumer
   // can only settle a tuple that is already counted.
-  if (outbox->uncounted > 0) {
-    in_flight_.fetch_add(static_cast<int64_t>(outbox->uncounted));
-    outbox->uncounted = 0;
-  }
+  in_flight_.fetch_add(static_cast<int64_t>(outbox->staged));
   bool dropped = false;
   size_t handed_off = 0;  // enqueued + dropped, to balance against staged
-  size_t kept = 0;        // left staged awaiting credits (credit mode only)
-  size_t write = 0;       // compaction cursor over the dirty list
-  double worst_occupancy = 0.0;
-  for (size_t read = 0; read < outbox->dirty.size(); ++read) {
-    uint32_t gid = outbox->dirty[read];
+  for (uint32_t gid : outbox->dirty) {
     std::vector<Tuple>& block = outbox->per_task[gid];
     // Dirty entries are recorded exactly at a block's empty->nonempty
     // transition and cleared together with the blocks, so each entry is
     // unique and its block nonempty; an empty block here means the dirty
-    // list and the staging buffers disagree. (A deferred block stays dirty
-    // and nonempty, preserving the invariant across flushes.)
+    // list and the staging buffers disagree.
     TMS_DCHECK(!block.empty()) << "duplicate dirty entry for task " << gid;
     if (block.empty()) continue;
     TaskQueue* queue = queue_of_[gid];
-    overload::QueueGate* gate = gates_.empty() ? nullptr : gates_[gid].get();
-    if (gate != nullptr && options_.overload.enable_load_shedding &&
-        !stopping_.load()) {
-      // Staging-time shed decisions go stale while a block waits for
-      // credits; re-check against current occupancy before admitting it.
-      size_t shed = ShedStaleTuples(&block, gate, gid);
-      if (shed > 0) {
-        handed_off += shed;
-        dropped = true;  // in-flight count moved: re-check completion
-        if (block.empty()) continue;
-      }
-    }
     const size_t n = block.size();
-    if (stopping_.load()) {  // drop on shutdown
-      int64_t prev = in_flight_.fetch_sub(static_cast<int64_t>(n));
-      TMS_DCHECK_GE(prev, static_cast<int64_t>(n))
-          << "in-flight count went negative dropping a block";
-      handed_off += n;
-      block.clear();
-      dropped = true;
-      continue;
-    }
-    if (credit_flow_) {
-      // Credit admission replaces the blocking wait: no credits means the
-      // block simply stays staged — this producer keeps serving its other
-      // targets and retries at its next flush point. A deferred block keeps
-      // accumulating emissions, so it can outgrow the whole queue capacity;
-      // admission must therefore accept a prefix, or a block larger than the
-      // remaining credits could never be admitted and the producer would
-      // deadlock. `want` strictly decreases per retry, so this terminates.
-      size_t take = 0;
-      size_t want = n;
-      while (want > 0) {
-        if (gate->TryAcquire(want)) {
-          take = want;
-          break;
-        }
-        int64_t free = gate->capacity() - gate->admitted();
-        size_t next =
-            free > 0 ? std::min(static_cast<size_t>(free), n) : size_t{0};
-        if (next >= want) next = want - 1;  // racing admits: force progress
-        want = next;
-      }
-      if (take == 0) {
-        outbox->dirty[write++] = gid;
-        kept += n;
-        worst_occupancy = 1.0;
-        continue;
-      }
-      MutexLock lock(queue->mutex);
-      if (stopping_.load()) {  // raced with Stop: drop, credits back
-        gate->Release(take);
-        int64_t prev = in_flight_.fetch_sub(static_cast<int64_t>(n));
-        TMS_DCHECK_GE(prev, static_cast<int64_t>(n))
-            << "in-flight count went negative dropping a block";
-        handed_off += n;
-        block.clear();
-        dropped = true;
-        continue;
-      }
-      handed_off += take;
-      if (options_.overload.enable_load_shedding) {
-        for (size_t k = 0; k < take; ++k) {
-          if (block[k].priority() == TuplePriority::kHigh) {
-            ++queue->high_count;
-          }
-        }
-      }
-      for (size_t k = 0; k < take; ++k) {
-        // TMS_ANALYZE_EXEMPT(bounded chunk growth: the queue takes a new
-        // 64-slot chunk only past its peak occupancy and reuses spare
-        // chunks, and credits bound occupancy by capacity)
-        queue->queue.push_back(std::move(block[k]));
-      }
-      if (take == n) {
-        block.clear();
-      } else {
-        // Partial admission: the unadmitted suffix stays staged (and dirty)
-        // in FIFO position for the next flush.
-        block.erase(block.begin(),
-                    block.begin() + static_cast<ptrdiff_t>(take));
-        outbox->dirty[write++] = gid;
-        kept += n - take;
-        worst_occupancy = 1.0;
-      }
-      size_t sz = queue->queue.size();
-      // Exact admission: credit mode can never overshoot capacity.
-      TMS_CHECK_LE(sz, options_.queue_capacity)
-          << "credit-admitted queue overshot its capacity";
-      if (sz > queue->peak_size.load(std::memory_order_relaxed)) {
-        queue->peak_size.store(sz, std::memory_order_relaxed);
-      }
-      queue->not_empty.NotifyOne();
-      if (gate->Occupancy() > worst_occupancy) {
-        worst_occupancy = gate->Occupancy();
-      }
-      continue;
-    }
     handed_off += n;
     MutexLock lock(queue->mutex);
     if (!stopping_.load() && queue->queue.size() >= options_.queue_capacity) {
@@ -853,7 +723,7 @@ void LocalRuntime::FlushOutbox(Outbox* outbox) {
       dropped = true;
       continue;
     }
-    if (options_.overload.enable_load_shedding) {
+    if (shedding_) {
       for (const Tuple& t : block) {
         if (t.priority() == TuplePriority::kHigh) ++queue->high_count;
       }
@@ -874,113 +744,15 @@ void LocalRuntime::FlushOutbox(Outbox* outbox) {
       queue->peak_size.store(sz, std::memory_order_relaxed);
     }
     queue->not_empty.NotifyOne();
-    if (gate != nullptr) {
-      gate->ForceAcquire(n);
-      if (gate->Occupancy() > worst_occupancy) {
-        worst_occupancy = gate->Occupancy();
-      }
-    }
+    if (shedding_) gates_[gid]->ForceAcquire(n);
   }
   // FIFO hand-off is per-block: everything staged leaves the outbox in this
-  // flush — enqueued in staging order or dropped on shutdown — except blocks
-  // deferred for credits, which stay staged (and dirty) for a later flush.
-  TMS_DCHECK_EQ(handed_off + kept, outbox->staged)
+  // flush, enqueued in staging order or dropped on shutdown.
+  TMS_DCHECK_EQ(handed_off, outbox->staged)
       << "outbox flushed a different tuple count than was staged";
-  outbox->dirty.resize(write);  // TMS_ANALYZE_EXEMPT(shrink only)
-  outbox->staged = kept;
-  if (outbox->adaptive != nullptr) outbox->adaptive->Update(worst_occupancy);
+  outbox->dirty.clear();
+  outbox->staged = 0;
   if (dropped) NotifyPossiblyDone();
-}
-
-size_t LocalRuntime::ShedStaleTuples(std::vector<Tuple>* block,
-                                     overload::QueueGate* gate, uint32_t gid) {
-  // Project occupancy across the block: each kept tuple raises it, so a
-  // large block admitted just below a watermark cannot blow occupancy far
-  // past it — the portion that would cross the watermark sheds instead.
-  // `projected` is racy across producers, which only softens the watermark
-  // by the concurrency degree; the hard capacity bound stays with the gate.
-  const double capacity = static_cast<double>(gate->capacity());
-  int64_t projected = gate->admitted();
-  size_t write = 0;
-  size_t shed = 0;
-  for (size_t read = 0; read < block->size(); ++read) {
-    Tuple& tuple = (*block)[read];
-    const TuplePriority priority = tuple.priority();
-    const double occupancy = static_cast<double>(projected) / capacity;
-    const bool drop =
-        (priority == TuplePriority::kLow &&
-         occupancy >= options_.overload.shed_low_watermark) ||
-        (priority == TuplePriority::kNormal &&
-         occupancy >= options_.overload.shed_high_watermark);
-    if (!drop) {
-      ++projected;
-      if (write != read) (*block)[write] = std::move(tuple);
-      ++write;
-      continue;
-    }
-    // Already counted as emitted when it was staged; only the shed counter
-    // moves here. Tracked trees fail fast, exactly like a staging-time shed.
-    overload_refs_[gid].RecordShed(priority);
-    if (acker_ != nullptr && tuple.root_key() != 0) {
-      if (auto info = acker_->Discard(tuple.root_key())) {
-        FailDiscardedTree(*info);
-      }
-    }
-    ++shed;
-  }
-  block->resize(write);  // TMS_ANALYZE_EXEMPT(shrink only)
-  if (shed > 0) {
-    int64_t prev = in_flight_.fetch_sub(static_cast<int64_t>(shed));
-    TMS_DCHECK_GE(prev, static_cast<int64_t>(shed))
-        << "in-flight count went negative shedding a stale block";
-  }
-  return shed;
-}
-
-void LocalRuntime::DrainOutbox(Outbox* outbox) {
-  FlushOutbox(outbox);
-  // Credit mode may defer blocks; this outbox is about to go out of scope
-  // (executor exit or crash hand-off), so park-and-retry until every staged
-  // tuple is enqueued — or Stop makes FlushOutbox drop the remainder.
-  while (outbox->staged > 0 && !stopping_.load()) {
-    uint32_t gid = outbox->dirty.front();
-    TaskQueue* queue = queue_of_[gid];
-    {
-      MutexLock lock(queue->mutex);
-      if (!stopping_.load() &&
-          queue->queue.size() >= options_.queue_capacity) {
-        queue->not_full.WaitFor(queue->mutex, std::chrono::milliseconds(1));
-      }
-    }
-    FlushOutbox(outbox);
-  }
-  if (outbox->staged > 0) FlushOutbox(outbox);  // stopping: drops remainder
-  TMS_DCHECK_EQ(outbox->staged, size_t{0})
-      << "outbox still staged after a drain";
-}
-
-void LocalRuntime::StallForCredits(Outbox* outbox) {
-  MicrosT start = options_.clock->NowMicros();
-  while (!stopping_.load() &&
-         outbox->staged >= options_.overload.max_deferred_tuples) {
-    uint32_t gid = outbox->dirty.front();
-    TaskQueue* queue = queue_of_[gid];
-    {
-      MutexLock lock(queue->mutex);
-      // Bounded park: woken early by the consumer's drain (not_full), and
-      // re-checked at most 1 ms later regardless.
-      if (!stopping_.load() &&
-          gates_[gid]->admitted() >= gates_[gid]->capacity()) {
-        queue->not_full.WaitFor(queue->mutex, std::chrono::milliseconds(1));
-      }
-    }
-    FlushOutbox(outbox);
-  }
-  MicrosT end = options_.clock->NowMicros();
-  if (end > start) {
-    metrics_.RecordCreditStall(static_cast<uint64_t>(end - start) * 1000);
-    outbox->blocked_micros += end - start;
-  }
 }
 
 void LocalRuntime::Deliver(const Emission& emission, int target_component,
@@ -1315,11 +1087,9 @@ void LocalRuntime::SpoutLoop(
         // boundary (everything already emitted is registered with the
         // acker). The supervisor relaunches this executor with the SAME
         // spout instances: a real spout's read cursor is its committed
-        // offset, and re-Opening would rewind it. Drain, not flush: the
-        // relaunched executor gets fresh outboxes, so credit-deferred
-        // tuples must be handed off (or dropped by Stop) before this one
-        // goes out of scope.
-        for (auto& collector : collectors) DrainOutbox(collector->outbox());
+        // offset, and re-Opening would rewind it. The relaunched executor
+        // gets fresh outboxes, so these are flushed first.
+        for (auto& collector : collectors) FlushOutbox(collector->outbox());
         slot->crashed.store(true);
         return;
       }
@@ -1347,9 +1117,6 @@ void LocalRuntime::SpoutLoop(
       // A long-lived topology's spouts then wait for their next batch.
       if (!acking || pending_roots_.load() == 0) {
         if (!long_lived_) break;
-        // Hand off credit-deferred blocks first: nothing wakes a parked
-        // spout when its targets grant credits again.
-        for (auto& collector : collectors) DrainOutbox(collector->outbox());
         ParkIdle(seen_epoch, /*is_spout=*/true);
         continue;
       }
@@ -1362,7 +1129,7 @@ void LocalRuntime::SpoutLoop(
       for (auto& collector : collectors) FlushOutbox(collector->outbox());
     }
   }
-  for (auto& collector : collectors) DrainOutbox(collector->outbox());
+  for (auto& collector : collectors) FlushOutbox(collector->outbox());
   for (TaskRuntime* task : my_tasks) {
     if (acking) DrainSpoutEvents(task);  // last callbacks before Close
     task->spout->Close();
@@ -1447,8 +1214,8 @@ void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
   for (TaskRuntime* task : my_tasks) {
     refs.push_back(metrics_.RefFor(def.name, task->task_index));
   }
-  // The tasks' admission gates (credit replenishment on drain); null when
-  // overload protection is off.
+  // The tasks' occupancy gates, released on drain; null when shedding is
+  // off.
   std::vector<overload::QueueGate*> task_gates(my_tasks.size(), nullptr);
   if (!gates_.empty()) {
     for (size_t i = 0; i < my_tasks.size(); ++i) {
@@ -1499,14 +1266,13 @@ void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
   // Emissions of the executions that completed before the crash are
   // delivered, and the un-executed remainder of the drained batch goes back
   // to the front of the queue — batching must not widen the failure beyond
-  // what per-tuple hand-off lost. Drain, not flush: the relaunched executor
-  // builds fresh outboxes, so any credit-deferred tuples must be handed off
-  // before these go out of scope. The executed prefix and the lost tuple
-  // settle; the requeued remainder stays counted.
+  // what per-tuple hand-off lost. The relaunched executor builds fresh
+  // outboxes, so these are flushed first. The executed prefix and the lost
+  // tuple settle; the requeued remainder stays counted.
   std::vector<Tuple> batch;
   auto die = [&](size_t i, size_t j) {
     TaskRuntime* task = my_tasks[i];
-    for (auto& collector : collectors) DrainOutbox(collector->outbox());
+    for (auto& collector : collectors) FlushOutbox(collector->outbox());
     if (j + 1 < batch.size()) {
       {
         MutexLock requeue(task->input->mutex);
@@ -1515,9 +1281,9 @@ void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
         }
         task->input->not_empty.NotifyOne();
       }
-      // The drain already released credits for the whole batch; the
+      // The drain already released the whole batch from the gate; the
       // requeued remainder re-occupies the queue, so re-charge the gate or
-      // producers would over-admit by the requeued count.
+      // shedding would read occupancy short by the requeued count.
       if (task_gates[i] != nullptr) {
         task_gates[i]->ForceAcquire(batch.size() - j - 1);
       }
@@ -1581,9 +1347,8 @@ void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
         }
         if (!batch.empty()) task->input->not_full.NotifyAll();
       }
-      // Credits are replenished the moment tuples leave the queue — the
-      // producer-visible admission count tracks queue occupancy, not
-      // execution progress.
+      // The gate is released the moment tuples leave the queue: shedding
+      // reads queue occupancy, not execution progress.
       if (task_gates[i] != nullptr && !batch.empty()) {
         task_gates[i]->Release(batch.size());
       }
@@ -1678,10 +1443,7 @@ void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
       }
     }
   }
-  // Drain (not just flush): stopping_ is set here, so FlushOutbox drops any
-  // credit-deferred remainder and the in-flight count balances before Stop's
-  // final accounting check.
-  for (auto& collector : collectors) DrainOutbox(collector->outbox());
+  for (auto& collector : collectors) FlushOutbox(collector->outbox());
   for (const auto& tasks : member_tasks) {
     for (TaskRuntime* task : tasks) task->bolt->Cleanup();
   }

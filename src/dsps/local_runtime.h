@@ -65,8 +65,7 @@ class LocalRuntime {
     /// (backpressure). A producer appends its flushed block whole once the
     /// queue dips below capacity, so occupancy can overshoot capacity by at
     /// most one block (strictly fewer than the block's tuples, block size <=
-    /// the flush threshold) — TMS_CHECK'd at every append. Credit mode
-    /// (`overload.enable_credit_flow`) admits exactly and never overshoots.
+    /// the flush threshold) — TMS_CHECK'd at every append.
     size_t queue_capacity = 8192;
     /// Consumer side: max tuples a bolt executor drains from one task queue
     /// per lock acquisition.
@@ -131,9 +130,8 @@ class LocalRuntime {
     // --- Overload protection (all off by default = seed behaviour; see
     // DESIGN.md "Overload protection") ---
 
-    /// Credit-based flow control, priority-aware load shedding and adaptive
-    /// batch sizing (dsps/overload.h). With every feature off none of the
-    /// per-queue gates are even constructed.
+    /// Priority-aware load shedding (dsps/overload.h). With it off none of
+    /// the per-queue gates are even constructed.
     overload::Options overload;
   };
 
@@ -233,7 +231,7 @@ class LocalRuntime {
 
   /// Highest input-queue occupancy any task queue ever reached (tuples).
   /// Regression hook for the backpressure overshoot bound: always <=
-  /// queue_capacity + flush block - 1, and <= queue_capacity in credit mode.
+  /// queue_capacity + flush block - 1.
   size_t max_queue_occupancy() const;
 
   /// Current occupancy of a bolt task's input queue in [0, 1] (fraction of
@@ -261,23 +259,16 @@ class LocalRuntime {
 
   /// Per-collector staging buffer for batched hand-off: tuples accumulate
   /// here (edge ids already assigned) and are pushed to their target queues
-  /// as blocks by FlushOutbox, which first adds the ones not yet counted to
-  /// `in_flight_`.
+  /// as blocks by FlushOutbox, which first adds them to `in_flight_`. Every
+  /// flush empties the outbox.
   struct Outbox {
     std::vector<std::vector<Tuple>> per_task;  // indexed by global task id
     std::vector<uint32_t> dirty;               // global task ids with tuples
+    /// Staged tuples, none of them counted in `in_flight_` yet.
     size_t staged = 0;
-    /// Staged tuples not yet added to `in_flight_` (at most `staged`; the
-    /// rest are credit-deferred blocks counted by an earlier flush).
-    size_t uncounted = 0;
-    /// Time flushes spent blocked on full downstream queues (or parked for
-    /// credits) since the owning collector's current execution began.
+    /// Time flushes spent blocked on full downstream queues since the owning
+    /// collector's current execution began.
     MicrosT blocked_micros = 0;
-    /// Outbox flush threshold controller; null unless adaptive batch sizing
-    /// is on (owned by the TaskCollector). Stage consults its threshold
-    /// instead of Options::emit_batch, FlushOutbox feeds it back the worst
-    /// target occupancy.
-    overload::AdaptiveBatch* adaptive = nullptr;
   };
 
   /// Ack/Fail notifications queued for delivery on the spout's executor
@@ -396,34 +387,14 @@ class LocalRuntime {
   /// emission's outbox.
   void Route(const Emission& emission, const Tuple& tuple, int direct_task);
   /// Stages one tuple, uncounted until the outbox flushes (see `in_flight_`).
-  /// Auto-flushes the outbox past Options::emit_batch (or the adaptive
-  /// threshold).
+  /// Auto-flushes the outbox past Options::emit_batch.
   void Stage(int target_component, int task_index, Tuple tuple,
              Outbox* outbox) TMS_NO_ALLOC;
-  /// Adds the outbox's uncounted tuples to `in_flight_`, then pushes every
+  /// Adds the outbox's staged tuples to `in_flight_`, then pushes every
   /// staged block to its target queue: one lock wait (backpressure-aware),
   /// one bulk append, and one not_empty wake per target task. During
-  /// shutdown staged tuples are dropped. In credit mode
-  /// a block whose target grants no credits stays staged (still counted
-  /// in flight) for a later flush instead of blocking the producer.
+  /// shutdown staged tuples are dropped. Leaves the outbox empty.
   void FlushOutbox(Outbox* outbox) TMS_NO_ALLOC;
-  /// Flushes until nothing stays staged: required before an outbox goes out
-  /// of scope (executor exit, crash hand-off) since deferred tuples are
-  /// counted in flight. Parks in bounded 1 ms slices between retries; under
-  /// `stopping_` the staged remainder is dropped by FlushOutbox.
-  void DrainOutbox(Outbox* outbox);
-  /// Re-evaluates the shedding watermarks against the target queue's CURRENT
-  /// occupancy for every tuple of a staged block, dropping the ones whose
-  /// tier sheds (counted, fail-fast for tracked trees, released from
-  /// `in_flight_`). Staging-time decisions go stale under credit deferral —
-  /// admitting a backlog staged while the queue was briefly below the
-  /// watermark would blow occupancy right past it. Returns the shed count.
-  size_t ShedStaleTuples(std::vector<Tuple>* block, overload::QueueGate* gate,
-                         uint32_t gid);
-  /// Credit mode: bounded parks while `outbox` holds at least
-  /// `overload.max_deferred_tuples` deferred tuples; accounted in
-  /// `credits_stalled_ns`.
-  void StallForCredits(Outbox* outbox);
   /// Fault-aware single delivery used by Route. Above the occupancy
   /// watermarks of the target's queue for the tuple's shedding tier the
   /// delivery is shed instead of staged — counted per priority, and
@@ -516,15 +487,14 @@ class LocalRuntime {
   std::vector<TaskQueue*> queue_of_;
   int total_tasks_ = 0;
 
-  // Overload protection (constructed only when any overload feature is on;
-  // see DESIGN.md "Overload protection").
-  /// Global task id -> admission gate (nullptr for spout tasks). Empty when
-  /// overload protection is off — the hot path tests one vector emptiness.
+  // Overload protection (constructed only when shedding is on; see
+  // DESIGN.md "Overload protection").
+  /// Global task id -> occupancy gate (nullptr for spout tasks). Empty when
+  /// shedding is off — the hot path tests one vector emptiness.
   std::vector<std::unique_ptr<overload::QueueGate>> gates_;
   /// Global task id -> metrics handle of the queue's task, for shed
   /// attribution off the name map.
   std::vector<MetricsRegistry::TaskRef> overload_refs_;
-  bool credit_flow_ = false;
   bool shedding_ = false;
 
   std::vector<std::unique_ptr<ExecutorSlot>> executors_;
@@ -537,15 +507,16 @@ class LocalRuntime {
   /// in_flight_ >= tuples queued + tuples being executed, so
   /// live_spout_tasks_ == in_flight_ == pending_roots_ == 0 means quiescent.
   /// Counting is per block, not per tuple:
-  /// - FlushOutbox adds an outbox's uncounted tuples before any of its
-  ///   blocks reaches a queue. Until then a staged tuple is covered by its
+  /// - FlushOutbox adds an outbox's staged tuples before any of its blocks
+  ///   reaches a queue. Until then a staged tuple is covered by its
   ///   emitter: a bolt's unsettled input batch, or a live spout task (a
   ///   spout flushes before it counts out).
   /// - A bolt executor settles its drained batch (executed and
   ///   dedup-suppressed tuples alike) with one subtraction, after flushing
   ///   the outboxes that batch filled. A crash settles the executed prefix
   ///   plus the tuple in hand; the requeued rest stays counted.
-  /// - Shedding and shutdown drops subtract only tuples already counted.
+  /// - A shed tuple is dropped before it is staged and never counted; a
+  ///   shutdown drop subtracts only tuples already counted.
   std::atomic<int64_t> in_flight_{0};
   std::atomic<int> live_spout_tasks_{0};
   std::atomic<size_t> pending_roots_{0};

@@ -310,12 +310,6 @@ observability::MetricsSnapshot MetricsRegistry::PrometheusSnapshot() const {
       }
     }
     snapshot.counters.push_back(std::move(shed));
-    observability::CounterFamily stalled;
-    stalled.name = "insight_credits_stalled_ns_total";
-    stalled.help = "Producer wall time stalled awaiting flow-control credits";
-    stalled.samples.push_back(
-        {"", static_cast<double>(credits_stalled_ns())});
-    snapshot.counters.push_back(std::move(stalled));
   }
   // Transport counter families: process-wide (unlabelled) so the exporter
   // stays complete when the registry belongs to a distributed worker.

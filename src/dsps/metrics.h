@@ -133,14 +133,6 @@ class MetricsRegistry {
   void RecordRequeuedTuples(uint64_t count) {
     net_requeued_tuples_.fetch_add(count, std::memory_order_relaxed);
   }
-  /// Wall time producers spent stalled waiting for flow-control credits
-  /// (credit mode only); process-wide like the transport counters.
-  void RecordCreditStall(uint64_t nanos) {
-    credits_stalled_ns_.fetch_add(nanos, std::memory_order_relaxed);
-  }
-  uint64_t credits_stalled_ns() const {
-    return credits_stalled_ns_.load(std::memory_order_relaxed);
-  }
 
   TransportTotals transport_totals() const {
     TransportTotals totals;
@@ -261,7 +253,6 @@ class MetricsRegistry {
   std::atomic<uint64_t> net_bytes_received_{0};
   std::atomic<uint64_t> net_reconnects_{0};
   std::atomic<uint64_t> net_requeued_tuples_{0};
-  std::atomic<uint64_t> credits_stalled_ns_{0};
   mutable Mutex window_mutex_{TMS_LOCK_RANK(70)};
   std::vector<WindowReport> reports_ GUARDED_BY(window_mutex_);
   MicrosT last_snapshot_micros_ GUARDED_BY(window_mutex_) = 0;

@@ -218,10 +218,22 @@ class CountingSink : public Bolt {
   uint64_t calls_ = 0;
 };
 
+/// Tuples shed so far on their way into any bolt's queue.
+uint64_t ShedTotal(LocalRuntime& runtime) {
+  uint64_t shed = 0;
+  for (const char* component : {"relay", "tag", "sink"}) {
+    auto totals = runtime.metrics()->Totals(component);
+    shed += totals.shed_low + totals.shed_normal + totals.shed_high;
+  }
+  return shed;
+}
+
 /// Runs 200 Feed/AwaitQuiescence cycles; after each, every fed value must
 /// have been executed at the sink exactly once, except the values an
-/// injected crash lost in hand (one per crash), and nothing may be in flight.
-void RunQuiescenceCycles(LocalRuntime::Options options, FaultInjector* injector) {
+/// injected crash lost in hand (one per crash) and the values shed, and
+/// nothing may be in flight. Adds the tuples shed to `shed`, if given.
+void RunQuiescenceCycles(LocalRuntime::Options options, FaultInjector* injector,
+                         uint64_t* shed = nullptr) {
   auto counts = std::make_shared<CountingSink::Counts>();
   TopologyBuilder builder;
   builder.SetSpout("source", [] { return std::make_unique<FedSpout>(); },
@@ -246,6 +258,7 @@ void RunQuiescenceCycles(LocalRuntime::Options options, FaultInjector* injector)
   ASSERT_TRUE(runtime.StartLongLived().ok());
   ASSERT_TRUE(runtime.AwaitQuiescence());
   uint64_t crashes_before = 0;
+  uint64_t shed_before = 0;
   for (int cycle = 0; cycle < 200; ++cycle) {
     const int n = 1 + (cycle * 37) % 150;
     {
@@ -272,6 +285,9 @@ void RunQuiescenceCycles(LocalRuntime::Options options, FaultInjector* injector)
         injector == nullptr ? 0 : injector->crashes_injected();
     const int lost = static_cast<int>(crashes - crashes_before);
     crashes_before = crashes;
+    const uint64_t shed_now = ShedTotal(runtime);
+    const int shed_in_cycle = static_cast<int>(shed_now - shed_before);
+    shed_before = shed_now;
     MutexLock lock(counts->mutex);
     ASSERT_EQ(counts->executed.size(), static_cast<size_t>(n)) << "cycle " << cycle;
     int once = 0;
@@ -279,21 +295,30 @@ void RunQuiescenceCycles(LocalRuntime::Options options, FaultInjector* injector)
       ASSERT_LE(times, 1) << "cycle " << cycle;
       once += times;
     }
-    ASSERT_EQ(once + lost, n) << "cycle " << cycle << ": " << lost << " lost to crashes";
+    ASSERT_EQ(once + lost + shed_in_cycle, n)
+        << "cycle " << cycle << ": " << lost << " lost to crashes, "
+        << shed_in_cycle << " shed";
   }
   runtime.Stop();
   EXPECT_EQ(runtime.in_flight(), 0);
+  if (shed != nullptr) *shed += shed_before;
 }
 
 TEST(QuiescenceStressTest, EveryFedTupleIsExecutedBeforeQuiescence) {
   RunQuiescenceCycles({}, nullptr);
 }
 
-TEST(QuiescenceStressTest, CreditFlowDefersBlocksButNeverQuiescesEarly) {
+TEST(QuiescenceStressTest, SheddingUnderBackpressureNeverQuiescesEarly) {
+  // Deliver sheds kNormal tuples before they are staged, so they are never
+  // counted in flight; the rest must still all be executed before quiescence.
   LocalRuntime::Options options;
-  options.queue_capacity = 16;  // blocks wait for credits
-  options.overload.enable_credit_flow = true;
-  RunQuiescenceCycles(options, nullptr);
+  options.queue_capacity = 16;
+  options.overload.enable_load_shedding = true;
+  options.overload.shed_low_watermark = 0.25;
+  options.overload.shed_high_watermark = 0.5;  // sheds kNormal
+  uint64_t shed = 0;
+  RunQuiescenceCycles(options, nullptr, &shed);
+  EXPECT_GT(shed, 0u);
 }
 
 TEST(QuiescenceStressTest, CrashRequeuingPartOfABatchKeepsTheRestCounted) {

@@ -295,7 +295,7 @@ Listing1App BuildListing1App(const std::string& out_dir,
 
 /// Overload-chaos variant (ISSUE 9 satellite): the same Listing-1 pipeline
 /// tagged kHigh, plus a kLow noise firehose terminating in a slow sink on
-/// the detect worker, running under credit flow + priority shedding. The
+/// the detect worker, running under priority shedding. The
 /// noise keeps worker 1 saturated; the SIGKILL lands mid-saturation; the
 /// high-priority detections must still match the fault-free run exactly.
 dsps::Topology BuildOverloadTopology(const std::string& out_dir) {
@@ -344,8 +344,6 @@ Listing1App BuildOverloadApp(const std::string& out_dir,
                                      {"noise_sink", 1},
                                      {"sink", 2}};
   app.options.runtime.queue_capacity = 64;
-  app.options.runtime.overload.enable_credit_flow = true;
-  app.options.runtime.overload.max_deferred_tuples = 256;
   app.options.runtime.overload.enable_load_shedding = true;
   app.options.runtime.overload.shed_low_watermark = 0.5;
   app.options.runtime.overload.shed_high_watermark = 0.9;

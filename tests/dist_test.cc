@@ -223,7 +223,6 @@ TEST(ProtoTest, HopAckRoundTrip) {
   msg.stream = "detect";
   msg.sender_task = 3;
   msg.seqs = {1, 5, 1'000'000'000'000ull};
-  msg.credits = 2048;
   std::string bytes;
   EncodeHopAck(msg, &bytes);
   HopAck out;
@@ -231,7 +230,6 @@ TEST(ProtoTest, HopAckRoundTrip) {
   EXPECT_EQ(out.stream, "detect");
   EXPECT_EQ(out.sender_task, 3u);
   EXPECT_EQ(out.seqs, msg.seqs);
-  EXPECT_EQ(out.credits, 2048u);
 }
 
 TEST(ProtoTest, MetricsReportRoundTrip) {
@@ -348,12 +346,9 @@ net::TupleBatch MakeBatch(uint64_t seq, std::vector<uint64_t> wire_ids) {
 
 struct AckLog {
   std::vector<std::pair<uint32_t, std::vector<uint64_t>>> acks;
-  uint32_t last_credits = 0;
   void Attach(IngressQueue* queue) {
-    queue->SetAckSink([this](uint32_t task, std::vector<uint64_t> seqs,
-                             uint32_t credits) {
+    queue->SetAckSink([this](uint32_t task, std::vector<uint64_t> seqs) {
       acks.push_back({task, std::move(seqs)});
-      last_credits = credits;
     });
   }
   size_t TotalSeqs() const {

@@ -588,7 +588,6 @@ TEST(MetricsRegistryTest, PrometheusSnapshotExportsEveryFamily) {
   registry.RecordShed("bolt", 0, TuplePriority::kLow);
   registry.RecordShed("bolt", 0, TuplePriority::kLow);
   registry.RecordShed("bolt", 0, TuplePriority::kNormal);
-  registry.RecordCreditStall(1500);
 
   std::string text =
       observability::ExportPrometheusText(registry.PrometheusSnapshot());
@@ -610,7 +609,6 @@ TEST(MetricsRegistryTest, PrometheusSnapshotExportsEveryFamily) {
            "insight_net_reconnects_total",
            "insight_net_requeued_tuples_total",
            "insight_tuples_shed_total",
-           "insight_credits_stalled_ns_total",
        }) {
     EXPECT_NE(text.find(std::string("# TYPE ") + family), std::string::npos)
         << "family missing from export: " << family;
@@ -634,8 +632,7 @@ TEST(MetricsRegistryTest, PrometheusSnapshotExportsEveryFamily) {
   EXPECT_NE(text.find("insight_net_reconnects_total 1"), std::string::npos);
   EXPECT_NE(text.find("insight_net_requeued_tuples_total 7"),
             std::string::npos);
-  // Overload families: shed carries component + priority labels, and the
-  // credit-stall counter is process-wide.
+  // Overload family: shed carries component + priority labels.
   EXPECT_NE(text.find("insight_tuples_shed_total{component=\"bolt\","
                       "priority=\"low\"} 2"),
             std::string::npos);
@@ -644,8 +641,6 @@ TEST(MetricsRegistryTest, PrometheusSnapshotExportsEveryFamily) {
             std::string::npos);
   EXPECT_NE(text.find("insight_tuples_shed_total{component=\"bolt\","
                       "priority=\"high\"} 0"),
-            std::string::npos);
-  EXPECT_NE(text.find("insight_credits_stalled_ns_total 1500"),
             std::string::npos);
 }
 

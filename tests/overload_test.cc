@@ -1,6 +1,6 @@
-// Overload-protection tests: QueueGate/AdaptiveBatch units, credit-flow
-// liveness and exact occupancy, priority-aware shedding with full accounting
-// (shed + delivered == emitted, shed trees fail fast), the bounded-overshoot
+// Overload-protection tests: the QueueGate unit, acking under blocking
+// backpressure, priority-aware shedding with full accounting (shed +
+// delivered == emitted, shed trees fail fast), the bounded-overshoot
 // regression for blocking backpressure, and the disabled-equals-seed
 // identity check.
 
@@ -25,48 +25,13 @@ namespace {
 // ---------------------------------------------------------------------------
 // QueueGate
 
-TEST(QueueGateTest, AdmitsWithinCapacityAndRollsBackOvershoot) {
-  overload::QueueGate gate(8);
-  EXPECT_TRUE(gate.TryAcquire(5));
-  EXPECT_TRUE(gate.TryAcquire(3));
-  EXPECT_EQ(gate.admitted(), 8);
-  // Full: the failed acquire must roll its reservation back.
-  EXPECT_FALSE(gate.TryAcquire(1));
-  EXPECT_EQ(gate.admitted(), 8);
-  gate.Release(4);
-  EXPECT_TRUE(gate.TryAcquire(4));
-  EXPECT_FALSE(gate.TryAcquire(1));
-  EXPECT_DOUBLE_EQ(gate.Occupancy(), 1.0);
-}
-
 TEST(QueueGateTest, ForceAcquireCanOvershootForBlockingMode) {
   overload::QueueGate gate(4);
   gate.ForceAcquire(6);  // blocking producer appended a whole block
   EXPECT_EQ(gate.admitted(), 6);
   EXPECT_GT(gate.Occupancy(), 1.0);
-  EXPECT_FALSE(gate.TryAcquire(1));
   gate.Release(6);
   EXPECT_DOUBLE_EQ(gate.Occupancy(), 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// AdaptiveBatch
-
-TEST(AdaptiveBatchTest, GrowsUnderPressureShrinksWhenCalm) {
-  overload::AdaptiveBatch batch(16, 64);
-  EXPECT_EQ(batch.threshold(), 16u);
-  batch.Update(0.8);
-  EXPECT_EQ(batch.threshold(), 32u);
-  batch.Update(0.8);
-  EXPECT_EQ(batch.threshold(), 64u);
-  batch.Update(0.8);
-  EXPECT_EQ(batch.threshold(), 64u);  // capped
-  batch.Update(0.4);
-  EXPECT_EQ(batch.threshold(), 64u);  // hysteresis band: hold
-  batch.Update(0.1);
-  EXPECT_EQ(batch.threshold(), 32u);
-  batch.Update(0.1);
-  EXPECT_EQ(batch.threshold(), 16u);  // floored at base
 }
 
 // ---------------------------------------------------------------------------
@@ -141,40 +106,9 @@ class SlowSink : public Bolt {
 };
 
 // ---------------------------------------------------------------------------
-// Credit-based flow control
+// Blocking backpressure
 
-TEST(OverloadRuntimeTest, CreditFlowDeliversEverythingWithExactOccupancy) {
-  auto sink = std::make_shared<SlowSink::Sink>();
-  TopologyBuilder builder;
-  builder.SetSpout("s", [] { return std::make_unique<CounterSpout>(2000); },
-                   Fields({"v"}));
-  builder.SetBolt("sink",
-                  [sink] { return std::make_unique<SlowSink>(sink, 20); },
-                  Fields({}))
-      .ShuffleGrouping("s");
-  auto topology = builder.Build();
-  ASSERT_TRUE(topology.ok());
-
-  LocalRuntime::Options options;
-  options.queue_capacity = 64;
-  options.emit_batch = 16;
-  options.overload.enable_credit_flow = true;
-  options.overload.max_deferred_tuples = 64;
-  LocalRuntime runtime(std::move(*topology), options);
-  ASSERT_TRUE(runtime.Start().ok());
-  runtime.AwaitCompletion();
-
-  std::set<int64_t> seen(sink->values.begin(), sink->values.end());
-  EXPECT_EQ(sink->values.size(), 2000u);
-  EXPECT_EQ(seen.size(), 2000u);
-  // Credit admission is exact: occupancy never exceeds capacity.
-  EXPECT_LE(runtime.max_queue_occupancy(), options.queue_capacity);
-  // The slow consumer must have parked the producer at least once.
-  EXPECT_GT(runtime.metrics()->credits_stalled_ns(), 0u);
-  runtime.Stop();
-}
-
-TEST(OverloadRuntimeTest, CreditFlowWithAckingLosesNothing) {
+TEST(OverloadRuntimeTest, AckingUnderBackpressureLosesNothing) {
   auto counts = std::make_shared<RootedSpout::Counts>();
   auto sink = std::make_shared<SlowSink::Sink>();
   TopologyBuilder builder;
@@ -192,8 +126,6 @@ TEST(OverloadRuntimeTest, CreditFlowWithAckingLosesNothing) {
   options.enable_acking = true;
   options.queue_capacity = 32;
   options.emit_batch = 8;
-  options.overload.enable_credit_flow = true;
-  options.overload.max_deferred_tuples = 32;
   LocalRuntime runtime(std::move(*topology), options);
   ASSERT_TRUE(runtime.Start().ok());
   runtime.AwaitCompletion();
@@ -201,12 +133,10 @@ TEST(OverloadRuntimeTest, CreditFlowWithAckingLosesNothing) {
   EXPECT_EQ(counts->acked.load(), 500);
   EXPECT_EQ(counts->failed.load(), 0);
   EXPECT_EQ(sink->values.size(), 500u);
-  EXPECT_LE(runtime.max_queue_occupancy(), options.queue_capacity);
+  EXPECT_LT(runtime.max_queue_occupancy(),
+            options.queue_capacity + options.emit_batch);
   runtime.Stop();
 }
-
-// ---------------------------------------------------------------------------
-// Blocking-backpressure overshoot bound (regression)
 
 TEST(OverloadRuntimeTest, BlockingOvershootBoundedByOneBlock) {
   // Seed behavior allowed a producer that saw space for one tuple to append
@@ -319,40 +249,11 @@ TEST(OverloadRuntimeTest, SheddingIdleWhenBelowWatermarks) {
 }
 
 // ---------------------------------------------------------------------------
-// Adaptive batch
-
-TEST(OverloadRuntimeTest, AdaptiveBatchStillDeliversEverything) {
-  auto sink = std::make_shared<SlowSink::Sink>();
-  TopologyBuilder builder;
-  builder.SetSpout("s", [] { return std::make_unique<CounterSpout>(2000); },
-                   Fields({"v"}));
-  builder.SetBolt("sink",
-                  [sink] { return std::make_unique<SlowSink>(sink, 10); },
-                  Fields({}))
-      .ShuffleGrouping("s");
-  auto topology = builder.Build();
-  ASSERT_TRUE(topology.ok());
-
-  LocalRuntime::Options options;
-  options.queue_capacity = 128;
-  options.emit_batch = 8;
-  options.overload.enable_adaptive_batch = true;
-  options.overload.adaptive_batch_max = 64;
-  LocalRuntime runtime(std::move(*topology), options);
-  ASSERT_TRUE(runtime.Start().ok());
-  runtime.AwaitCompletion();
-
-  std::set<int64_t> seen(sink->values.begin(), sink->values.end());
-  EXPECT_EQ(seen.size(), 2000u);
-  runtime.Stop();
-}
-
-// ---------------------------------------------------------------------------
 // Disabled == seed
 
 TEST(OverloadRuntimeTest, AllDisabledMatchesSeedBehavior) {
-  // Default options leave every overload feature off: no gates are built,
-  // no shed/stall counters may move, and delivery is exact.
+  // Default options leave shedding off: no gates are built, no shed
+  // counter may move, and delivery is exact.
   auto sink = std::make_shared<SlowSink::Sink>();
   TopologyBuilder builder;
   builder.SetSpout("s", [] { return std::make_unique<CounterSpout>(1000); },
@@ -375,7 +276,6 @@ TEST(OverloadRuntimeTest, AllDisabledMatchesSeedBehavior) {
   EXPECT_EQ(seen.size(), 1000u);
   auto totals = runtime.metrics()->Totals("sink");
   EXPECT_EQ(totals.shed_low + totals.shed_normal + totals.shed_high, 0u);
-  EXPECT_EQ(runtime.metrics()->credits_stalled_ns(), 0u);
   runtime.Stop();
 }
 

@@ -972,7 +972,7 @@ struct SaturatedRun {
 };
 
 /// Rooted kHigh traffic + kLow firehose into one slow checkpointed sink,
-/// with credit flow and shedding on. The injector (may be null) crashes the
+/// with shedding on. The injector (may be null) crashes the
 /// sink mid-saturation; recovery must keep the critical stream
 /// effectively-once while the firehose is shed freely.
 SaturatedRun RunSaturatedTopology(int critical, int firehose,
@@ -1016,8 +1016,6 @@ SaturatedRun RunSaturatedTopology(int critical, int firehose,
   options.checkpoint_interval_micros = 10'000;
   options.state_store = store;
   options.enable_replay_dedup = true;
-  options.overload.enable_credit_flow = true;
-  options.overload.max_deferred_tuples = 256;
   options.overload.enable_load_shedding = true;
   options.overload.shed_low_watermark = 0.5;
   options.overload.shed_high_watermark = 0.9;
@@ -1074,8 +1072,9 @@ TEST(RecoveryEndToEndTest, CrashWhileSaturatedKeepsCriticalEffectivelyOnce) {
   EXPECT_GT(faulty.sink_totals.shed_low, 0u);
   EXPECT_EQ(faulty.sink_totals.shed_normal, 0u);
   EXPECT_EQ(faulty.sink_totals.shed_high, 0u);
-  // Credit admission stayed exact through kill-and-relaunch.
-  EXPECT_LE(faulty.max_queue_occupancy, 64u);
+  // Blocking backpressure held through kill-and-relaunch: at most one
+  // flush block past capacity.
+  EXPECT_LT(faulty.max_queue_occupancy, 64u + 8u);
 
   // The acceptance bar: the high-priority stream matches the fault-free
   // run value for value — every critical tuple delivered exactly once,
