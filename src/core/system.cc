@@ -470,7 +470,7 @@ Status TrafficManagementSystem::BuildLive() {
   INSIGHT_ASSIGN_OR_RETURN(dsps::Topology topology, builder.Build());
   live->runtime =
       std::make_unique<dsps::LocalRuntime>(std::move(topology), config_.runtime);
-  INSIGHT_RETURN_NOT_OK(live->runtime->StartLongLived());
+  INSIGHT_RETURN_NOT_OK(live->runtime->Start());
   live_ = std::move(live);
   return Status::OK();
 }

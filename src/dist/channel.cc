@@ -22,6 +22,16 @@ constexpr uint64_t kWireChainSalt = 0x9fb21c651e98df25ULL;
 /// Salt for the spout-egress hop (single emission per input, no ordinal).
 constexpr uint64_t kEgressHopSalt = 0xd6e8feb86659fd93ULL;
 
+/// Unacked frames per destination before EgressBuffer::Add blocks.
+constexpr size_t kWindowFrames = 128;
+/// Queued tuples at which IngressQueue::WantsPause asks the worker to stop
+/// reading the stream's senders.
+constexpr size_t kPauseThreshold = 4096;
+/// Resolved frame sequences remembered per sender task for duplicate
+/// suppression (bounded FIFO; older duplicates are caught by the receiving
+/// tasks' dedup ledgers).
+constexpr size_t kCompletedCapacity = 8192;
+
 uint64_t FreshSeed(int task_index) {
   const auto now = std::chrono::steady_clock::now().time_since_epoch();
   return Splitmix64(static_cast<uint64_t>(now.count()) ^
@@ -84,7 +94,7 @@ void EgressBuffer::Add(const net::ValuePayload& payload, uint64_t wire_id,
     if (shutdown_) return;
     bool full = false;
     for (const DestState& dest : dests_) {
-      if (dest.unacked.size() >= options_.window_frames) {
+      if (dest.unacked.size() >= kWindowFrames) {
         full = true;
         break;
       }
@@ -238,8 +248,7 @@ void EgressBuffer::Shutdown() {
 // ---------------------------------------------------------------------------
 // IngressQueue
 
-IngressQueue::IngressQueue(std::string stream, IngressOptions options)
-    : stream_(std::move(stream)), options_(options) {}
+IngressQueue::IngressQueue(std::string stream) : stream_(std::move(stream)) {}
 
 void IngressQueue::SetAckSink(
     std::function<void(uint32_t, std::vector<uint64_t>)> sink) {
@@ -299,30 +308,9 @@ IngressQueue::Disposition IngressQueue::OfferFrame(
     } else if (batch.tuples.empty()) {
       acks.emplace_back(batch.sender_task, batch.seq);
     } else {
-      // Register the full tuple count before shedding: a shed tuple's ref
-      // resolves immediately below, so the frame still completes (and
-      // hop-acks) once its queued tuples resolve too.
       channel.in_progress[batch.seq].outstanding =
           static_cast<uint32_t>(batch.tuples.size());
       for (const net::WireTuple& tuple : batch.tuples) {
-        const auto priority = static_cast<dsps::TuplePriority>(tuple.priority);
-        if (options_.enable_shedding &&
-            priority != dsps::TuplePriority::kHigh) {
-          const double occupancy =
-              options_.pause_threshold == 0
-                  ? 1.0
-                  : static_cast<double>(queue_.size()) /
-                        static_cast<double>(options_.pause_threshold);
-          const double watermark = priority == dsps::TuplePriority::kLow
-                                       ? options_.shed_low_watermark
-                                       : options_.shed_high_watermark;
-          if (occupancy >= watermark) {
-            ++shed_[tuple.priority];
-            ResolveRefLocked(
-                FrameKey{batch.sender_task, incarnation, batch.seq}, &acks);
-            continue;
-          }
-        }
         PendingTuple pending;
         pending.wire_id = tuple.wire_id;
         pending.spout_time = tuple.spout_time;
@@ -330,7 +318,7 @@ IngressQueue::Disposition IngressQueue::OfferFrame(
         pending.sender_task = batch.sender_task;
         pending.incarnation = incarnation;
         pending.seq = batch.seq;
-        pending.priority = priority;
+        pending.priority = static_cast<dsps::TuplePriority>(tuple.priority);
         queue_.push_back(std::move(pending));
       }
     }
@@ -370,7 +358,7 @@ void IngressQueue::ResolveRefLocked(
   channel.in_progress.erase(frame_it);
   channel.completed.insert(key.seq);
   channel.completed_fifo.push_back(key.seq);
-  while (channel.completed_fifo.size() > options_.completed_capacity) {
+  while (channel.completed_fifo.size() > kCompletedCapacity) {
     channel.completed.erase(channel.completed_fifo.front());
     channel.completed_fifo.pop_front();
   }
@@ -422,17 +410,7 @@ size_t IngressQueue::InflightTuples() const {
 
 bool IngressQueue::WantsPause() const {
   MutexLock lock(mutex_);
-  return queue_.size() >= options_.pause_threshold;
-}
-
-uint64_t IngressQueue::SheddedTuples(dsps::TuplePriority priority) const {
-  MutexLock lock(mutex_);
-  return shed_[static_cast<size_t>(priority)];
-}
-
-uint64_t IngressQueue::SheddedTuples() const {
-  MutexLock lock(mutex_);
-  return shed_[0] + shed_[1] + shed_[2];
+  return queue_.size() >= kPauseThreshold;
 }
 
 // ---------------------------------------------------------------------------

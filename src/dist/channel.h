@@ -46,9 +46,6 @@ struct EgressOptions {
   /// Tuples staged per destination before a frame is cut (a batch = one
   /// frame; matches the local Outbox emit_batch spirit).
   size_t batch_tuples = 64;
-  /// Unacked-frame window per destination; Add blocks when full
-  /// (backpressure propagated to the executor thread).
-  size_t window_frames = 128;
   /// Staged tuples older than this are flushed by the network tick.
   MicrosT flush_interval_micros = 2'000;
 };
@@ -67,8 +64,9 @@ class EgressBuffer {
                std::vector<uint32_t> dest_workers, EgressOptions options);
 
   /// Stages one tuple toward every destination, cutting frames at
-  /// batch_tuples. Blocks while any destination's unacked window is full
-  /// (until acks drain it or Shutdown).
+  /// batch_tuples. Blocks while any destination's unacked window
+  /// (kWindowFrames) is full, until acks drain it or Shutdown: backpressure
+  /// propagated to the executor thread.
   void Add(const net::ValuePayload& payload, uint64_t wire_id,
            MicrosT spout_time,
            dsps::TuplePriority priority = dsps::TuplePriority::kNormal);
@@ -146,32 +144,16 @@ struct EgressGroup {
   std::vector<std::shared_ptr<EgressBuffer>> buffers;  // indexed by task
 };
 
-struct IngressOptions {
-  /// Reads from the sender are paused above this many queued tuples.
-  size_t pause_threshold = 4096;
-  /// Resolved frame sequences remembered per sender task for duplicate
-  /// suppression (bounded FIFO; older duplicates are caught by the
-  /// receiving tasks' dedup ledgers).
-  size_t completed_capacity = 8192;
-  /// Priority-aware shedding at frame admission: above the watermarks
-  /// (occupancy = queued / pause_threshold) low- then normal-priority
-  /// tuples are dropped instead of queued. A shed tuple's frame ref is
-  /// resolved immediately so hop-acks still fire and the sender's
-  /// retransmit buffer frees — the drop is deliberate, not a loss the
-  /// sender should repair. Off by default.
-  bool enable_shedding = false;
-  double shed_low_watermark = 0.75;
-  double shed_high_watermark = 0.90;
-};
-
 /// Receive side of one remote source stream: frame-level bookkeeping
 /// (per-sender-task sequence tracking with incarnation-aware duplicate
 /// suppression), the decoded-tuple queue the ingress spout drains, and the
 /// in-flight map tying local tuple trees back to the frames that carried
-/// them so hop-acks fire when a frame's tuples are all resolved.
+/// them so hop-acks fire when a frame's tuples are all resolved. It sheds
+/// nothing: the ingress spout re-stamps each tuple's priority, and the
+/// worker's LocalRuntime sheds it like a local one.
 class IngressQueue {
  public:
-  IngressQueue(std::string stream, IngressOptions options);
+  explicit IngressQueue(std::string stream);
 
   enum class Disposition { kAccepted, kDuplicate, kStale };
 
@@ -212,10 +194,9 @@ class IngressQueue {
 
   size_t QueuedTuples() const;
   size_t InflightTuples() const;
+  /// True while the queue holds kPauseThreshold tuples or more: the worker
+  /// then pauses reading the stream's senders.
   bool WantsPause() const;
-  /// Tuples dropped by admission shedding, by priority tier.
-  uint64_t SheddedTuples(dsps::TuplePriority priority) const;
-  uint64_t SheddedTuples() const;
 
   /// Sink for hop-acks: (sender_task, seqs). Called on whichever thread
   /// resolved the frame (spout executor or network); the sink must be
@@ -246,7 +227,6 @@ class IngressQueue {
   void EmitAcks(std::vector<std::pair<uint32_t, uint64_t>> acks);
 
   const std::string stream_;
-  const IngressOptions options_;
 
   mutable Mutex mutex_{TMS_LOCK_RANK(35)};
   uint64_t incarnation_ GUARDED_BY(mutex_) = 0;
@@ -255,7 +235,6 @@ class IngressQueue {
   std::unordered_map<uint64_t, std::vector<FrameKey>> inflight_
       GUARDED_BY(mutex_);
   bool done_ GUARDED_BY(mutex_) = false;
-  uint64_t shed_[3] GUARDED_BY(mutex_) = {0, 0, 0};
   std::function<void(uint32_t, std::vector<uint64_t>)> ack_sink_
       GUARDED_BY(mutex_);
 };

@@ -36,24 +36,9 @@ struct DistOptions {
   std::string checkpoint_dir;
 
   EgressOptions egress;
-  IngressOptions ingress;
-
-  /// Worker -> supervisor heartbeat period, and how long the supervisor
-  /// waits without one before declaring the worker dead.
-  MicrosT heartbeat_interval_micros = 20'000;
-  MicrosT heartbeat_timeout_micros = 2'000'000;
-
-  /// Per-worker restart budget; exceeding it aborts the run.
-  int max_worker_restarts = 3;
-
-  /// Backoff between egress reconnect attempts to one destination.
-  MicrosT reconnect_backoff_micros = 50'000;
 
   /// Worker metrics-report period (0 = only the final report).
   MicrosT metrics_interval_micros = 500'000;
-
-  /// Network tick period (egress flush, reconnects, heartbeats).
-  MicrosT tick_interval_micros = 2'000;
 
   /// Extra argv passed through to spawned worker processes (after the
   /// --insight-* flags). Lets test binaries re-select the app under test.

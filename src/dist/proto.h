@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/status.h"
 #include "dsps/metrics.h"
 #include "observability/export.h"
@@ -35,6 +36,10 @@ struct PeerEntry {
 struct PeerTable {
   std::vector<PeerEntry> peers;
 };
+
+/// Worker -> supervisor heartbeat (kStatus) period. The supervisor ticks at
+/// half of it and sweeps for quiescence every two periods.
+constexpr MicrosT kHeartbeatIntervalMicros = 20'000;
 
 /// kStatus — worker heartbeat. The supervisor declares the cluster quiescent
 /// (and starts the drain) once every worker reports user spouts exhausted

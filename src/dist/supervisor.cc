@@ -20,6 +20,12 @@ namespace {
 
 constexpr int kControlListenerTag = 0;
 
+/// How long the supervisor waits without a heartbeat before declaring a
+/// worker dead.
+constexpr MicrosT kHeartbeatTimeoutMicros = 2'000'000;
+/// Per-worker restart budget; exceeding it aborts the run.
+constexpr int kMaxWorkerRestarts = 3;
+
 MicrosT SteadyNowMicros() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -63,7 +69,7 @@ Status Supervisor::Start() {
   };
   callbacks.on_tick = [this]() { OnTick(); };
   loop_ = std::make_unique<net::EventLoop>(
-      std::move(callbacks), options_.heartbeat_interval_micros / 2);
+      std::move(callbacks), kHeartbeatIntervalMicros / 2);
   INSIGHT_ASSIGN_OR_RETURN(control_port_,
                            loop_->Listen(0, kControlListenerTag));
   INSIGHT_RETURN_NOT_OK(loop_->Start());
@@ -244,7 +250,7 @@ void Supervisor::OnTick() {
         CheckDoneLocked();
       } else {
         ++proc.restarts;
-        if (proc.restarts > options_.max_worker_restarts) {
+        if (proc.restarts > kMaxWorkerRestarts) {
           AbortRunLocked("worker " + std::to_string(id) +
                          " exceeded restart budget");
         } else {
@@ -264,7 +270,7 @@ void Supervisor::OnTick() {
     if (proc.pid <= 0 || proc.finished) continue;
     MicrosT base = proc.last_heartbeat_micros > 0 ? proc.last_heartbeat_micros
                                                   : proc.spawned_micros;
-    if (now - base > options_.heartbeat_timeout_micros) {
+    if (now - base > kHeartbeatTimeoutMicros) {
       kill(static_cast<pid_t>(proc.pid), SIGKILL);
       // Reset the clock so one hang triggers one kill, not one per tick.
       proc.last_heartbeat_micros = now;
@@ -273,7 +279,7 @@ void Supervisor::OnTick() {
   // Cluster quiescence -> drain broadcast.
   if (!draining_ && !aborted_) {
     if (now - last_quiet_check_micros_ >=
-        2 * options_.heartbeat_interval_micros) {
+        2 * kHeartbeatIntervalMicros) {
       last_quiet_check_micros_ = now;
       quiet_sweeps_ = AllQuietLocked(now) ? quiet_sweeps_ + 1 : 0;
       if (quiet_sweeps_ >= 2) {
@@ -293,8 +299,7 @@ bool Supervisor::AllQuietLocked(MicrosT now) {
       return false;
     }
     if (proc.last_status.incarnation != proc.incarnation) return false;
-    if (now - proc.last_heartbeat_micros >
-        options_.heartbeat_timeout_micros) {
+    if (now - proc.last_heartbeat_micros > kHeartbeatTimeoutMicros) {
       return false;
     }
     const WorkerStatus& status = proc.last_status;

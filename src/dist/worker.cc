@@ -33,6 +33,11 @@ namespace {
 
 constexpr int kDataListenerTag = 1;
 
+/// Network tick period (egress flush, reconnects, heartbeats).
+constexpr MicrosT kTickIntervalMicros = 2'000;
+/// Backoff between egress reconnect attempts to one destination.
+constexpr MicrosT kReconnectBackoffMicros = 50'000;
+
 MicrosT SteadyNowMicros() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -141,7 +146,7 @@ class Worker {
       metrics->RecordFramesReceived(frames, bytes);
     };
     loop_ = std::make_unique<net::EventLoop>(std::move(callbacks),
-                                            options_.tick_interval_micros);
+                                            kTickIntervalMicros);
     INSIGHT_ASSIGN_OR_RETURN(data_port_,
                              loop_->Listen(0, kDataListenerTag));
     INSIGHT_RETURN_NOT_OK(loop_->Start());
@@ -178,7 +183,7 @@ class Worker {
     // source's output fields so subscriber groupings keep their exact
     // semantics across the hop.
     for (const auto& [source, owner] : plan_.ingress_sources) {
-      auto queue = std::make_shared<IngressQueue>(source, options_.ingress);
+      auto queue = std::make_shared<IngressQueue>(source);
       ingress_queues_[source] = queue;
       const dsps::ComponentDef* def = topology_.Find(source);
       builder.SetSpout(
@@ -394,7 +399,7 @@ class Worker {
       if (channel.conn != id) continue;
       channel.conn = 0;
       channel.next_attempt_micros =
-          SteadyNowMicros() + options_.reconnect_backoff_micros;
+          SteadyNowMicros() + kReconnectBackoffMicros;
       uint64_t requeued = 0;
       for (const auto& [name, group] : egress_groups_) {
         for (const auto& buffer : group->buffers) {
@@ -431,7 +436,7 @@ class Worker {
       MutexLock lock(mutex_);
       DestChannel& channel = dests_[dest];
       if (!conn.ok()) {
-        channel.next_attempt_micros = now + options_.reconnect_backoff_micros;
+        channel.next_attempt_micros = now + kReconnectBackoffMicros;
         continue;
       }
       channel.conn = conn.value();
@@ -476,7 +481,7 @@ class Worker {
       }
     }
     // 4. Heartbeat.
-    if (now - last_heartbeat_micros_ >= options_.heartbeat_interval_micros) {
+    if (now - last_heartbeat_micros_ >= kHeartbeatIntervalMicros) {
       last_heartbeat_micros_ = now;
       SendStatus();
     }

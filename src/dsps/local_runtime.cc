@@ -277,7 +277,9 @@ LocalRuntime::LocalRuntime(Topology topology, Options options)
         }
       } else {
         task.bolt = def.bolt_factory();
-        task.input = std::make_unique<TaskQueue>();
+        task.input = std::make_unique<TaskQueue>(
+            options_.queue_capacity, options_.overload.enable_load_shedding,
+            &stopping_, options_.clock);
       }
       tasks_[c].push_back(std::move(task));
     }
@@ -345,19 +347,15 @@ LocalRuntime::LocalRuntime(Topology topology, Options options)
     }
   }
 
-  // Overload protection: per-queue occupancy gates plus cached metrics
-  // handles for shed attribution. All of it exists only when shedding is
-  // on — otherwise the emit path never touches any of this.
-  if (options_.overload.any_enabled()) {
+  // Load shedding: cached metrics handles for shed attribution, built only
+  // when shedding is on.
+  if (options_.overload.enable_load_shedding) {
     shedding_ = true;
-    gates_.resize(static_cast<size_t>(total_tasks_));
     overload_refs_.resize(static_cast<size_t>(total_tasks_));
     for (size_t c = 0; c < components.size(); ++c) {
       for (size_t t = 0; t < tasks_[c].size(); ++t) {
         size_t gid = static_cast<size_t>(task_base_[c]) + t;
         if (queue_of_[gid] == nullptr) continue;  // spout task
-        gates_[gid] =
-            std::make_unique<overload::QueueGate>(options_.queue_capacity);
         overload_refs_[gid] =
             metrics_.RefFor(components[c].name, static_cast<int>(t));
       }
@@ -433,14 +431,6 @@ Status LocalRuntime::Start() {
   return Status::OK();
 }
 
-Status LocalRuntime::StartLongLived() {
-  if (started_.load()) {
-    return Status::FailedPrecondition("runtime already started");
-  }
-  long_lived_ = true;
-  return Start();
-}
-
 bool LocalRuntime::AwaitQuiescence() {
   MutexLock lock(done_mutex_);
   while (!(stopping_.load() ||
@@ -455,9 +445,6 @@ bool LocalRuntime::AwaitQuiescence() {
 
 Status LocalRuntime::Feed(const std::string& component,
                           std::function<void(Spout*, int)> feed) {
-  if (!long_lived_) {
-    return Status::FailedPrecondition("Feed needs StartLongLived()");
-  }
   idle_.store(false);
   return PostTaskAction(component, std::move(feed), nullptr);
 }
@@ -509,9 +496,7 @@ Status LocalRuntime::PostTaskAction(const std::string& component,
     owner = chain_prev_[static_cast<size_t>(owner)];
   }
   for (auto& task : tasks_[static_cast<size_t>(owner)]) {
-    if (task.input == nullptr) continue;
-    MutexLock lock(task.input->mutex);
-    task.input->not_empty.NotifyAll();
+    if (task.input != nullptr) task.input->Wake();
   }
   MutexLock lock(action_.mutex);
   while (action_.remaining > 0 && !stopping_.load()) {
@@ -576,18 +561,10 @@ void LocalRuntime::NotifyPossiblyDone() {
 }
 
 void LocalRuntime::AwaitCompletion() {
-  {
-    MutexLock lock(done_mutex_);
-    while (!(stopping_.load() ||
-             (live_spout_tasks_.load() == 0 && in_flight_.load() == 0 &&
-              pending_roots_.load() == 0))) {
-      done_cv_.Wait(done_mutex_);
-    }
-  }
   // A naturally drained topology is quiescent: with no live spout task, no
   // pending tree, and no in-flight tuple there is no source of new work, so
   // the counts must still be exactly zero here.
-  if (!stopping_.load()) {
+  if (AwaitQuiescence()) {
     TMS_DCHECK_EQ(in_flight_.load(), int64_t{0})
         << "tuples in flight after quiescent drain";
     TMS_DCHECK_EQ(pending_roots_.load(), size_t{0})
@@ -600,17 +577,12 @@ void LocalRuntime::Stop() {
   if (!started_.load()) return;
   bool was_stopping = stopping_.exchange(true);
   // Wake everyone: emitters blocked on full queues, executors on empty ones.
-  // The notify must happen while holding the queue mutex: a waiter that
-  // checked `stopping_` just before we set it is still between its predicate
-  // and the wait — notifying without the lock would be lost and the waiter
-  // would block forever (backpressure deadlock on Stop).
+  // TaskQueue::Wake notifies under the queue mutex, so a waiter that checked
+  // `stopping_` just before it was set cannot miss the wake (backpressure
+  // deadlock on Stop).
   for (auto& component_tasks : tasks_) {
     for (auto& task : component_tasks) {
-      if (task.input != nullptr) {
-        MutexLock lock(task.input->mutex);
-        task.input->not_empty.NotifyAll();
-        task.input->not_full.NotifyAll();
-      }
+      if (task.input != nullptr) task.input->Wake();
     }
   }
   {
@@ -639,10 +611,9 @@ void LocalRuntime::Stop() {
   int64_t abandoned = 0;
   for (auto& component_tasks : tasks_) {
     for (auto& task : component_tasks) {
-      if (task.input == nullptr) continue;
-      MutexLock lock(task.input->mutex);
-      abandoned += static_cast<int64_t>(task.input->queue.size());
-      task.input->queue.clear();
+      if (task.input != nullptr) {
+        abandoned += static_cast<int64_t>(task.input->Clear());
+      }
     }
   }
   if (abandoned > 0) in_flight_.fetch_sub(abandoned);
@@ -702,49 +673,15 @@ void LocalRuntime::FlushOutbox(Outbox* outbox) {
     // list and the staging buffers disagree.
     TMS_DCHECK(!block.empty()) << "duplicate dirty entry for task " << gid;
     if (block.empty()) continue;
-    TaskQueue* queue = queue_of_[gid];
     const size_t n = block.size();
     handed_off += n;
-    MutexLock lock(queue->mutex);
-    if (!stopping_.load() && queue->queue.size() >= options_.queue_capacity) {
-      // Backpressure: the clock is read only when the emitter must wait.
-      const MicrosT blocked_since = options_.clock->NowMicros();
-      while (!stopping_.load() &&
-             queue->queue.size() >= options_.queue_capacity) {
-        queue->not_full.Wait(queue->mutex);
-      }
-      outbox->blocked_micros += options_.clock->NowMicros() - blocked_since;
-    }
-    if (stopping_.load()) {  // drop on shutdown
+    if (!queue_of_[gid]->Append(&block, &outbox->blocked_micros)) {
+      // Dropped on shutdown.
       int64_t prev = in_flight_.fetch_sub(static_cast<int64_t>(n));
       TMS_DCHECK_GE(prev, static_cast<int64_t>(n))
           << "in-flight count went negative dropping a block";
-      block.clear();
       dropped = true;
-      continue;
     }
-    if (shedding_) {
-      for (const Tuple& t : block) {
-        if (t.priority() == TuplePriority::kHigh) ++queue->high_count;
-      }
-    }
-    // TMS_ANALYZE_EXEMPT(bounded chunk growth: the queue takes a new 64-slot
-    // chunk only past its peak occupancy and reuses spare chunks, and
-    // queue_capacity plus one block per producer bounds occupancy)
-    for (Tuple& t : block) queue->queue.push_back(std::move(t));
-    block.clear();  // keeps capacity for the next batch
-    size_t sz = queue->queue.size();
-    // Backpressure overshoot bound: this producer observed size < capacity
-    // under the lock before appending its whole block, so occupancy exceeds
-    // capacity by strictly fewer than the block's n tuples — at most one
-    // block per producer, never more.
-    TMS_CHECK_LT(sz, options_.queue_capacity + n)
-        << "queue overshot capacity by a full flush block";
-    if (sz > queue->peak_size.load(std::memory_order_relaxed)) {
-      queue->peak_size.store(sz, std::memory_order_relaxed);
-    }
-    queue->not_empty.NotifyOne();
-    if (shedding_) gates_[gid]->ForceAcquire(n);
   }
   // FIFO hand-off is per-block: everything staged leaves the outbox in this
   // flush, enqueued in staging order or dropped on shutdown.
@@ -785,7 +722,7 @@ void LocalRuntime::Deliver(const Emission& emission, int target_component,
   if (shedding_ && emission.chained == nullptr) {
     size_t gid = static_cast<size_t>(
         task_base_[static_cast<size_t>(target_component)] + task_index);
-    double occupancy = gates_[gid]->Occupancy();
+    double occupancy = queue_of_[gid]->Occupancy();
     const TuplePriority priority = tuple.priority();
     bool shed =
         (priority == TuplePriority::kLow &&
@@ -1114,9 +1051,8 @@ void LocalRuntime::SpoutLoop(
       for (auto& collector : collectors) FlushOutbox(collector->outbox());
       // Exhausted spouts stay alive under acking to deliver Ack/Fail
       // callbacks and re-emit timed-out trees until every tree resolves.
-      // A long-lived topology's spouts then wait for their next batch.
+      // Then they wait for their next batch.
       if (!acking || pending_roots_.load() == 0) {
-        if (!long_lived_) break;
         ParkIdle(seen_epoch, /*is_spout=*/true);
         continue;
       }
@@ -1214,18 +1150,6 @@ void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
   for (TaskRuntime* task : my_tasks) {
     refs.push_back(metrics_.RefFor(def.name, task->task_index));
   }
-  // The tasks' occupancy gates, released on drain; null when shedding is
-  // off.
-  std::vector<overload::QueueGate*> task_gates(my_tasks.size(), nullptr);
-  if (!gates_.empty()) {
-    for (size_t i = 0; i < my_tasks.size(); ++i) {
-      task_gates[i] =
-          gates_[static_cast<size_t>(task_base_[static_cast<size_t>(
-                                         component_index)] +
-                                     my_tasks[i]->task_index)]
-              .get();
-    }
-  }
   // Chain links, `chain_length` per owned task: link k of task i runs
   // member k + 1's task i and is fed by the collector before it. The links'
   // collectors follow the owned tasks' in `collectors`, at
@@ -1271,23 +1195,8 @@ void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
   // tuple settle; the requeued remainder stays counted.
   std::vector<Tuple> batch;
   auto die = [&](size_t i, size_t j) {
-    TaskRuntime* task = my_tasks[i];
     for (auto& collector : collectors) FlushOutbox(collector->outbox());
-    if (j + 1 < batch.size()) {
-      {
-        MutexLock requeue(task->input->mutex);
-        for (size_t k = batch.size(); k-- > j + 1;) {
-          task->input->queue.push_front(std::move(batch[k]));
-        }
-        task->input->not_empty.NotifyOne();
-      }
-      // The drain already released the whole batch from the gate; the
-      // requeued remainder re-occupies the queue, so re-charge the gate or
-      // shedding would read occupancy short by the requeued count.
-      if (task_gates[i] != nullptr) {
-        task_gates[i]->ForceAcquire(batch.size() - j - 1);
-      }
-    }
+    my_tasks[i]->input->Requeue(&batch, j + 1);
     settle(j + 1);
     slot->crashed.store(true);
   };
@@ -1308,50 +1217,7 @@ void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
     for (size_t i = 0; i < my_tasks.size(); ++i) {
       TaskRuntime* task = my_tasks[i];
       batch.clear();
-      {
-        MutexLock lock(task->input->mutex);
-        RingQueue<Tuple>& q = task->input->queue;
-        size_t n = std::min(options_.max_batch, q.size());
-        if (options_.overload.enable_load_shedding &&
-            task->input->high_count > 0 && n < q.size()) {
-          // Priority drain: when the queue holds more than one batch, the
-          // critical tier jumps the line — up to `n` kHigh tuples are
-          // extracted first (their relative order preserved), then the
-          // remainder fills FIFO. This keeps kHigh latency proportional to
-          // the kHigh backlog instead of the shed-watermark standing queue.
-          const size_t want_high = std::min(n, task->input->high_count);
-          size_t taken_high = 0;
-          size_t write = 0;
-          for (size_t read = 0; read < q.size(); ++read) {
-            if (taken_high < want_high &&
-                q[read].priority() == TuplePriority::kHigh) {
-              batch.push_back(std::move(q[read]));
-              ++taken_high;
-              continue;
-            }
-            if (write != read) q[write] = std::move(q[read]);
-            ++write;
-          }
-          q.truncate(write);
-          task->input->high_count -= taken_high;
-          n -= taken_high;
-        }
-        for (size_t k = 0; k < n; ++k) {
-          if (options_.overload.enable_load_shedding &&
-              task->input->high_count > 0 &&
-              q.front().priority() == TuplePriority::kHigh) {
-            --task->input->high_count;
-          }
-          batch.push_back(std::move(q.front()));
-          q.pop_front();
-        }
-        if (!batch.empty()) task->input->not_full.NotifyAll();
-      }
-      // The gate is released the moment tuples leave the queue: shedding
-      // reads queue occupancy, not execution progress.
-      if (task_gates[i] != nullptr && !batch.empty()) {
-        task_gates[i]->Release(batch.size());
-      }
+      task->input->Drain(options_.max_batch, &batch);
       if (batch.empty()) continue;
       any = true;
       for (size_t j = 0; j < batch.size(); ++j) {
@@ -1427,20 +1293,13 @@ void LocalRuntime::ExecutorLoop(ExecutorSlot* slot) {
         }
       }
       if (stopping_.load()) break;
-      if (long_lived_ && idle_.load()) {
+      if (idle_.load()) {
         ParkIdle(seen_epoch, /*is_spout=*/false);
         continue;
       }
       // Park briefly on the first owned queue.
-      TaskRuntime* task = my_tasks.empty() ? nullptr : my_tasks[0];
-      if (task == nullptr) break;
-      MutexLock lock(task->input->mutex);
-      if (!stopping_.load() && task->input->queue.empty()) {
-        // Bounded park; the outer loop re-polls every owned queue on wake,
-        // so a spurious or early wake only costs one extra pass.
-        task->input->not_empty.WaitFor(task->input->mutex,
-                                       std::chrono::milliseconds(1));
-      }
+      if (my_tasks.empty()) break;
+      my_tasks[0]->input->Park(std::chrono::milliseconds(1));
     }
   }
   for (auto& collector : collectors) FlushOutbox(collector->outbox());
@@ -1692,14 +1551,9 @@ double LocalRuntime::QueueOccupancy(const std::string& component, int task) {
   if (task < 0 || static_cast<size_t>(task) >= component_tasks.size()) {
     return 0.0;
   }
-  TaskQueue* queue = component_tasks[static_cast<size_t>(task)].input.get();
-  if (queue == nullptr || options_.queue_capacity == 0) return 0.0;
-  size_t sz = 0;
-  {
-    MutexLock lock(queue->mutex);
-    sz = queue->queue.size();
-  }
-  return static_cast<double>(sz) / static_cast<double>(options_.queue_capacity);
+  const TaskQueue* queue =
+      component_tasks[static_cast<size_t>(task)].input.get();
+  return queue == nullptr ? 0.0 : queue->Occupancy();
 }
 
 void LocalRuntime::MonitorLoop() {
@@ -1757,9 +1611,7 @@ size_t LocalRuntime::max_queue_occupancy() const {
   size_t peak = 0;
   for (const auto& component_tasks : tasks_) {
     for (const auto& task : component_tasks) {
-      if (task.input == nullptr) continue;
-      peak = std::max(peak,
-                      task.input->peak_size.load(std::memory_order_relaxed));
+      if (task.input != nullptr) peak = std::max(peak, task.input->peak_size());
     }
   }
   return peak;

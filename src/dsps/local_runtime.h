@@ -17,7 +17,7 @@
 #include "common/thread_annotations.h"
 #include "dsps/metrics.h"
 #include "dsps/overload.h"
-#include "dsps/ring_queue.h"
+#include "dsps/task_queue.h"
 #include "dsps/topology.h"
 #include "observability/trace.h"
 #include "reliability/acker.h"
@@ -38,10 +38,9 @@ namespace dsps {
 /// with acking enabled — every tracked tuple tree has been acked, replayed
 /// to success, or permanently failed.
 ///
-/// Long-lived use (StartLongLived): the topology outlives its input. A spout
-/// task whose NextTuple returned false parks instead of ending, Feed() hands
-/// the spouts their next batch, and AwaitQuiescence() marks the end of each
-/// batch. RunOnTasks() runs an action on each task of a bolt on the task's
+/// Long-lived: the topology outlives its input. A spout task whose NextTuple
+/// returned false parks instead of ending, Feed() hands the spouts their next
+/// batch, and AwaitQuiescence() marks the end of each batch. RunOnTasks() runs an action on each task of a bolt on the task's
 /// own executor thread, e.g. to reset per-batch state between batches.
 ///
 /// Operator chaining (always on, see DESIGN.md "Operator chaining"): a bolt
@@ -130,8 +129,8 @@ class LocalRuntime {
     // --- Overload protection (all off by default = seed behaviour; see
     // DESIGN.md "Overload protection") ---
 
-    /// Priority-aware load shedding (dsps/overload.h). With it off none of
-    /// the per-queue gates are even constructed.
+    /// Priority-aware load shedding (dsps/overload.h). It also makes each
+    /// task queue's drain priority-aware (dsps/task_queue.h).
     overload::Options overload;
   };
 
@@ -141,26 +140,23 @@ class LocalRuntime {
   LocalRuntime(const LocalRuntime&) = delete;
   LocalRuntime& operator=(const LocalRuntime&) = delete;
 
-  /// Spawns executor threads. FailedPrecondition if already started.
+  // --- Lifecycle (see DESIGN.md "Long-lived topology") ---
+
+  /// Spawns executor threads. FailedPrecondition if already started. Spout
+  /// executors do not exit once every task is exhausted but park, without
+  /// polling, until Feed() re-arms them or Stop() ends the runtime. Between
+  /// AwaitQuiescence() and the next Feed() idle bolt executors park the same
+  /// way.
   Status Start();
-
-  /// Blocks until the topology drains (see class comment), then stops all
-  /// threads. Also usable after Stop().
-  void AwaitCompletion();
-
-  // --- Long-lived topologies (see DESIGN.md "Long-lived topology") ---
-
-  /// Start() for a topology that outlives its input: spout executors do not
-  /// exit once every task is exhausted but park, without polling, until
-  /// Feed() re-arms them or Stop() ends the runtime. Between AwaitQuiescence()
-  /// and the next Feed() idle bolt executors park the same way.
-  Status StartLongLived();
 
   /// Blocks until the current batch is done: every spout task's NextTuple
   /// has returned false, no tuple is in flight and no tracked tree is
-  /// pending. Unlike AwaitCompletion the threads keep running. Returns false
-  /// if the runtime stopped instead.
+  /// pending. The threads keep running. Returns false if the runtime
+  /// stopped instead.
   bool AwaitQuiescence();
+
+  /// AwaitQuiescence(), then Stop(). Also usable after Stop().
+  void AwaitCompletion();
 
   /// Hands the spouts of `component` their next batch: runs `feed` on every
   /// task of that spout on the task's executor thread, then re-arms the
@@ -234,29 +230,12 @@ class LocalRuntime {
   /// queue_capacity + flush block - 1.
   size_t max_queue_occupancy() const;
 
-  /// Current occupancy of a bolt task's input queue in [0, 1] (fraction of
-  /// queue_capacity; briefly takes the queue mutex). 0 for spouts, chained
-  /// tasks (they have no queue) and unknown tasks.
+  /// Current occupancy of a bolt task's input queue (fraction of
+  /// queue_capacity, see TaskQueue::Occupancy). 0 for spouts, chained tasks
+  /// (they have no queue) and unknown tasks.
   double QueueOccupancy(const std::string& component, int task);
 
  private:
-  /// Lock hierarchy: a TaskQueue::mutex is a leaf — nothing else is
-  /// acquired while one is held (see DESIGN.md "Concurrency discipline").
-  struct TaskQueue {
-    Mutex mutex{TMS_LOCK_RANK(90)};
-    CondVar not_empty;
-    CondVar not_full;
-    RingQueue<Tuple> queue GUARDED_BY(mutex);
-    /// kHigh tuples currently queued. Maintained only while load shedding
-    /// is enabled; lets the drain path skip the priority scan entirely when
-    /// no critical tuples are waiting.
-    size_t high_count GUARDED_BY(mutex) = 0;
-    /// High-water mark of `queue.size()`. Written under `mutex` (appends
-    /// serialize, drains never grow the queue); atomic so tests read it
-    /// without the lock.
-    std::atomic<size_t> peak_size{0};
-  };
-
   /// Per-collector staging buffer for batched hand-off: tuples accumulate
   /// here (edge ids already assigned) and are pushed to their target queues
   /// as blocks by FlushOutbox, which first adds them to `in_flight_`. Every
@@ -390,10 +369,9 @@ class LocalRuntime {
   /// Auto-flushes the outbox past Options::emit_batch.
   void Stage(int target_component, int task_index, Tuple tuple,
              Outbox* outbox) TMS_NO_ALLOC;
-  /// Adds the outbox's staged tuples to `in_flight_`, then pushes every
-  /// staged block to its target queue: one lock wait (backpressure-aware),
-  /// one bulk append, and one not_empty wake per target task. During
-  /// shutdown staged tuples are dropped. Leaves the outbox empty.
+  /// Adds the outbox's staged tuples to `in_flight_`, then appends every
+  /// staged block to its target queue (TaskQueue::Append). During shutdown
+  /// staged tuples are dropped. Leaves the outbox empty.
   void FlushOutbox(Outbox* outbox) TMS_NO_ALLOC;
   /// Fault-aware single delivery used by Route. Above the occupancy
   /// watermarks of the target's queue for the tuple's shedding tier the
@@ -487,13 +465,9 @@ class LocalRuntime {
   std::vector<TaskQueue*> queue_of_;
   int total_tasks_ = 0;
 
-  // Overload protection (constructed only when shedding is on; see
-  // DESIGN.md "Overload protection").
-  /// Global task id -> occupancy gate (nullptr for spout tasks). Empty when
-  /// shedding is off — the hot path tests one vector emptiness.
-  std::vector<std::unique_ptr<overload::QueueGate>> gates_;
+  // Load shedding (see DESIGN.md "Overload protection").
   /// Global task id -> metrics handle of the queue's task, for shed
-  /// attribution off the name map.
+  /// attribution off the name map. Empty when shedding is off.
   std::vector<MetricsRegistry::TaskRef> overload_refs_;
   bool shedding_ = false;
 
@@ -529,8 +503,7 @@ class LocalRuntime {
   Mutex done_mutex_{TMS_LOCK_RANK(95)};
   CondVar done_cv_;
 
-  // Long-lived topologies (StartLongLived).
-  bool long_lived_ = false;
+  // Long-lived topologies.
   /// Set by AwaitQuiescence, cleared by Feed: between batches idle bolt
   /// executors park on idle_cv_ instead of polling their queues each
   /// millisecond.

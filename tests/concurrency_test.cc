@@ -255,7 +255,7 @@ void RunQuiescenceCycles(LocalRuntime::Options options, FaultInjector* injector,
   options.fault_injector = injector;
   options.supervisor_interval_micros = 500;
   LocalRuntime runtime(std::move(*topology), options);
-  ASSERT_TRUE(runtime.StartLongLived().ok());
+  ASSERT_TRUE(runtime.Start().ok());
   ASSERT_TRUE(runtime.AwaitQuiescence());
   uint64_t crashes_before = 0;
   uint64_t shed_before = 0;

@@ -359,7 +359,7 @@ struct AckLog {
 };
 
 TEST(IngressQueueTest, AcceptsResolvesAndSuppressesDuplicates) {
-  IngressQueue queue("source", IngressOptions{});
+  IngressQueue queue("source");
   AckLog log;
   log.Attach(&queue);
 
@@ -399,7 +399,7 @@ TEST(IngressQueueTest, AcceptsResolvesAndSuppressesDuplicates) {
 }
 
 TEST(IngressQueueTest, InflightDuplicateAttachesInsteadOfReemitting) {
-  IngressQueue queue("source", IngressOptions{});
+  IngressQueue queue("source");
   AckLog log;
   log.Attach(&queue);
 

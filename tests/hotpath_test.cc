@@ -149,6 +149,42 @@ class SlowCaptureBolt : public CaptureBolt {
   int delay_micros_;
 };
 
+/// Emits its script of (value, priority) in order in one NextTuple call,
+/// then opens `gate`.
+class ScriptedSpout : public Spout {
+ public:
+  using Script = std::vector<std::pair<int64_t, TuplePriority>>;
+  ScriptedSpout(Script script, std::shared_ptr<std::atomic<bool>> gate)
+      : script_(std::move(script)), gate_(std::move(gate)) {}
+  bool NextTuple(Collector* collector) override {
+    for (const auto& [value, priority] : script_) {
+      collector->EmitPrioritized(priority, {Value(value)});
+    }
+    gate_->store(true);
+    return false;
+  }
+
+ private:
+  Script script_;
+  std::shared_ptr<std::atomic<bool>> gate_;
+};
+
+/// A CaptureBolt whose executor starts draining only once `gate` opens.
+class GatedCaptureBolt : public CaptureBolt {
+ public:
+  GatedCaptureBolt(std::shared_ptr<Capture> capture,
+                   std::shared_ptr<std::atomic<bool>> gate)
+      : CaptureBolt(std::move(capture)), gate_(std::move(gate)) {}
+  void Prepare(const TaskContext&) override {
+    while (!gate_->load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+ private:
+  std::shared_ptr<std::atomic<bool>> gate_;
+};
+
 /// Records what a bolt hands the collector, without a runtime.
 class RecordingCollector : public Collector {
  public:
@@ -480,6 +516,59 @@ TEST(HotpathRingQueueTest, CrashRequeueOnReusedChunksLosesOnlyTheTupleInHand) {
   // The kCrashAt-th execution died with value kCrashAt - 1 in hand.
   EXPECT_EQ(values[kCrashAt - 2], static_cast<int64_t>(kCrashAt - 2));
   EXPECT_EQ(values[kCrashAt - 1], static_cast<int64_t>(kCrashAt));
+
+  {
+    // With shedding on (watermarks out of reach, so nothing sheds) the drain
+    // is priority-aware. The sink starts only once a kLow backlog with six
+    // kHigh tuples behind it is queued, so every drain is deterministic. The
+    // first takes kHigh 100-103, the executor dies with 101 in hand, and 102
+    // and 103 go back. They must count as kHigh again: the next drain takes
+    // all four kHigh tuples left ahead of the kLow backlog.
+    reliability::FaultPlan plan;
+    plan.crashes.push_back({.component = "sink", .task = 0,
+                            .after_executions = 2, .repeat = false});
+    reliability::FaultInjector injector(plan);
+    ScriptedSpout::Script script;
+    for (int64_t low = 0; low < 40; ++low) {
+      script.push_back({low, TuplePriority::kLow});
+    }
+    for (int64_t high = 100; high < 106; ++high) {
+      script.push_back({high, TuplePriority::kHigh});
+    }
+    auto gate = std::make_shared<std::atomic<bool>>(false);
+    auto capture = std::make_shared<CaptureBolt::Capture>();
+    TopologyBuilder builder;
+    builder.SetSpout("s",
+                     [script, gate] {
+                       return std::make_unique<ScriptedSpout>(script, gate);
+                     },
+                     Fields({"v"}));
+    builder.SetBolt("sink",
+                    [capture, gate] {
+                      return std::make_unique<GatedCaptureBolt>(capture, gate);
+                    },
+                    Fields({}))
+        .ShuffleGrouping("s");
+    auto topology = builder.Build();
+    ASSERT_TRUE(topology.ok());
+    LocalRuntime::Options options;
+    options.queue_capacity = 64;  // the whole script queues without blocking
+    options.max_batch = 4;
+    options.emit_batch = 1;  // each emission is queued before the gate opens
+    options.fault_injector = &injector;
+    options.supervisor_interval_micros = 1'000;
+    options.overload.enable_load_shedding = true;
+    options.overload.shed_low_watermark = 2.0;
+    options.overload.shed_high_watermark = 2.0;
+    LocalRuntime runtime(std::move(*topology), options);
+    ASSERT_TRUE(runtime.Start().ok());
+    runtime.AwaitCompletion();
+
+    EXPECT_EQ(injector.crashes_injected(), 1u);
+    std::vector<int64_t> expected{100, 102, 103, 104, 105};
+    for (int64_t low = 0; low < 40; ++low) expected.push_back(low);
+    EXPECT_EQ(ValuesOf(capture.get()), expected);
+  }
 }
 
 TEST(HotpathRingQueueTest, PriorityDrainOnReusedChunksKeepsEachTierInOrder) {
