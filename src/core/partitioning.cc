@@ -148,25 +148,28 @@ uint64_t RegionRateTracker::observed_total() const {
 
 std::vector<RegionRate> RegionRateTracker::Estimates() const {
   MutexLock lock(mutex_);
-  // Blend: with few observations trust the seed; as observations accumulate
-  // they dominate (simple additive smoothing).
-  std::map<int64_t, RegionRate> merged;
-  for (const auto& [region, rate] : seeded_) {
-    merged[region] = {region, rate};
+  // Seed and observations as shares of their own totals, so that once the
+  // observations dominate, equal traffic gives equal estimates however long
+  // it has been observed.
+  double seeded_total = 0.0;
+  for (const auto& [region, rate] : seeded_) seeded_total += rate;
+  const double scale =
+      std::min(1.0, static_cast<double>(observed_total_) / 1000.0);
+  std::map<int64_t, double> blend;
+  if (seeded_total > 0.0) {
+    for (const auto& [region, rate] : seeded_) {
+      blend[region] += (1.0 - scale) * (rate / seeded_total);
+    }
   }
   if (observed_total_ > 0) {
-    double scale =
-        std::min(1.0, static_cast<double>(observed_total_) / 1000.0);
     for (const auto& [region, count] : observed_) {
-      double observed_rate = static_cast<double>(count);
-      RegionRate& entry = merged[region];
-      entry.region = region;
-      entry.rate = (1.0 - scale) * entry.rate + scale * observed_rate;
+      blend[region] += scale * (static_cast<double>(count) /
+                                static_cast<double>(observed_total_));
     }
   }
   std::vector<RegionRate> out;
-  out.reserve(merged.size());
-  for (const auto& [region, rate] : merged) out.push_back(rate);
+  out.reserve(blend.size());
+  for (const auto& [region, rate] : blend) out.push_back({region, rate});
   return out;
 }
 

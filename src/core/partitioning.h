@@ -72,7 +72,11 @@ class RegionRateTracker {
   /// Records `count` observed tuples per region in one update (tallies
   /// merged at a run boundary).
   void ObserveCounts(const std::unordered_map<int64_t, uint64_t>& counts);
-  /// Current estimates: seeded rate blended with observed counts.
+  /// Current estimates as shares of the input: (1 - scale) * seeded share +
+  /// scale * observed share per region, scale = min(1, observed total /
+  /// 1000). Once 1000 tuples are observed the seed no longer counts, so a
+  /// seeded region never observed reads 0 and observing the same traffic
+  /// again leaves the estimates unchanged.
   std::vector<RegionRate> Estimates() const;
   uint64_t observed_total() const;
 

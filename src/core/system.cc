@@ -475,7 +475,7 @@ Status TrafficManagementSystem::BuildLive() {
   return Status::OK();
 }
 
-Status TrafficManagementSystem::StartRun() {
+Result<size_t> TrafficManagementSystem::StartRun() {
   Live& live = *live_;
   // Re-partition with the rates observed so far. Nothing is in flight, so
   // the splitters can simply switch tables.
@@ -495,6 +495,8 @@ Status TrafficManagementSystem::StartRun() {
     for (size_t t = 0; t < target.size(); ++t) (*updates)[t] = live.Diff(t, target[t]);
     live.held = std::move(target);
   }
+  size_t rows_sent = 0;
+  for (const ThresholdUpdate& update : *updates) rows_sent += update.rows.size();
   // Each engine starts a fresh bus stream and takes its threshold updates
   // as events into its existing windows, on its own executor thread.
   Live* raw = &live;
@@ -511,9 +513,10 @@ Status TrafficManagementSystem::StartRun() {
                                    held.row);
         }
       }));
-  return live.runtime->RunOnTasks("preProcess", [](dsps::Bolt* bolt, int) {
+  INSIGHT_RETURN_NOT_OK(live.runtime->RunOnTasks("preProcess", [](dsps::Bolt* bolt, int) {
     static_cast<traffic::PreProcessBolt*>(bolt)->NewStream();
-  });
+  }));
+  return rows_sent;
 }
 
 Result<TrafficManagementSystem::RunReport> TrafficManagementSystem::Run() {
@@ -534,8 +537,13 @@ Result<TrafficManagementSystem::RunReport> TrafficManagementSystem::Run() {
   const auto build_start = std::chrono::steady_clock::now();
   const bool build = live_ == nullptr;
   if (build) INSIGHT_RETURN_NOT_OK(BuildLive());
-  INSIGHT_RETURN_NOT_OK(StartRun());
-  if (build) report.build_seconds = SecondsSince(build_start);
+  const auto boundary_start = std::chrono::steady_clock::now();
+  INSIGHT_ASSIGN_OR_RETURN(report.threshold_rows_sent, StartRun());
+  if (build) {
+    report.build_seconds = SecondsSince(build_start);
+  } else {
+    report.boundary_seconds = SecondsSince(boundary_start);
+  }
 
   Live& live = *live_;
   const auto esper_before = live.runtime->metrics()->Totals("esper");

@@ -87,6 +87,16 @@ class TrafficManagementSystem {
     /// started (engines, statements, threshold preload); 0 when it reused
     /// the running one.
     double build_seconds = 0.0;
+    /// Time this Run() spent at the run boundary of the running topology
+    /// before the stream started: re-partitioning, the threshold diff and
+    /// each engine's new stream and threshold updates. 0 when it built the
+    /// topology (build_seconds covers that). The two are most of what a
+    /// Run() takes beyond wall_seconds.
+    double boundary_seconds = 0.0;
+    /// Threshold rows sent to the engines at this run boundary: changed and
+    /// new rows, or an engine's whole scoped set when it lost a location.
+    /// The preload of a build is not counted.
+    size_t threshold_rows_sent = 0;
     /// Esper-bolt totals of this run (the bolt the paper's evaluation
     /// focuses on).
     dsps::MetricsRegistry::ComponentTotals esper;
@@ -151,7 +161,8 @@ class TrafficManagementSystem {
   Status BuildLive();
   /// Brings the running topology to a run boundary: the current routing,
   /// the thresholds of the current statistics, fresh per-stream state.
-  Status StartRun();
+  /// Returns the threshold rows it sent to the engines.
+  Result<size_t> StartRun();
 
   Config config_;
   storage::TableStore store_;

@@ -230,6 +230,16 @@ TEST(RegionRateTrackerTest, ObservationsBlendWithSeed) {
     if (e.region == 2) r2 = e.rate;
   }
   EXPECT_GT(r1, r2);
+  // 2000 observations outweigh the seed entirely: the never-observed seeded
+  // region reads 0, and observing the same traffic again changes nothing.
+  EXPECT_EQ(r2, 0.0);
+  tracker.ObserveCounts({{1, 2000}});
+  auto again = tracker.Estimates();
+  ASSERT_EQ(again.size(), estimates.size());
+  for (size_t i = 0; i < again.size(); ++i) {
+    EXPECT_EQ(again[i].region, estimates[i].region);
+    EXPECT_EQ(again[i].rate, estimates[i].rate);
+  }
 }
 
 TEST(RegionRateTrackerTest, ObserveCountsEqualsObservingEachTuple) {

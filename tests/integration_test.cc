@@ -348,10 +348,12 @@ TEST(LongLivedSystemTest, ConsecutiveRunsReportPerRunDeltas) {
   TrafficManagementSystem system(SmallConfig());
   ASSERT_TRUE(system.Initialize().ok());
   std::vector<TrafficManagementSystem::RunReport> reports;
+  std::vector<std::shared_ptr<const SpatialRouter>> router_after;
   for (int run = 0; run < 3; ++run) {
     auto report = system.Run();
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     reports.push_back(*report);
+    router_after.push_back(system.router());
   }
   for (const auto& report : reports) {
     EXPECT_EQ(report.traces_fed, 6000u);
@@ -362,6 +364,12 @@ TEST(LongLivedSystemTest, ConsecutiveRunsReportPerRunDeltas) {
   EXPECT_GT(reports[0].esper.executed, 4000u);
   EXPECT_GT(reports[0].build_seconds, 0.0);
   EXPECT_EQ(reports[2].build_seconds, 0.0);
+  EXPECT_EQ(reports[0].boundary_seconds, 0.0);
+  EXPECT_GT(reports[2].boundary_seconds, 0.0);
+  // Runs 1 and 2 streamed the same traces, so run 3 partitions as run 2
+  // did: it keeps the router and sends the engines no threshold rows.
+  EXPECT_EQ(router_after[2], router_after[1]);
+  EXPECT_EQ(reports[2].threshold_rows_sent, 0u);
   // One utilisation per executor; the chained enrichment stages run on
   // preProcess's executors and have none of their own.
   for (const auto& report : reports) {
